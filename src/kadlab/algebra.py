@@ -436,8 +436,8 @@ def evaluate(algebra: FiniteAlgebra, t: tm.Term, env: Optional[tm.Env] = None) -
         tenv[k] = i
     vvars, tvars = tm.variables(t)
     for name in vvars:
-        if name not in venv and name in algebra._index:
-            venv[name] = algebra._index[name]
+        if name not in venv and name in algebra.carrier:
+            venv[name] = algebra.index(name)
     # a test variable may also be satisfied by an element binding (or an
     # element literal) that happens to name a test
     for name in tvars:
@@ -445,8 +445,8 @@ def evaluate(algebra: FiniteAlgebra, t: tm.Term, env: Optional[tm.Env] = None) -
             continue
         if name in venv:
             i = venv[name]
-        elif name in algebra._index:
-            i = algebra._index[name]
+        elif name in algebra.carrier:
+            i = algebra.index(name)
         else:
             continue
         if algebra.tests_i is None or i not in algebra.tests_i:

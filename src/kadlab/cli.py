@@ -241,8 +241,10 @@ def _demo_separation():
     lines.append(
         f"[3] {rel2.name}: KAD axioms {'PASS' if kad_report.passed else 'FAIL'} "
         f"({kad_report.axiom_count} axioms, {kad_report.instance_count} instances)")
-    lines.append(f"[4] {rel2.name}: phi "
-                 f"{'holds (16*16*4*4 instantiations)' if phi_kad.holds else 'FAILS'}")
+    # phi holding means check_phi scanned every (x, y, p, q)
+    scanned = rel2.size ** 2 * len(rel2.tests_i) ** 2
+    verdict = f"holds ({scanned} instantiations)" if phi_kad.holds else "FAILS"
+    lines.append(f"[4] {rel2.name}: phi {verdict}")
     separated = (kat_report.passed and not phi_kat.holds
                  and kad_report.passed and phi_kad.holds)
     lines.append("summary: KAT ⊬ φ, AS ⊢ φ" if separated
@@ -302,47 +304,52 @@ def _add_model_source(sub):
 
 
 def _build_parser():
+    # --format is accepted before and after the subcommand; SUPPRESS keeps
+    # a subcommand's missing copy from overwriting the global value
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "structured"),
+                        default=argparse.SUPPRESS,
+                        help="report format (default: text)")
     parser = argparse.ArgumentParser(
-        prog="kadlab",
+        prog="kadlab", parents=[common],
         description="Finite-model toolkit for Kleene algebras with tests "
                     "and with domain")
-    parser.add_argument("--format", choices=("text", "structured"),
-                        default="text", help="report format")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("check-axioms", help="check an axiom profile")
+    def command(name, summary):
+        return subs.add_parser(name, parents=[common], help=summary)
+
+    sub = command("check-axioms", "check an axiom profile")
     _add_model_source(sub)
     sub.add_argument("--profile", required=True,
                      help="|".join(p.value for p in Profile))
     sub.set_defaults(handler=_cmd_check_axioms)
 
-    sub = subs.add_parser("eval", help="evaluate a term in a model")
+    sub = command("eval", "evaluate a term in a model")
     _add_model_source(sub)
     sub.add_argument("--term", required=True)
     sub.add_argument("--env", default="",
                      help="comma separated name=element bindings")
     sub.set_defaults(handler=_cmd_eval)
 
-    sub = subs.add_parser("check-phi",
-                          help="check the mid-assertion sentence")
+    sub = command("check-phi", "check the mid-assertion sentence")
     _add_model_source(sub)
     sub.set_defaults(handler=_cmd_check_phi)
 
-    sub = subs.add_parser("find-models", help="search small models")
+    sub = command("find-models", "search small models")
     sub.add_argument("--size", type=int, required=True)
     sub.add_argument("--profile", required=True)
     sub.add_argument("--constraint", choices=CONSTRAINTS, default=None)
     sub.add_argument("--limit", type=int, default=None)
     sub.set_defaults(handler=_cmd_find_models)
 
-    sub = subs.add_parser("vcgen", help="generate verification conditions")
+    sub = command("vcgen", "generate verification conditions")
     sub.add_argument("--program", required=True, help="program file")
     sub.add_argument("--pre", help="precondition test expression")
     sub.add_argument("--post", help="postcondition test expression")
     sub.set_defaults(handler=_cmd_vcgen)
 
-    sub = subs.add_parser("synth-mid",
-                          help="synthesize an intermediate assertion")
+    sub = command("synth-mid", "synthesize an intermediate assertion")
     sub.add_argument("--program", required=True,
                      help="program file with the bindings")
     sub.add_argument("--x", required=True, help="first program")
@@ -352,7 +359,7 @@ def _build_parser():
     sub.add_argument("--method", choices=SYNTH_METHODS, required=True)
     sub.set_defaults(handler=_cmd_synth_mid)
 
-    sub = subs.add_parser("demo", help="scripted demonstrations")
+    sub = command("demo", "scripted demonstrations")
     sub.add_argument("what", choices=("separation", "nonexpressivity"))
     sub.add_argument("--set", default="evens",
                      help="target set literal (nonexpressivity)")
@@ -364,7 +371,7 @@ def _build_parser():
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, namespace=argparse.Namespace(format="text"))
     try:
         code, lines, payload = args.handler(args)
     except PremiseError as e:

@@ -158,10 +158,10 @@ def dump_model(algebra: FiniteAlgebra) -> str:
     """Serialize an algebra in the model file format (inverse of load_model)."""
     name = algebra.element_name
     out = [f"carrier: {' '.join(algebra.carrier)}",
-           f"zero: {algebra.zero}",
-           f"one: {algebra.one}"]
-    if algebra.tests is not None:
-        out.append(f"tests: {' '.join(algebra.tests)}")
+           f"zero: {name(algebra.zero_i)}",
+           f"one: {name(algebra.one_i)}"]
+    if algebra.tests_i is not None:
+        out.append(f"tests: {' '.join(map(name, algebra.tests_i))}")
     n = algebra.size
     for op in ("plus", "times"):
         fn = getattr(algebra, op)

@@ -1,28 +1,28 @@
 """While-programs over relational state spaces: semantics, triples, wlp.
 
-Programs denote relations compositionally: ``skip`` is the identity,
-``if t then x else y`` is t;X + !t;Y and ``while t do x`` is (t;X)* ; !t.
-A triple {p} x {q} holds iff p ; X ; !q is empty, equivalently iff
-p <= [X]q where [X]q is the weakest liberal precondition (box).
-
-Assertions are semantic: tests are subidentity relations, not syntactic
-predicates.  ``while`` loops may carry an optional invariant annotation
-(``while t invariant j do ... od``); verification-condition generation
-uses it when present and otherwise falls back to the exact wlp of the
-loop, which finite models make available.
+Programs are read in the KAT encoding: ``skip`` is 1, ``if t then x else
+y fi`` is t;X + !t;Y and ``while t do x od`` is (t;X)* ; !t.  Guards,
+assertions and invariants are test-sorted terms of ``kadlab.terms`` over
+the declared tests, so ``denote`` and ``eval_test`` are term evaluation in
+the relation model of the state space.  A triple {p} x {q} holds iff
+p ; X ; !q is empty, equivalently iff p <= [X]q = a(X ; a(q)), the weakest
+liberal precondition.  ``while`` loops may carry an invariant annotation
+(``while t invariant j do ... od``); ``vcgen`` recurses over the program
+to use it when present and otherwise falls back to the exact loop wlp,
+which finite models make available.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import KadlabError, ModelError, ParseError
-from .relations import Rel, StateSpace
+from . import terms as tm
+from .algebra import _eval_idx
+from .errors import EvalError, KadlabError, ModelError, ParseError, SortError
+from .relations import Rel, RelModel, StateSpace
 
 __all__ = [
-    "TestExpr", "TTrue", "TFalse", "TName", "TNot", "TAnd", "TOr",
     "Program", "Skip", "Atom", "Seq", "If", "While",
     "HoareTriple", "Bindings", "parse_test_expr", "parse_program",
     "eval_test", "denote", "holds", "wlp", "vcgen", "synth_mid",
@@ -35,45 +35,6 @@ __all__ = [
 
 class PremiseError(KadlabError):
     """The triple a synthesis or rule check assumes does not hold."""
-
-
-# ---------------------------------------------------------------------------
-# test expressions
-
-class TestExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class TTrue(TestExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class TFalse(TestExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class TName(TestExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class TNot(TestExpr):
-    arg: TestExpr
-
-
-@dataclass(frozen=True)
-class TAnd(TestExpr):
-    left: TestExpr
-    right: TestExpr
-
-
-@dataclass(frozen=True)
-class TOr(TestExpr):
-    left: TestExpr
-    right: TestExpr
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +62,16 @@ class Seq(Program):
 
 @dataclass(frozen=True)
 class If(Program):
-    guard: TestExpr
+    guard: tm.Term
     then: Program
     orelse: Program
 
 
 @dataclass(frozen=True)
 class While(Program):
-    guard: TestExpr
+    guard: tm.Term
     body: Program
-    invariant: Optional[TestExpr] = None
+    invariant: Optional[tm.Term] = None
 
 
 @dataclass(frozen=True)
@@ -139,107 +100,55 @@ class Bindings:
                 raise ModelError(f"test {name!r} lives on a different space")
             if not rel.is_subidentity():
                 raise ModelError(f"test {name!r} is not a subidentity")
+        # built once, not per evaluation: the relation model and the bit
+        # patterns that atoms (element variables) and tests denote in it
+        object.__setattr__(self, "_eval_args", (
+            RelModel(self.space), {k: r.bits for k, r in self.atoms.items()},
+            {k: r.bits for k, r in self.tests.items()}))
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOK = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<sym>[;!&|()01])"
-)
-
 _KEYWORDS = frozenset({"skip", "if", "then", "else", "fi",
                        "while", "do", "od", "invariant"})
 
 
-def _tokenize(text):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOK.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
-        if m.lastgroup != "ws":
-            out.append((m.group(m.lastgroup), pos + 1))
-        pos = m.end()
-    out.append(("", len(text) + 1))
-    return out
+class _Parser(tm._TermParser):
+    """The program grammar over the term tokens; guards are terms."""
 
-
-class _Parser:
     def __init__(self, text, atoms, tests):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        super().__init__(tm._tokenize(text), frozenset(tests))
         self.atoms = frozenset(atoms)
-        self.tests = frozenset(tests)
 
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        tok, col = self.next()
-        if tok != value:
-            raise ParseError(f"expected {value!r}, found {tok or 'end of input'!r}",
-                             column=col)
-
-    def at_end(self):
-        return self.peek() == ""
-
-    # test expressions: | binds loosest, then &, then !
-    def test_expr(self):
-        t = self.test_conj()
-        while self.peek() == "|":
-            self.next()
-            t = TOr(t, self.test_conj())
-        return t
-
-    def test_conj(self):
-        t = self.test_atom()
-        while self.peek() == "&":
-            self.next()
-            t = TAnd(t, self.test_atom())
-        return t
-
-    def test_atom(self):
-        tok, col = self.next()
-        if tok == "!":
-            return TNot(self.test_atom())
-        if tok == "(":
-            t = self.test_expr()
-            self.expect(")")
-            return t
-        if tok == "0":
-            return TFalse()
-        if tok == "1":
-            return TTrue()
-        if tok and tok not in _KEYWORDS and not tok[0].isdigit():
-            if tok not in self.tests:
-                raise ParseError(f"unknown test {tok!r}", column=col)
-            return TName(tok)
-        raise ParseError(f"expected a test, found {tok or 'end of input'!r}",
+    def guard(self) -> tm.Term:
+        """A test-sorted term whose variables are all declared tests."""
+        col = self.peek()[2]
+        t = self.parse_expr()
+        unknown = tm.variables(t)[0]
+        if unknown:
+            raise ParseError(f"unknown test {min(unknown)!r}", column=col)
+        try:
+            if tm.sort_of(t) is tm.Sort.TEST:
+                return tm.desugar(t)
+        except SortError:
+            pass
+        raise ParseError(f"expected a test, found {tm.print_term(t)!r}",
                          column=col)
 
-    # programs
     def program(self):
         p = self.piece()
-        while self.peek() == ";":
+        while self.peek()[1] == ";":
             self.next()
             p = Seq(p, self.piece())
         return p
 
     def piece(self):
-        tok, col = self.next()
+        kind, tok, col = self.next()
         if tok == "skip":
             return Skip()
         if tok == "if":
-            guard = self.test_expr()
+            guard = self.guard()
             self.expect("then")
             then = self.program()
             self.expect("else")
@@ -247,16 +156,16 @@ class _Parser:
             self.expect("fi")
             return If(guard, then, orelse)
         if tok == "while":
-            guard = self.test_expr()
+            guard = self.guard()
             invariant = None
-            if self.peek() == "invariant":
+            if self.peek()[1] == "invariant":
                 self.next()
-                invariant = self.test_expr()
+                invariant = self.guard()
             self.expect("do")
             body = self.program()
             self.expect("od")
             return While(guard, body, invariant)
-        if tok and tok not in _KEYWORDS and tok not in ";!&|()01":
+        if kind == "ident" and tok not in _KEYWORDS:
             if tok not in self.atoms:
                 raise ParseError(f"unknown atomic command {tok!r}", column=col)
             return Atom(tok)
@@ -266,63 +175,47 @@ class _Parser:
 
 def parse_program(text: str, atoms, tests) -> Program:
     parser = _Parser(text, atoms, tests)
-    p = parser.program()
-    if not parser.at_end():
-        raise ParseError(f"trailing input starting at {parser.peek()!r}")
-    return p
+    return parser.parse_all(parser.program)
 
 
-def parse_test_expr(text: str, tests) -> TestExpr:
+def parse_test_expr(text: str, tests) -> tm.Term:
+    """Parse a test term over the named tests (see ``_Parser.guard``)."""
     parser = _Parser(text, (), tests)
-    t = parser.test_expr()
-    if not parser.at_end():
-        raise ParseError(f"trailing input starting at {parser.peek()!r}")
-    return t
+    return parser.parse_all(parser.guard)
 
 
 # ---------------------------------------------------------------------------
 # semantics
 
-def eval_test(expr: TestExpr, bindings: Bindings) -> Rel:
-    match expr:
-        case TTrue():
-            return Rel.identity(bindings.space)
-        case TFalse():
-            return Rel.empty(bindings.space)
-        case TName(name):
-            try:
-                return bindings.tests[name]
-            except KeyError:
-                raise ModelError(f"unbound test {name!r}") from None
-        case TNot(a):
-            return eval_test(a, bindings).complement_test()
-        case TAnd(l, r):
-            return eval_test(l, bindings).intersect(eval_test(r, bindings))
-        case TOr(l, r):
-            return eval_test(l, bindings).union(eval_test(r, bindings))
-    raise TypeError(f"not a test expression: {expr!r}")
+def _encode(prog: Program) -> tm.Term:
+    """The KAT encoding of a program; atoms become element variables."""
+    match prog:
+        case Skip():
+            return tm.ONE
+        case Atom(name):
+            return tm.Var(name)
+        case Seq(a, b):
+            return tm.Times(_encode(a), _encode(b))
+        case If(guard, then, orelse):
+            return tm.Plus(tm.Times(guard, _encode(then)),
+                           tm.Times(tm.Not(guard), _encode(orelse)))
+        case While(guard, body, _):
+            return tm.Times(tm.Star(tm.Times(guard, _encode(body))),
+                            tm.Not(guard))
+    raise TypeError(f"not a program: {prog!r}")
+
+
+def eval_test(expr: tm.Term, bindings: Bindings) -> Rel:
+    """Evaluate a term in the relation model of the bindings."""
+    model, venv, tenv = bindings._eval_args
+    try:
+        return Rel(bindings.space, _eval_idx(model, expr, venv, tenv))
+    except EvalError as e:
+        raise ModelError(str(e)) from None
 
 
 def denote(prog: Program, bindings: Bindings) -> Rel:
-    match prog:
-        case Skip():
-            return Rel.identity(bindings.space)
-        case Atom(name):
-            try:
-                return bindings.atoms[name]
-            except KeyError:
-                raise ModelError(f"unbound atomic command {name!r}") from None
-        case Seq(a, b):
-            return denote(a, bindings).compose(denote(b, bindings))
-        case If(guard, then, orelse):
-            t = eval_test(guard, bindings)
-            return (t.compose(denote(then, bindings))
-                    .union(t.complement_test().compose(denote(orelse, bindings))))
-        case While(guard, body, _):
-            t = eval_test(guard, bindings)
-            loop = t.compose(denote(body, bindings))
-            return loop.star().compose(t.complement_test())
-    raise TypeError(f"not a program: {prog!r}")
+    return eval_test(_encode(prog), bindings)
 
 
 def _check_test(rel: Rel, what: str):

@@ -5,22 +5,24 @@ iff state i steps to state j.  Union is |, intersection is &, composition
 is a boolean matrix product over rows, and reflexive-transitive closure is
 computed by repeated squaring of (R | id).  Tests are subidentities.
 
-Relations over a space of size <= 2 can be exported eagerly as a
-``FiniteAlgebra`` (16 elements); size 3 is exposed as a lazily evaluated
-algebra (512 elements) whose tables are computed on demand.
+``RelModel`` is the relation algebra on a space behind the index-level
+interface of ``FiniteAlgebra``, computed on demand at any state count.
+Tabulating it gives the eager 1- and 2-state algebras (at most 16
+elements); over 3 states (512 elements) the model itself is exported.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .algebra import FiniteAlgebra
-from .errors import BoundError, ModelError, ParseError
+from .errors import BoundError, EvalError, ModelError, ParseError
 
-__all__ = ["StateSpace", "Rel", "as_finite_algebra", "parse_rel_literal",
-           "rel_algebra_model", "all_relations"]
+__all__ = ["StateSpace", "Rel", "RelModel", "as_finite_algebra",
+           "parse_rel_literal", "rel_algebra_model", "all_relations"]
 
 
 @dataclass(frozen=True)
@@ -273,95 +275,108 @@ def format_rel(r: Rel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# packaging as a finite algebra
+# the relation model
+
+class RelModel:
+    """The full relation algebra on a space, computed on demand.
+
+    It offers the index-level interface of ``FiniteAlgebra`` with element
+    index == bit pattern, so term evaluation runs on it at any state
+    count; the carrier and test lists are built only when asked for.
+    """
+
+    def __init__(self, space: StateSpace):
+        self.space = space
+        self.name = f"rel{space.size}"
+        self.size = 1 << space.size ** 2
+        self.zero_i = 0
+        self.one_i = Rel.identity(space).bits
+
+    @cached_property
+    def carrier(self) -> tuple[str, ...]:
+        return tuple(map(self.element_name, range(self.size)))
+
+    @cached_property
+    def tests_i(self) -> tuple[int, ...]:
+        """The subidentities in increasing bit-pattern order."""
+        n = self.space.size
+        return tuple(sum(1 << i * (n + 1) for i in range(n) if mask >> i & 1)
+                     for mask in range(1 << n))
+
+    def element_name(self, i: int) -> str:
+        return format_rel(Rel(self.space, i))
+
+    def index(self, name: str) -> int:
+        try:
+            return self.carrier.index(name)
+        except ValueError:
+            raise ModelError(f"unknown carrier element {name!r}") from None
+
+    def plus(self, i: int, j: int) -> int:
+        return i | j
+
+    def times(self, i: int, j: int) -> int:
+        if (i | j) & ~self.one_i == 0:
+            # tests compose by intersection, far cheaper than a matrix product
+            return i & j
+        return Rel(self.space, i).compose(Rel(self.space, j)).bits
+
+    def star(self, i: int) -> int:
+        return Rel(self.space, i).star().bits
+
+    def adom(self, i: int) -> int:
+        return Rel(self.space, i).adom().bits
+
+    def aran(self, i: int) -> int:
+        return Rel(self.space, i).aran().bits
+
+    def complement(self, i: int) -> int:
+        if i & ~self.one_i:
+            raise EvalError(
+                f"complement of non-test element {self.element_name(i)!r}")
+        return self.one_i & ~i
+
+    def leq(self, i: int, j: int) -> bool:
+        return i & ~j == 0
+
+    def has_op(self, op: str) -> bool:
+        if op in ("star", "adom", "aran", "tests", "complement"):
+            return True
+        raise ValueError(f"unknown op {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# packaging for axiom checks
 
 _EAGER_MAX = 2
 _LAZY_MAX = 3
 
 
-def as_finite_algebra(space: StateSpace) -> FiniteAlgebra:
+def as_finite_algebra(space: StateSpace) -> FiniteAlgebra | RelModel:
     """The full relation algebra on the space, packaged for axiom checks.
 
-    Size <= 2 is exported eagerly (2^(n^2) <= 16 elements); size 3 returns
-    a lazily evaluated algebra; larger spaces are refused.
+    Size <= 2 is tabulated into a ``FiniteAlgebra`` (2^(n^2) <= 16
+    elements); size 3 returns the on-demand ``RelModel`` (512 elements);
+    larger spaces are refused.
     """
     n = space.size
-    if n <= _EAGER_MAX:
-        return _eager_algebra(space)
-    if n <= _LAZY_MAX:
-        return _LazyRelAlgebra(space)
-    raise BoundError(
-        f"relation algebra over {n} states has 2^{n * n} elements; "
-        f"the export bound is {_LAZY_MAX} states")
+    if n > _LAZY_MAX:
+        raise BoundError(
+            f"relation algebra over {n} states has 2^{n * n} elements; "
+            f"the export bound is {_LAZY_MAX} states")
+    model = RelModel(space)
+    return _tabulate(model) if n <= _EAGER_MAX else model
 
 
-def rel_algebra_model(size: int) -> FiniteAlgebra:
+def rel_algebra_model(size: int) -> FiniteAlgebra | RelModel:
     return as_finite_algebra(StateSpace.of_size(size))
 
 
-def _eager_algebra(space: StateSpace) -> FiniteAlgebra:
-    rels = list(all_relations(space))
-    names = [format_rel(r) for r in rels]
-    index = {r.bits: i for i, r in enumerate(rels)}
-    plus = [[index[(a | b).bits] for b in rels] for a in rels]
-    times = [[index[a.compose(b).bits] for b in rels] for a in rels]
-    star = [index[a.star().bits] for a in rels]
-    adom = [index[a.adom().bits] for a in rels]
-    aran = [index[a.aran().bits] for a in rels]
-    zero = names[index[0]]
-    one = names[index[Rel.identity(space).bits]]
-    return FiniteAlgebra(names, zero, one, plus, times, star=star,
-                         adom=adom, aran=aran,
-                         name=f"rel{space.size}")
-
-
-class _LazyRelAlgebra(FiniteAlgebra):
-    """Relation algebra with on-demand tables (size-3 spaces)."""
-
-    def __init__(self, space: StateSpace):
-        n2 = space.size ** 2
-        self.space = space
-        self.name = f"rel{space.size}"
-        self.carrier = tuple(format_rel(Rel(space, b)) for b in range(1 << n2))
-        self._index = {e: i for i, e in enumerate(self.carrier)}
-        self.zero_i = 0
-        self.one_i = Rel.identity(space).bits
-        ident = Rel.identity(space).bits
-        self.tests_i = tuple(sorted(b for b in range(1 << n2)
-                                    if b & ~ident == 0))
-        self._plus = None
-        self._times = None
-        self._star_cache = {}
-        self._complement = None
-        self._adom_cache = {}
-        self._aran_cache = {}
-
-    def _rel(self, i: int) -> Rel:
-        return Rel(self.space, i)
-
-    # element index == bit pattern, so tables reduce to Rel operations
-    def plus(self, i, j):
-        return i | j
-
-    def times(self, i, j):
-        return self._rel(i).compose(self._rel(j)).bits
-
-    def star(self, i):
-        if i not in self._star_cache:
-            self._star_cache[i] = self._rel(i).star().bits
-        return self._star_cache[i]
-
-    def adom(self, i):
-        if i not in self._adom_cache:
-            self._adom_cache[i] = self._rel(i).adom().bits
-        return self._adom_cache[i]
-
-    def aran(self, i):
-        if i not in self._aran_cache:
-            self._aran_cache[i] = self._rel(i).aran().bits
-        return self._aran_cache[i]
-
-    def has_op(self, op):
-        if op in ("star", "adom", "aran", "tests", "complement"):
-            return True
-        raise ValueError(f"unknown op {op!r}")
+def _tabulate(m: RelModel) -> FiniteAlgebra:
+    r = range(m.size)
+    name = m.element_name
+    return FiniteAlgebra(m.carrier, name(m.zero_i), name(m.one_i),
+                         [[m.plus(i, j) for j in r] for i in r],
+                         [[m.times(i, j) for j in r] for i in r],
+                         star=list(map(m.star, r)), adom=list(map(m.adom, r)),
+                         aran=list(map(m.aran, r)), name=m.name)

@@ -5,10 +5,11 @@ and the box operator [x]y.  Box, d and r are sugar: ``desugar`` rewrites
 them into the antidomain/antirange primitives, so concrete models only ever
 interpret +, ;, *, !, a and ar.
 
-Concrete syntax (see ``parse_term``): multiplication is written ``;`` to
-keep it apart from test conjunction, ``!`` complements tests, ``*`` is
-postfix star, and ``!``/``*`` bind tighter than ``;`` which binds tighter
-than ``+``.
+Concrete syntax (see ``parse_term``): multiplication is written ``;``,
+``!`` complements tests, ``*`` is postfix star, and ``!``/``*`` bind
+tighter than ``;`` which binds tighter than ``+``.  ``&`` and ``|`` are
+surface sugar for ``;`` and ``+`` (conjunction and disjunction on tests),
+so Hoare guards and assertions are read by the same parser.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<const>[01])"
-    r"|(?P<sym>[+;*!()\[\]])"
+    r"|(?P<sym>[+;*!()\[\]&|])"
 )
 
 _OP_NAMES = {"a": ADom, "d": Dom, "r": Ran, "ar": ARan}
@@ -338,16 +339,24 @@ class _TermParser:
             return name in self.tests
         return name[0] in DEFAULT_TEST_INITIALS
 
+    def parse_all(self, rule):
+        """Apply ``rule`` and require it to consume the whole input."""
+        result = rule()
+        kind, val, col = self.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input starting at {val!r}", column=col)
+        return result
+
     def parse_expr(self):
         t = self.parse_term()
-        while self.peek()[1] == "+":
+        while self.peek()[1] in ("+", "|"):
             self.next()
             t = Plus(t, self.parse_term())
         return t
 
     def parse_term(self):
         t = self.parse_unary()
-        while self.peek()[1] == ";":
+        while self.peek()[1] in (";", "&"):
             self.next()
             t = Times(t, self.parse_unary())
         return t
@@ -402,8 +411,4 @@ def parse_term(text: str, tests: Optional[Iterable[str]] = None) -> Term:
     """
     parser = _TermParser(_tokenize(text),
                          None if tests is None else frozenset(tests))
-    t = parser.parse_expr()
-    kind, val, col = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input starting at {val!r}", column=col)
-    return t
+    return parser.parse_all(parser.parse_expr)

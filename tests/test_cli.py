@@ -125,6 +125,7 @@ def test_demo_separation(capsys):
     code, out, _ = run(capsys, "demo", "separation")
     assert code == 0
     assert "KAT ⊬ φ, AS ⊢ φ" in out
+    assert "phi holds (4096 instantiations)" in out  # 16^2 * 4^2 on rel2
 
 
 def test_demo_nonexpressivity(capsys):
@@ -146,6 +147,18 @@ def test_structured_output_is_json(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["witness"] == ["a", "a", "1", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--format", "structured", "check-axioms", "--builtin", "lemma4",
+     "--profile", "kat"),
+    ("check-axioms", "--builtin", "lemma4", "--profile", "kat",
+     "--format", "structured"),
+])
+def test_format_before_or_after_subcommand(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["passed"]
 
 
 def test_reports_are_deterministic(capsys):

@@ -5,13 +5,15 @@ import pytest
 
 from kadlab.errors import ModelError, ParseError
 from kadlab.hoare import (Atom, Bindings, HoareTriple, If, PremiseError, Seq,
-                          Skip, TAnd, TName, TNot, TOr, TTrue, While,
+                          Skip, While,
                           check_conseq_rule, check_if_rule,
                           check_rule_inversion, check_seq_rule,
                           check_while_rule, denote, eval_test, holds,
                           parse_program, parse_test_expr, synth_mid, vcgen,
                           wlp)
 from kadlab.relations import Rel, StateSpace
+from kadlab.terms import ONE, Not, Plus, Times
+from kadlab.terms import TestVar as TV
 
 S2 = StateSpace(["1", "2"])
 S3 = StateSpace(["1", "2", "3"])
@@ -56,17 +58,17 @@ def test_parse_program_shapes():
     p = parse_program("x ; skip ; y", b.atoms, b.tests)
     assert p == Seq(Seq(Atom("x"), Skip()), Atom("y"))
     p = parse_program("if p then x else y fi", b.atoms, b.tests)
-    assert p == If(TName("p"), Atom("x"), Atom("y"))
+    assert p == If(TV("p"), Atom("x"), Atom("y"))
     p = parse_program("while p & !q do x od", b.atoms, b.tests)
-    assert p == While(TAnd(TName("p"), TNot(TName("q"))), Atom("x"))
+    assert p == While(Times(TV("p"), Not(TV("q"))), Atom("x"))
     p = parse_program("while p invariant 1 do x od", b.atoms, b.tests)
-    assert p == While(TName("p"), Atom("x"), invariant=TTrue())
+    assert p == While(TV("p"), Atom("x"), invariant=ONE)
 
 
 def test_parse_test_expressions():
     b = b2()
     t = parse_test_expr("p | q & !p", b.tests)
-    assert t == TOr(TName("p"), TAnd(TName("q"), TNot(TName("p"))))
+    assert t == Plus(TV("p"), Times(TV("q"), Not(TV("p"))))
     assert eval_test(t, b) == Rel.identity(S2)
 
 
@@ -80,8 +82,25 @@ def test_parse_errors():
         parse_program("while p do x", b.atoms, b.tests)
 
 
+def test_guards_are_tests_over_declared_names():
+    b = b2()
+    for guard in ("x", "nosuch", "p*", "!(p*)"):
+        with pytest.raises(ParseError):
+            parse_program(f"while {guard} do x od", b.atoms, b.tests)
+        with pytest.raises(ParseError):
+            parse_test_expr(guard, b.tests)
+
+
 # ---------------------------------------------------------------------------
 # denotation
+
+def test_unbound_names_raise_model_error():
+    b = b2()
+    with pytest.raises(ModelError):
+        denote(Atom("nosuch"), b)
+    with pytest.raises(ModelError):
+        eval_test(TV("nosuch"), b)
+
 
 def test_denote_skip_is_identity():
     assert denote(Skip(), b2()) == Rel.identity(S2)
@@ -89,7 +108,7 @@ def test_denote_skip_is_identity():
 
 def test_denote_if_encoding():
     b = b2()
-    prog = If(TName("p"), Atom("x"), Atom("y"))
+    prog = If(TV("p"), Atom("x"), Atom("y"))
     t = b.tests["p"]
     expected = t.compose(b.atoms["x"]).union(
         t.complement_test().compose(b.atoms["y"]))
@@ -98,14 +117,14 @@ def test_denote_if_encoding():
 
 def test_denote_while_skip():
     b = b2()
-    assert denote(While(TName("p"), Skip()), b) == \
+    assert denote(While(TV("p"), Skip()), b) == \
         b.tests["p"].complement_test()
 
 
 def test_denote_while_loop():
     # loop from 1: guard p holds only at 1, body moves 1 -> 2
     b = b2()
-    prog = While(TName("p"), Atom("x"))
+    prog = While(TV("p"), Atom("x"))
     r = denote(prog, b)
     assert r.pairs() == {("1", "2"), ("2", "2")}
 
@@ -225,7 +244,7 @@ def test_while_plain_consequent_is_not_invertible():
     b = b2()
     p = b.tests["p"]
     t = Rel.identity(S2)
-    prog = While(TTrue(), Atom("swap"))
+    prog = While(ONE, Atom("swap"))
     vacuous = holds(HoareTriple(p, prog, p.intersect(t.complement_test())), b)
     body = holds(HoareTriple(p.intersect(t), Atom("swap"), p), b)
     assert vacuous and not body

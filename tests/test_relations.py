@@ -3,11 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from kadlab.algebra import Profile, check_axioms, check_phi
-from kadlab.errors import BoundError, ModelError, ParseError
-from kadlab.relations import (Rel, StateSpace, all_relations,
+from kadlab.algebra import Profile, check_axioms, check_phi, evaluate
+from kadlab.errors import BoundError, EvalError, ModelError, ParseError
+from kadlab.relations import (Rel, RelModel, StateSpace, all_relations,
                               as_finite_algebra, format_rel,
                               parse_rel_literal, rel_algebra_model)
+from kadlab.terms import (ADom, ARan, Box, Dom, Env, Not, ONE, Plus, Star,
+                          Times, Var, ZERO, desugar, parse_term)
+from kadlab.terms import TestVar as TV  # alias keeps pytest collection quiet
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +271,47 @@ def test_lazy_algebra_size_3():
     assert m.adom(r.bits) == r.adom().bits
     assert m.aran(r.bits) == r.aran().bits
     assert m.complement(m.adom(r.bits)) == r.dom().bits
+
+
+def test_evaluate_in_rel3():
+    m = rel_algebra_model(3)
+    env = Env(elements={"x": "{(1,2),(2,3)}"})
+    assert evaluate(m, parse_term("x ; x*", tests=()), env) == \
+        "{(1,2),(1,3),(2,3)}"
+
+
+REL2 = rel_algebra_model(2)
+REL2_MODEL = RelModel(StateSpace.of_size(2))
+
+_rel2_terms = st.recursive(
+    st.one_of(st.just(ZERO), st.just(ONE),
+              st.builds(Var, st.sampled_from(["x", "y"])),
+              st.builds(TV, st.sampled_from(["p", "q"]))),
+    lambda inner: st.one_of(
+        st.builds(Plus, inner, inner), st.builds(Times, inner, inner),
+        st.builds(Star, inner), st.builds(Not, inner),
+        st.builds(ADom, inner), st.builds(ARan, inner),
+        st.builds(Dom, inner), st.builds(Box, inner, inner)),
+    max_leaves=10,
+).map(desugar)
+
+
+_rel2_tests = st.sampled_from(REL2_MODEL.tests_i)
+
+
+@given(_rel2_terms, st.integers(0, 15), st.integers(0, 15),
+       _rel2_tests, _rel2_tests)
+def test_tabulated_rel2_agrees_with_relation_model(t, x, y, p, q):
+    name = REL2_MODEL.element_name
+    env = Env(elements={"x": name(x), "y": name(y)},
+              tests={"p": name(p), "q": name(q)})
+    results = []
+    for model in (REL2, REL2_MODEL):
+        try:
+            results.append(evaluate(model, t, env))
+        except EvalError as e:   # complement of a non-test, on both sides
+            results.append(f"error: {e}")
+    assert results[0] == results[1]
 
 
 def test_algebra_size_4_refused():

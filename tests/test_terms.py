@@ -45,6 +45,10 @@ def test_parse_operator_names_need_parens():
     assert parse_term("r ; x") == Times(TV("r"), Var("x"))
 
 
+def test_parse_and_or_are_sugar():
+    assert parse_term("p & q | r") == parse_term("p ; q + r")
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_term("x +")
