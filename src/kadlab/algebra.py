@@ -7,7 +7,11 @@ antidomain semiring, ..., through combined domain/range algebras) are
 checked by exhaustive instantiation over the carrier, which is sound and
 complete on finite models; star induction is a quasi-equation and is
 checked by testing the implication at every assignment, with the order
-x <= y decided by x + y = y.
+x <= y decided by x + y = y.  Each law is compiled once, on first use,
+into a Python loop nest over its variables that runs on the raw tables
+and computes every subterm at the outermost loop binding its variables.
+The mid-assertion sentence phi is scanned with sets of tests kept as
+bitmasks, so the search for an intermediate test is one AND.
 
 Tables are index-based (positions into the carrier tuple); the public
 entry points speak element names.
@@ -15,10 +19,12 @@ entry points speak element names.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations, product
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import permutations
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import terms as tm
 from .errors import EvalError, MissingTableError, ModelError
@@ -478,27 +484,169 @@ class CheckReport:
     violations: list[Violation] = field(default_factory=list)
     axiom_count: int = 0
     instance_count: int = 0
+    # (law name, instances checked) in check order; sums to instance_count
+    law_instances: list[tuple[str, int]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-def _law_terms(law):
-    if isinstance(law, Equation):
-        return (law.lhs, law.rhs)
-    if isinstance(law, ClosureLaw):
-        return (law.term,)
-    return tuple(t for pair in law.premises for t in pair) + law.conclusion
+class _Tables(NamedTuple):
+    """A model's raw tables, in the parameter order of a compiled law."""
+
+    n: int
+    tests: tuple[int, ...]
+    plus: Sequence[Sequence[int]]
+    times: Sequence[Sequence[int]]
+    star: Optional[Sequence[int]]
+    adom: Optional[Sequence[int]]
+    aran: Optional[Sequence[int]]
+    complement: Optional[Mapping[int, int]]
+    is_test: Sequence[bool]
+    zero: int
+    one: int
+
+
+def _tables(algebra) -> _Tables:
+    """The raw tables of a ``FiniteAlgebra``; a model that offers only the
+    index-level interface (``relations.RelModel``) is tabulated once."""
+    n = algebra.size
+    tests = algebra.tests_i or ()
+    if isinstance(algebra, FiniteAlgebra):
+        plus, times = algebra._plus, algebra._times
+        star, adom, aran = algebra._star, algebra._adom, algebra._aran
+    else:
+        r = range(n)
+        plus = [[algebra.plus(i, j) for j in r] for i in r]
+        times = [[algebra.times(i, j) for j in r] for i in r]
+        star, adom, aran = (list(map(getattr(algebra, op), r))
+                            if algebra.has_op(op) else None
+                            for op in ("star", "adom", "aran"))
+    complement = ({t: algebra.complement(t) for t in tests}
+                  if algebra.has_op("complement") else None)
+    is_test = [False] * n
+    for t in tests:
+        is_test[t] = True
+    return _Tables(n, tests, plus, times, star, adom, aran, complement,
+                   is_test, algebra.zero_i, algebra.one_i)
+
+
+# A law is compiled, on first use, into one Python function: a loop nest over
+# its variables (element variables in sorted order, then test variables: the
+# order of ``itertools.product`` over their domains) running on the raw
+# tables.  Every subterm is computed at the outermost loop level that binds
+# all of its variables, and a table row indexed by a value from further out
+# is fetched at that value's level.  The function returns None, or the first
+# violating assignment in loop order with the values of the two sides (None
+# as the right side of a closure law).  Only the fixed law inventory is
+# compiled, never user text.
+
+_TABLE_OF = {tm.Plus: "P", tm.Times: "T", tm.Star: "S", tm.Not: "C",
+             tm.ADom: "AD", tm.ARan: "AR"}
+_LAW_PARAMS = "n, tests, P, T, S, AD, AR, C, ISTEST, zero, one"
+
+
+class _LoopNest:
+    """Statements of a law's loop nest, each filed under its loop level."""
+
+    def __init__(self, order):
+        self.level = {name: k for k, name in enumerate(order)}
+        # blocks[k + 1] runs inside the loop over order[k], blocks[0] before
+        self.blocks = [[] for _ in range(len(order) + 1)]
+        self._memo = {}
+
+    def _bind(self, key, expr, level):
+        if key not in self._memo:
+            name = f"t{len(self._memo)}"
+            self.blocks[level + 1].append(f"{name} = {expr}")
+            self._memo[key] = name, level
+        return self._memo[key]
+
+    def value(self, t):
+        """The local holding t's value and the loop level that computes it."""
+        if isinstance(t, tm.Zero):
+            return "zero", -1
+        if isinstance(t, tm.One):
+            return "one", -1
+        if isinstance(t, (tm.Var, tm.TestVar)):
+            return f"v_{t.name}", self.level[t.name]
+        table = _TABLE_OF[type(t)]
+        if isinstance(t, (tm.Plus, tm.Times)):
+            a, la = self.value(t.left)
+            b, lb = self.value(t.right)
+            if la < lb:
+                row, _ = self._bind((table, a), f"{table}[{a}]", la)
+                return self._bind(t, f"{row}[{b}]", lb)
+            return self._bind(t, f"{table}[{a}][{b}]", la)
+        a, la = self.value(t.arg)
+        return self._bind(t, f"{table}[{a}]", la)
+
+    def leq(self, s, t) -> str:
+        """A condition for s <= t, that is s + t = t."""
+        return f"{self.value(tm.Plus(s, t))[0]} == {self.value(t)[0]}"
 
 
 def _law_vars(law):
+    if isinstance(law, Equation):
+        terms = (law.lhs, law.rhs)
+    elif isinstance(law, ClosureLaw):
+        terms = (law.term,)
+    else:
+        terms = tuple(t for pair in law.premises for t in pair) + law.conclusion
     vs, ts = set(), set()
-    for t in _law_terms(law):
+    for t in terms:
         a, b = tm.variables(t)
         vs |= a
         ts |= b
-    return sorted(vs), sorted(ts)
+    return tuple(sorted(vs)), tuple(sorted(ts))
+
+
+@functools.cache
+def _compile_law(law) -> tuple:
+    """(law, element variables, test variables, compiled function)."""
+    vs, ts = _law_vars(law)
+    order = vs + ts
+    nest = _LoopNest(order)
+    found = "(" + "".join(f"v_{v}, " for v in order) + ")"
+    if isinstance(law, Equation):
+        lhs, rhs = nest.value(law.lhs)[0], nest.value(law.rhs)[0]
+        check = [f"if {lhs} != {rhs}:", f"    return {found}, {lhs}, {rhs}"]
+    elif isinstance(law, ClosureLaw):
+        v = nest.value(law.term)[0]
+        check = [f"if not ISTEST[{v}]:", f"    return {found}, {v}, None"]
+    else:
+        premises = " and ".join(nest.leq(s, t) for s, t in law.premises)
+        # the conclusion's innermost values are computed only under the premises
+        inner = nest.blocks[-1]
+        mark = len(inner)
+        s, t = law.conclusion
+        lhs, rhs = nest.value(s)[0], nest.value(t)[0]
+        holds = nest.leq(s, t)
+        lazy = inner[mark:]
+        del inner[mark:]
+        check = ([f"if {premises}:"] + [f"    {line}" for line in lazy]
+                 + [f"    if not {holds}:",
+                    f"        return {found}, {lhs}, {rhs}"])
+    lines = [f"def law({_LAW_PARAMS}):"]
+    pad = "    "
+    lines += [pad + line for line in nest.blocks[0]]
+    for k, v in enumerate(order):
+        lines.append(f"{pad}for v_{v} in {'range(n)' if k < len(vs) else 'tests'}:")
+        pad += "    "
+        lines += [pad + line for line in nest.blocks[k + 1]]
+    lines += [pad + line for line in check]
+    lines.append("    return None")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return law, vs, ts, namespace["law"]
+
+
+# keyed by profile too: hashing the laws' term trees on every call would cost
+# as much as checking a small model
+@functools.cache
+def _compiled_axioms(profile: Profile) -> tuple[tuple, ...]:
+    return tuple(map(_compile_law, profile_axioms(profile)))
 
 
 def _require_profile_ops(algebra: FiniteAlgebra, profile: Profile):
@@ -520,59 +668,33 @@ def check_axioms(algebra: FiniteAlgebra, profile: Profile) -> CheckReport:
 
     Plain variables range over the whole carrier, test variables over the
     declared tests.  The first violating assignment (in carrier order) is
-    recorded per axiom.
+    recorded per axiom, and the instances counted for a law are those up
+    to and including it.
     """
     _require_profile_ops(algebra, profile)
+    tables = _tables(algebra)
+    name = algebra.element_name
     report = CheckReport(profile)
-    n = algebra.size
-    test_range = algebra.tests_i or ()
-    for law in profile_axioms(profile):
+    for law, vs, ts, run in _compiled_axioms(profile):
+        sizes = (tables.n,) * len(vs) + (len(tables.tests),) * len(ts)
+        found = run(*tables)
+        if found is None:
+            count = math.prod(sizes)
+        else:
+            assignment, lhs, rhs = found
+            positions = assignment[:len(vs)] + tuple(
+                map(tables.tests.index, assignment[len(vs):]))
+            rank = 0
+            for pos, size in zip(positions, sizes):
+                rank = rank * size + pos
+            count = rank + 1
+            report.violations.append(Violation(
+                law.name, tuple(sorted(zip(vs + ts, map(name, assignment)))),
+                name(lhs), "(not a test)" if rhs is None else name(rhs)))
         report.axiom_count += 1
-        vs, ts = _law_vars(law)
-        domains = [range(n)] * len(vs) + [test_range] * len(ts)
-        for assignment in product(*domains):
-            report.instance_count += 1
-            venv = dict(zip(vs, assignment[:len(vs)]))
-            tenv = dict(zip(ts, assignment[len(vs):]))
-            violation = _check_instance(algebra, law, venv, tenv)
-            if violation is not None:
-                report.violations.append(violation)
-                break
+        report.instance_count += count
+        report.law_instances.append((law.name, count))
     return report
-
-
-def _check_instance(algebra, law, venv, tenv) -> Optional[Violation]:
-    def names():
-        pairs = [(k, algebra.element_name(v)) for k, v in venv.items()]
-        pairs += [(k, algebra.element_name(v)) for k, v in tenv.items()]
-        return tuple(sorted(pairs))
-
-    if isinstance(law, Equation):
-        l = _eval_idx(algebra, law.lhs, venv, tenv)
-        r = _eval_idx(algebra, law.rhs, venv, tenv)
-        if l != r:
-            return Violation(law.name, names(),
-                             algebra.element_name(l), algebra.element_name(r))
-        return None
-    if isinstance(law, ClosureLaw):
-        v = _eval_idx(algebra, law.term, venv, tenv)
-        if v not in algebra.tests_i:
-            return Violation(law.name, names(),
-                             algebra.element_name(v), "(not a test)")
-        return None
-    # quasi-equation
-    for s, t in law.premises:
-        si = _eval_idx(algebra, s, venv, tenv)
-        ti = _eval_idx(algebra, t, venv, tenv)
-        if not algebra.leq(si, ti):
-            return None
-    s, t = law.conclusion
-    si = _eval_idx(algebra, s, venv, tenv)
-    ti = _eval_idx(algebra, t, venv, tenv)
-    if not algebra.leq(si, ti):
-        return Violation(law.name, names(),
-                         algebra.element_name(si), algebra.element_name(ti))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -582,36 +704,56 @@ def _check_instance(algebra, law, venv, tenv) -> Optional[Violation]:
 class PhiResult:
     holds: bool
     witness: Optional[tuple[str, str, str, str]] = None
+    # (x, y, p, q) instantiations scanned, the witness included
+    instantiations: int = 0
 
 
 def check_phi(algebra: FiniteAlgebra) -> PhiResult:
-    """Brute-force the sequential-rule inversion sentence.
+    """Decide the sequential-rule inversion sentence by exhaustive scan.
 
-    For every x, y in the carrier and tests p, q with p;x;y;!q = 0, search
-    the tests for an intermediate r with p;x;!r = 0 and r;y;!q = 0.  The
-    first failing (x, y, p, q) in carrier order is the witness.
+    For every x, y in the carrier and tests p, q with p;x;y;!q = 0 there
+    must be a test r with p;x;!r = 0 and r;y;!q = 0.  The first failing
+    (x, y, p, q) in carrier order is the witness.  Sets of tests are
+    bitmasks over the test list: ``zeroes[e]`` holds the tests t with
+    e;!t = 0, so the r that suit p;x are ``zeroes[p;x]`` and the q that
+    p;x;y admits are ``zeroes[p;x;y]``; ``after[y][q]`` holds the r with
+    r;y;!q = 0, so whether some suitable r serves q is one AND.
     """
     if algebra.tests_i is None or not algebra.has_op("complement"):
         raise ModelError(f"{algebra.name}: phi needs tests and a complement "
                          "(or an antidomain table)")
-    zero = algebra.zero_i
-    tests = algebra.tests_i
-    nbar = {q: algebra.complement(q) for q in tests}
-    for x in range(algebra.size):
-        for y in range(algebra.size):
-            for p in tests:
-                px = algebra.times(p, x)
-                pxy = algebra.times(px, y)
-                for q in tests:
-                    if algebra.times(pxy, nbar[q]) != zero:
-                        continue
-                    if any(algebra.times(px, nbar[r]) == zero
-                           and algebra.times(algebra.times(r, y), nbar[q]) == zero
-                           for r in tests):
-                        continue
+    tb = _tables(algebra)
+    n, tests, times, zero = tb.n, tb.tests, tb.times, tb.zero
+    k = len(tests)
+    nots = [tb.complement[t] for t in tests]
+    zeroes = [sum(1 << i for i, c in enumerate(nots) if row[c] == zero)
+              for row in times]
+    after = []
+    for y in range(n):
+        masks = [zeroes[times[r][y]] for r in tests]
+        after.append([sum(1 << i for i, m in enumerate(masks) if m >> j & 1)
+                      for j in range(k)])
+    # served[y][suits]: the q for which some r in ``suits`` has r;y;!q = 0
+    served = [{} for _ in range(n)]
+    for x in range(n):
+        prefixes = [(zeroes[px], times[px])
+                    for px in (times[p][x] for p in tests)]
+        for y in range(n):
+            after_y, served_y = after[y], served[y]
+            for pi, (suits, px_row) in enumerate(prefixes):
+                ok = served_y.get(suits)
+                if ok is None:
+                    ok = served_y[suits] = sum(
+                        1 << j for j, rs in enumerate(after_y) if suits & rs)
+                unserved = zeroes[px_row[y]] & ~ok
+                if unserved:
+                    qi = (unserved & -unserved).bit_length() - 1
                     name = algebra.element_name
-                    return PhiResult(False, (name(x), name(y), name(p), name(q)))
-    return PhiResult(True, None)
+                    return PhiResult(
+                        False, (name(x), name(y), name(tests[pi]),
+                                name(tests[qi])),
+                        ((x * n + y) * k + pi) * k + qi + 1)
+    return PhiResult(True, None, n * n * k * k)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,9 @@ def _cmd_check_axioms(args):
             {"axiom": v.axiom, "assignment": dict(v.assignment),
              "lhs": v.lhs, "rhs": v.rhs}
             for v in report.violations],
+        "stats": {"instances_per_law": [
+            {"axiom": name, "instances": count}
+            for name, count in report.law_instances]},
     }
     return (0 if report.passed else 1), lines, payload
 
@@ -141,7 +144,8 @@ def _cmd_check_phi(args):
         lines.append(f"phi: FAILS at x={x} y={y} p={p} q={q}")
     payload = {"command": "check-phi", "model": algebra.name,
                "holds": result.holds,
-               "witness": None if result.holds else list(result.witness)}
+               "witness": None if result.holds else list(result.witness),
+               "stats": {"instantiations": result.instantiations}}
     return (0 if result.holds else 1), lines, payload
 
 
@@ -241,9 +245,8 @@ def _demo_separation():
     lines.append(
         f"[3] {rel2.name}: KAD axioms {'PASS' if kad_report.passed else 'FAIL'} "
         f"({kad_report.axiom_count} axioms, {kad_report.instance_count} instances)")
-    # phi holding means check_phi scanned every (x, y, p, q)
-    scanned = rel2.size ** 2 * len(rel2.tests_i) ** 2
-    verdict = f"holds ({scanned} instantiations)" if phi_kad.holds else "FAILS"
+    verdict = (f"holds ({phi_kad.instantiations} instantiations)"
+               if phi_kad.holds else "FAILS")
     lines.append(f"[4] {rel2.name}: phi {verdict}")
     separated = (kat_report.passed and not phi_kat.holds
                  and kad_report.passed and phi_kad.holds)

@@ -149,6 +149,29 @@ def test_structured_output_is_json(capsys):
     assert payload["witness"] == ["a", "a", "1", "0"]
 
 
+def test_structured_check_axioms_reports_per_law_instances(capsys):
+    code, out, _ = run(capsys, "--format", "structured", "check-axioms",
+                       "--builtin", "lemma4", "--profile", "kat")
+    assert code == 0
+    payload = json.loads(out)
+    per_law = payload["stats"]["instances_per_law"]
+    assert len(per_law) == payload["axioms"]
+    assert per_law[0] == {"axiom": "plus-assoc", "instances": 27}
+    assert sum(e["instances"] for e in per_law) == payload["instances"]
+    _, text, _ = run(capsys, "check-axioms", "--builtin", "lemma4",
+                     "--profile", "kat")
+    assert "stats" not in text and "plus-assoc" not in text
+
+
+def test_structured_check_phi_reports_instantiations(capsys):
+    _, out, _ = run(capsys, "--format", "structured", "check-phi",
+                    "--builtin", "lemma4")
+    assert json.loads(out)["stats"] == {"instantiations": 19}
+    _, out, _ = run(capsys, "--format", "structured", "check-phi",
+                    "--builtin", "rel2")
+    assert json.loads(out)["stats"] == {"instantiations": 4096}
+
+
 @pytest.mark.parametrize("argv", [
     ("--format", "structured", "check-axioms", "--builtin", "lemma4",
      "--profile", "kat"),
