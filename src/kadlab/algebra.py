@@ -518,9 +518,9 @@ def _tables(algebra) -> _Tables:
         star, adom, aran = algebra._star, algebra._adom, algebra._aran
     else:
         r = range(n)
-        plus = [[algebra.plus(i, j) for j in r] for i in r]
-        times = [[algebra.times(i, j) for j in r] for i in r]
-        star, adom, aran = (list(map(getattr(algebra, op), r))
+        plus = tuple(tuple(algebra.plus(i, j) for j in r) for i in r)
+        times = tuple(tuple(algebra.times(i, j) for j in r) for i in r)
+        star, adom, aran = (tuple(map(getattr(algebra, op), r))
                             if algebra.has_op(op) else None
                             for op in ("star", "adom", "aran"))
     complement = ({t: algebra.complement(t) for t in tests}
@@ -532,15 +532,17 @@ def _tables(algebra) -> _Tables:
                    is_test, algebra.zero_i, algebra.one_i)
 
 
-# A law is compiled, on first use, into one Python function: a loop nest over
-# its variables (element variables in sorted order, then test variables: the
+# Laws are compiled, on first use, into one Python function: a loop nest over
+# their variables (element variables in sorted order, then test variables: the
 # order of ``itertools.product`` over their domains) running on the raw
 # tables.  Every subterm is computed at the outermost loop level that binds
-# all of its variables, and a table row indexed by a value from further out
-# is fetched at that value's level.  The function returns None, or the first
-# violating assignment in loop order with the values of the two sides (None
-# as the right side of a closure law).  Only the fixed law inventory is
-# compiled, never user text.
+# all of its variables, a table row indexed by a value from further out is
+# fetched at that value's level, and each law is tested at the level of its
+# last variable.  The function returns None, or the first violation it meets
+# as the law's assignment with the values of the two sides (None as the right
+# side of a closure law).  ``check_axioms`` compiles each law alone; model
+# search compiles several into one nest and runs it on partial tables (see
+# ``_LoopNest``).  Only the fixed law inventory is compiled, never user text.
 
 _TABLE_OF = {tm.Plus: "P", tm.Times: "T", tm.Star: "S", tm.Not: "C",
              tm.ADom: "AD", tm.ARan: "AR"}
@@ -548,17 +550,26 @@ _LAW_PARAMS = "n, tests, P, T, S, AD, AR, C, ISTEST, zero, one"
 
 
 class _LoopNest:
-    """Statements of a law's loop nest, each filed under its loop level."""
+    """Statements of a loop nest, each filed under its loop level.
 
-    def __init__(self, order):
+    With ``partial`` the tables are padded with an absorbing index ``n`` for
+    the cells not yet filled, and an instance that reads one is skipped: an
+    equation fails only when both sides are known and differ, and a premise
+    holds only when it is known to.
+    """
+
+    def __init__(self, order, partial=False):
         self.level = {name: k for k, name in enumerate(order)}
         # blocks[k + 1] runs inside the loop over order[k], blocks[0] before
         self.blocks = [[] for _ in range(len(order) + 1)]
+        self.partial = partial
         self._memo = {}
+        self._count = 0
 
     def _bind(self, key, expr, level):
         if key not in self._memo:
-            name = f"t{len(self._memo)}"
+            name = f"t{self._count}"
+            self._count += 1
             self.blocks[level + 1].append(f"{name} = {expr}")
             self._memo[key] = name, level
         return self._memo[key]
@@ -583,51 +594,70 @@ class _LoopNest:
         return self._bind(t, f"{table}[{a}]", la)
 
     def leq(self, s, t) -> str:
-        """A condition for s <= t, that is s + t = t."""
-        return f"{self.value(tm.Plus(s, t))[0]} == {self.value(t)[0]}"
+        """A condition for s <= t known to hold, that is s + t = t."""
+        join, bound = self.value(tm.Plus(s, t))[0], self.value(t)[0]
+        return f"{join} == {bound}" + (" != n" if self.partial else "")
+
+    def add(self, law):
+        """File the test of one law after its values, at its last variable."""
+        vs, ts = _law_vars(law)
+        level = max((self.level[v] for v in vs + ts), default=-1)
+        block = self.blocks[level + 1]
+        found = "(" + "".join(f"v_{v}, " for v in vs + ts) + ")"
+        if isinstance(law, Equation):
+            lhs, rhs = self.value(law.lhs)[0], self.value(law.rhs)[0]
+            known = f" and n != {lhs} and n != {rhs}" if self.partial else ""
+            block += [f"if {lhs} != {rhs}{known}:",
+                      f"    return {found}, {lhs}, {rhs}"]
+        elif isinstance(law, ClosureLaw):
+            v = self.value(law.term)[0]
+            block += [f"if not ISTEST[{v}]:", f"    return {found}, {v}, None"]
+        else:
+            premises = " and ".join(self.leq(s, t) for s, t in law.premises)
+            # the conclusion's values at this level are computed only under
+            # the premises, so no later law of the nest may reuse them
+            mark, before = len(block), set(self._memo)
+            s, t = law.conclusion
+            lhs, rhs = self.value(s)[0], self.value(t)[0]
+            join = self.value(tm.Plus(s, t))[0]
+            known = f" and {join} != n" if self.partial else ""
+            lazy = block[mark:]
+            del block[mark:]
+            self._memo = {k: e for k, e in self._memo.items()
+                          if k in before or e[1] != level}
+            block += ([f"if {premises}:"] + [f"    {line}" for line in lazy]
+                      + [f"    if {join} != {rhs}{known}:",
+                         f"        return {found}, {lhs}, {rhs}"])
+
+
+def _law_terms(law) -> tuple:
+    if isinstance(law, Equation):
+        return law.lhs, law.rhs
+    if isinstance(law, ClosureLaw):
+        return (law.term,)
+    return tuple(t for pair in law.premises for t in pair) + law.conclusion
 
 
 def _law_vars(law):
-    if isinstance(law, Equation):
-        terms = (law.lhs, law.rhs)
-    elif isinstance(law, ClosureLaw):
-        terms = (law.term,)
-    else:
-        terms = tuple(t for pair in law.premises for t in pair) + law.conclusion
     vs, ts = set(), set()
-    for t in terms:
+    for t in _law_terms(law):
         a, b = tm.variables(t)
         vs |= a
         ts |= b
     return tuple(sorted(vs)), tuple(sorted(ts))
 
 
-@functools.cache
-def _compile_law(law) -> tuple:
-    """(law, element variables, test variables, compiled function)."""
-    vs, ts = _law_vars(law)
-    order = vs + ts
-    nest = _LoopNest(order)
-    found = "(" + "".join(f"v_{v}, " for v in order) + ")"
-    if isinstance(law, Equation):
-        lhs, rhs = nest.value(law.lhs)[0], nest.value(law.rhs)[0]
-        check = [f"if {lhs} != {rhs}:", f"    return {found}, {lhs}, {rhs}"]
-    elif isinstance(law, ClosureLaw):
-        v = nest.value(law.term)[0]
-        check = [f"if not ISTEST[{v}]:", f"    return {found}, {v}, None"]
-    else:
-        premises = " and ".join(nest.leq(s, t) for s, t in law.premises)
-        # the conclusion's innermost values are computed only under the premises
-        inner = nest.blocks[-1]
-        mark = len(inner)
-        s, t = law.conclusion
-        lhs, rhs = nest.value(s)[0], nest.value(t)[0]
-        holds = nest.leq(s, t)
-        lazy = inner[mark:]
-        del inner[mark:]
-        check = ([f"if {premises}:"] + [f"    {line}" for line in lazy]
-                 + [f"    if not {holds}:",
-                    f"        return {found}, {lhs}, {rhs}"])
+def _compile(laws, partial=False):
+    """One function testing the laws, in order, in one loop nest."""
+    vs, ts = set(), set()
+    for law in laws:
+        a, b = _law_vars(law)
+        vs.update(a)
+        ts.update(b)
+    order = tuple(sorted(vs)) + tuple(sorted(ts))
+    nest = _LoopNest(order, partial)
+    for law in laws:
+        nest.add(law)
     lines = [f"def law({_LAW_PARAMS}):"]
     pad = "    "
     lines += [pad + line for line in nest.blocks[0]]
@@ -635,11 +665,16 @@ def _compile_law(law) -> tuple:
         lines.append(f"{pad}for v_{v} in {'range(n)' if k < len(vs) else 'tests'}:")
         pad += "    "
         lines += [pad + line for line in nest.blocks[k + 1]]
-    lines += [pad + line for line in check]
     lines.append("    return None")
     namespace = {}
     exec("\n".join(lines), namespace)
-    return law, vs, ts, namespace["law"]
+    return namespace["law"]
+
+
+@functools.cache
+def _compile_law(law) -> tuple:
+    """(law, element variables, test variables, compiled function)."""
+    return (law, *_law_vars(law), _compile((law,)))
 
 
 # keyed by profile too: hashing the laws' term trees on every call would cost
@@ -853,6 +888,27 @@ def near_as_model() -> FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # isomorphism (used for duplicate detection in searches and in tests)
 
+def _relabel(tb: _Tables, pi: Sequence[int]) -> _Tables:
+    """The same tables with every element i renamed pi[i]."""
+    r = range(tb.n)
+    inv = [0] * tb.n
+    for i, image in enumerate(pi):
+        inv[image] = i
+
+    def binary(t):
+        return tuple(tuple(pi[t[inv[i]][inv[j]]] for j in r) for i in r)
+
+    def unary(t):
+        return None if t is None else tuple(pi[t[inv[i]]] for i in r)
+
+    tests = tuple(sorted(pi[t] for t in tb.tests))
+    complement = (None if tb.complement is None else
+                  {pi[k]: pi[v] for k, v in tb.complement.items()})
+    return _Tables(tb.n, tests, binary(tb.plus), binary(tb.times),
+                   unary(tb.star), unary(tb.adom), unary(tb.aran), complement,
+                   [tb.is_test[inv[i]] for i in r], pi[tb.zero], pi[tb.one])
+
+
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
     """Signature-preserving isomorphism test by permutation search.
 
@@ -861,39 +917,15 @@ def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
     """
     if a.size != b.size:
         return False
-    for op in ("star", "adom", "aran", "tests"):
-        if a.has_op(op) != b.has_op(op):
-            return False
-    if a.tests_i is not None and len(a.tests_i) != len(b.tests_i):
-        return False
+    ta, tb = _tables(a), _tables(b)
     n = a.size
     movable = [i for i in range(n) if i not in (a.zero_i, a.one_i)]
     targets = [i for i in range(n) if i not in (b.zero_i, b.one_i)]
+    pi = [0] * n
+    pi[a.zero_i], pi[a.one_i] = b.zero_i, b.one_i
     for image in permutations(targets):
-        pi = {a.zero_i: b.zero_i, a.one_i: b.one_i}
-        pi.update(zip(movable, image))
-        if _respects(a, b, pi):
+        for i, j in zip(movable, image):
+            pi[i] = j
+        if _relabel(ta, pi) == tb:
             return True
     return False
-
-
-def _respects(a, b, pi):
-    n = a.size
-    for i in range(n):
-        for j in range(n):
-            if pi[a.plus(i, j)] != b.plus(pi[i], pi[j]):
-                return False
-            if pi[a.times(i, j)] != b.times(pi[i], pi[j]):
-                return False
-    for op in ("star", "adom", "aran"):
-        if a.has_op(op):
-            fa, fb = getattr(a, op), getattr(b, op)
-            if any(pi[fa(i)] != fb(pi[i]) for i in range(n)):
-                return False
-    if a.tests_i is not None:
-        if {pi[t] for t in a.tests_i} != set(b.tests_i):
-            return False
-        if a.has_op("complement"):
-            if any(pi[a.complement(t)] != b.complement(pi[t]) for t in a.tests_i):
-                return False
-    return True

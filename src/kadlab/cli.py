@@ -24,7 +24,7 @@ from .hoare import (PremiseError, parse_program, parse_test_expr,
                     eval_test, holds, synth_mid, vcgen, HoareTriple,
                     SYNTH_METHODS)
 from .relations import format_rel, rel_algebra_model
-from .search import CONSTRAINTS, find_models
+from .search import CONSTRAINTS, SearchStats, find_models
 from .terms import Env, parse_term, print_term, sort_of, variables
 
 BUILTIN_MODELS = {
@@ -154,8 +154,9 @@ def _cmd_find_models(args):
     lines = []
     dumps = []
     count = 0
+    stats = SearchStats()
     for model in find_models(args.size, profile, args.constraint,
-                             limit=args.limit):
+                             limit=args.limit, stats=stats):
         count += 1
         text = dump_model(model)
         dumps.append(text)
@@ -165,7 +166,14 @@ def _cmd_find_models(args):
     lines.append(f"found: {count}")
     payload = {"command": "find-models", "size": args.size,
                "profile": profile.value, "constraint": args.constraint,
-               "count": count, "models": dumps}
+               "count": count, "models": dumps,
+               "stats": {"stages": [{"stage": name, "tried": tried,
+                                     "pruned": pruned}
+                                    for name, (tried, pruned)
+                                    in stats.stages.items()],
+                         "duplicates": stats.duplicates,
+                         "candidates": stats.candidates,
+                         "models": stats.models}}
     return (0 if count else 1), lines, payload
 
 

@@ -1,25 +1,43 @@
 """Exhaustive search for small algebras satisfying an axiom profile.
 
-Tables are enumerated by backtracking with the zero element first and the
-unit last in the carrier order; for profiles with (derivable) additive
-idempotence the enumeration fixes the additive order to be compatible with
-the carrier order, with the unit as additive top.  Partial tables are
-pruned against every axiom instance whose lookups are already defined, and
-full candidates are re-validated with ``check_axioms``.  Duplicate models
-that differ only by a relabelling of the middle elements are suppressed by
-keeping the lexicographically least representative.
+The carrier is 0, the middle elements a, b, ... and then 1.  One
+backtracking fills the operation tables cell by cell in stages: the free
+cells of +, then of ;, then star, antidomain and antirange, and last the
+test set with its complement.  Cells that a law of the profile fixes
+outright (x + 0 = x, 0 ; x = 0, 1 ; x = x, ...) are set before the search,
+and + is filled as a symmetric table when the profile makes it commutative.
+
+Pruning is read from ``profile_axioms(profile)``: after each cell the
+search runs the laws that mention only tables filled so far, compiled by
+the law checker's code generator and run on tables whose unfilled cells
+hold an absorbing "unknown" index, so an instance that reads one is
+skipped.  On star, antidomain and antirange only the one-variable laws run
+after each cell, and the others once the table is full.  Every candidate
+is re-validated with ``check_axioms``, and of the candidates that differ by
+a relabelling of the middle elements only the lexicographically least is
+kept.
+
+Search bound: for the profiles where x + x = x is an axiom or derivable,
+the search also assumes that the unit is the additive top and that a + b
+lies at or above a and b in carrier order.  Algebras whose unit is not the
+additive top are never visited, so for those profiles an empty search
+(``phi-fails`` included) shows only that no model of that shape exists.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+import functools
+from dataclasses import dataclass, field
+from itertools import islice, permutations, product
 from typing import Iterator, Optional
 
-from .algebra import (FiniteAlgebra, Profile, check_axioms, check_phi,
-                      required_ops)
+from . import terms as tm
+from .algebra import (Equation, FiniteAlgebra, Profile, _compile, _law_terms,
+                      _law_vars, _relabel, _Tables, check_axioms, check_phi,
+                      profile_axioms, required_ops)
 from .errors import BoundError, ModelError
 
-__all__ = ["find_models", "CONSTRAINTS"]
+__all__ = ["find_models", "CONSTRAINTS", "SearchStats"]
 
 CONSTRAINTS = ("phi-fails", "phi-holds")
 
@@ -36,6 +54,29 @@ _PHI_CAPABLE = frozenset({
 
 _MIDDLE_NAMES = "abcdefgh"
 
+# the stages in fill order; a law belongs to the last stage whose table it reads
+_STAGES = ("plus", "times", "star", "adom", "aran", "tests")
+_STAGE_OF = {tm.Plus: 0, tm.Times: 1, tm.Star: 2, tm.ADom: 3, tm.ARan: 4,
+             tm.Not: 5, tm.TestVar: 5}
+_ATOMS = (tm.Zero, tm.One, tm.Var)
+
+
+@dataclass
+class SearchStats:
+    """What one search did, counted as it runs.
+
+    ``stages`` maps each stage the profile needs to ``[tried, pruned]``:
+    the cell values tried (for ``tests``, the test sets with a complement)
+    and those a law refuted.  ``duplicates`` counts complete fills dropped
+    as relabellings of a smaller one, ``candidates`` the fills re-validated
+    with ``check_axioms`` and ``models`` the models yielded.
+    """
+
+    stages: dict = field(default_factory=dict)
+    duplicates: int = 0
+    candidates: int = 0
+    models: int = 0
+
 
 def _carrier_names(n: int) -> tuple[str, ...]:
     if n == 1:
@@ -44,13 +85,18 @@ def _carrier_names(n: int) -> tuple[str, ...]:
 
 
 def find_models(size: int, profile, constraint: Optional[str] = None,
-                *, bound: int = 4, limit: Optional[int] = None
+                *, bound: int = 4, limit: Optional[int] = None,
+                stats: Optional[SearchStats] = None
                 ) -> Iterator[FiniteAlgebra]:
     """Yield models of the profile on a carrier of the given size.
 
     ``constraint`` may be ``"phi-fails"`` or ``"phi-holds"`` to keep only
     models refuting/satisfying the mid-assertion sentence; it requires a
     profile that provides tests.  Enumeration order is deterministic.
+    The search is complete up to isomorphism except that, for the profiles
+    where + is idempotent, it visits only algebras whose unit is the
+    additive top (see the module docstring).  A ``SearchStats`` passed as
+    ``stats`` is filled in as the search runs.
     """
     if isinstance(profile, str):
         profile = Profile.parse(profile)
@@ -66,8 +112,9 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
             f"constraint {constraint} needs a profile with tests "
             f"(ts/kat) or an antidomain (as/near-as/kad/kadr)")
 
+    stats = SearchStats() if stats is None else stats
     found = 0
-    for model in _enumerate_models(size, profile):
+    for model in _enumerate_models(size, profile, stats):
         report = check_axioms(model, profile)
         if not report.passed:
             continue
@@ -78,6 +125,7 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
             if constraint == "phi-holds" and not holds:
                 continue
         found += 1
+        stats.models += 1
         model.name = f"search-{profile.value}-{size}-{found}"
         yield model
         if limit is not None and found >= limit:
@@ -85,336 +133,216 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
 
 
 # ---------------------------------------------------------------------------
+# the laws of each stage
+
+def _stage(law) -> int:
+    stage = 0
+    stack = list(_law_terms(law))
+    while stack:
+        t = stack.pop()
+        stage = max(stage, _STAGE_OF.get(type(t), 0))
+        stack += [c for c in vars(t).values() if isinstance(c, tm.Term)]
+    return stage
+
+
+def _fixes_cells(law) -> bool:
+    """x op y = z over constants and variables: it sets cells outright."""
+    return (isinstance(law, Equation)
+            and isinstance(law.lhs, (tm.Plus, tm.Times))
+            and isinstance(law.lhs.left, _ATOMS)
+            and isinstance(law.lhs.right, _ATOMS)
+            and isinstance(law.rhs, _ATOMS))
+
+
+def _commutes(law) -> bool:
+    """x op y = y op x: the table is symmetric."""
+    if not isinstance(law, Equation):
+        return False
+    l, r = law.lhs, law.rhs
+    return (type(l) is type(r) and isinstance(l, (tm.Plus, tm.Times))
+            and isinstance(l.left, tm.Var) and isinstance(l.right, tm.Var)
+            and l.left != l.right and (l.left, l.right) == (r.right, r.left))
+
+
+class _Stage:
+    """The laws of one stage: those that set cells, whether its table is
+    symmetric, and the compiled tests run after each cell and once the
+    stage is complete."""
+
+    def __init__(self, name, laws):
+        self.name = name
+        self.fixing = [law for law in laws if _fixes_cells(law)]
+        self.symmetric = any(map(_commutes, laws))
+        rest = [law for law in laws
+                if law not in self.fixing and not _commutes(law)]
+        if name in ("star", "adom", "aran"):
+            each = [law for law in rest if len(sum(_law_vars(law), ())) <= 1]
+            end = [law for law in rest if law not in each]
+        else:
+            each, end = rest, []
+        self.each = _compile(each, partial=True)
+        self.end = _compile(end, partial=True)
+
+
+@functools.cache
+def _plan(profile: Profile) -> tuple[_Stage, ...]:
+    """The stages the profile needs, in fill order."""
+    ops = required_ops(profile)
+    laws = [[] for _ in _STAGES]
+    for law in profile_axioms(profile):
+        laws[_stage(law)].append(law)
+    return tuple(_Stage(name, laws[k]) for k, name in enumerate(_STAGES)
+                 if k < 2 or name in ops)
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 
-def _enumerate_models(n: int, profile: Profile) -> Iterator[FiniteAlgebra]:
+def _enumerate_models(n: int, profile: Profile,
+                      stats: Optional[SearchStats] = None
+                      ) -> Iterator[FiniteAlgebra]:
+    """Every candidate the pruned search reaches, in search order."""
+    stats = SearchStats() if stats is None else stats
     names = _carrier_names(n)
     idem = profile in _IDEMPOTENT
-    ops = required_ops(profile)
-    near = profile is Profile.NEAR_AS
-    left_distrib = not near
-    for plus in _plus_tables(n, idem):
-        for times in _times_tables(n, plus, left_distrib=left_distrib,
-                                   right_annihilate=not near):
-            for star in (_star_tables(n, plus, times)
-                         if "star" in ops else (None,)):
-                for adom in (_adom_tables(n, plus, times)
-                             if "adom" in ops else (None,)):
-                    for aran in (_aran_tables(n, plus, times)
-                                 if "aran" in ops else (None,)):
-                        yield from _with_tests(
-                            n, names, profile, idem,
-                            plus, times, star, adom, aran,
-                            want_tests="tests" in ops)
-
-
-def _with_tests(n, names, profile, idem, plus, times, star, adom, aran,
-                want_tests):
-    if want_tests:
-        choices = _test_choices(n, plus, times)
-    else:
-        choices = ((None, None),)
-    for tests_i, comp_i in choices:
-        if not _canonical(n, idem, plus, times, star, adom, aran,
-                          tests_i, comp_i):
-            continue
-        kwargs = {}
-        if tests_i is not None:
-            kwargs["tests"] = [names[t] for t in tests_i]
-            kwargs["complement"] = {names[k]: names[v]
-                                    for k, v in comp_i.items()}
-        yield FiniteAlgebra(
-            names, names[0], names[n - 1], plus, times,
-            star=star, adom=adom, aran=aran, name="candidate", **kwargs)
-
-
-def _plus_tables(n, idem):
-    t = [[None] * n for _ in range(n)]
-    for j in range(n):
-        t[0][j] = j
-        t[j][0] = j
+    one, unknown = n - 1, n
+    # row and column n are the absorbing "unknown" index
+    P, T = ([[unknown] * (n + 1) for _ in range(n + 1)] for _ in range(2))
+    unary = {op: [unknown] * (n + 1) for op in ("star", "adom", "aran")}
+    tables = {"plus": P, "times": T, **unary}
+    args = [n, (), P, T, unary["star"], unary["adom"], unary["aran"],
+            None, None, 0, one]
     if idem:
+        # the search bound: x + x = x, and 1 is the additive top
         for i in range(n):
-            t[i][i] = i
-            t[i][n - 1] = n - 1
-            t[n - 1][i] = n - 1
-    free = [(i, j) for i in range(1, n) for j in range(i, n)
-            if t[i][j] is None]
+            P[i][i] = i
+            P[i][one] = P[one][i] = one
 
-    def rec(k):
-        if k == len(free):
-            yield tuple(tuple(row) for row in t)
-            return
-        i, j = free[k]
-        lo = max(i, j) if idem else 0
-        for v in range(lo, n):
-            t[i][j] = v
-            t[j][i] = v
-            if _assoc_ok(t, n):
-                yield from rec(k + 1)
-        t[i][j] = None
-        t[j][i] = None
-
-    yield from rec(0)
-
-
-def _times_tables(n, plus, *, left_distrib, right_annihilate):
-    one = n - 1
-    t = [[None] * n for _ in range(n)]
-    for j in range(n):
-        t[one][j] = j
-        t[j][one] = j
-        t[0][j] = 0
-        if right_annihilate:
-            t[j][0] = 0
-    t[0][0] = 0
-    free = [(i, j) for i in range(n) for j in range(n) if t[i][j] is None]
-
-    def ok():
-        return (_assoc_ok(t, n)
-                and _distrib_right_ok(plus, t, n)
-                and (not left_distrib or _distrib_left_ok(plus, t, n)))
-
-    def rec(k):
-        if k == len(free):
-            yield tuple(tuple(row) for row in t)
-            return
-        i, j = free[k]
-        for v in range(n):
-            t[i][j] = v
-            if ok():
-                yield from rec(k + 1)
-        t[i][j] = None
-
-    yield from rec(0)
-
-
-def _assoc_ok(t, n):
-    for a, b, c in product(range(n), repeat=3):
-        ab = t[a][b]
-        bc = t[b][c]
-        if ab is None or bc is None:
+    # one step per free cell, in fill order: the cell as (row, column), its
+    # mirror (the cell itself unless the table is symmetric), its values and
+    # the tests run after it
+    steps = []
+    tests_stage = None
+    for stage in _plan(profile):
+        counts = stats.stages.setdefault(stage.name, [0, 0])
+        if stage.name == "tests":
+            tests_stage = stage, counts
             continue
-        l, r = t[ab][c], t[a][bc]
-        if l is not None and r is not None and l != r:
-            return False
-    return True
+        table = tables[stage.name]
+        if stage.name in unary:
+            cells = [(table, k, table, k) for k in range(n)]
+        else:
+            for law in stage.fixing:
+                _fix_cells(table, law, n, stage.symmetric)
+            sym = stage.symmetric
+            cells = [(table[i], j) + ((table[j], i) if sym else (table[i], j))
+                     for i in range(n) for j in range(i if sym else 0, n)
+                     if table[i][j] == unknown]
+        for k, (row, col, mrow, mcol) in enumerate(cells):
+            # the search bound: a + b is at or above a and b in carrier order
+            lo = max(col, mcol) if stage.name == "plus" and idem else 0
+            end = stage.end if k == len(cells) - 1 else None
+            steps.append((row, col, mrow, mcol, range(lo, n), stage.each,
+                          end, counts))
+    choices = _test_choices(n) if tests_stage else (((), None),)
+    ops = required_ops(profile)
 
+    def candidates():
+        plus = tuple(tuple(row[:n]) for row in P[:n])
+        times = tuple(tuple(row[:n]) for row in T[:n])
+        star, adom, aran = (tuple(t[:n]) if op in ops else None
+                            for op, t in unary.items())
+        for tests_i, comp_i in choices:
+            is_test = [i in tests_i for i in range(n)]
+            if tests_stage:
+                stage, counts = tests_stage
+                counts[0] += 1
+                args[1], args[7], args[8] = tests_i, comp_i, is_test
+                if stage.each(*args) is not None:
+                    counts[1] += 1
+                    continue
+            if not _canonical(_Tables(n, tests_i, plus, times, star, adom, aran,
+                                      comp_i, is_test, 0, one), idem):
+                stats.duplicates += 1
+                continue
+            stats.candidates += 1
+            yield FiniteAlgebra(
+                names, names[0], names[one], plus, times,
+                star=star, adom=adom, aran=aran, name="candidate",
+                tests=[names[t] for t in tests_i] if comp_i else None,
+                complement=comp_i and {names[k]: names[v]
+                                       for k, v in comp_i.items()})
 
-def _distrib_left_ok(plus, times, n):
-    # x ; (y + z) = x;y + x;z
-    for x, y, z in product(range(n), repeat=3):
-        lhs = times[x][plus[y][z]]
-        xy, xz = times[x][y], times[x][z]
-        if lhs is None or xy is None or xz is None:
-            continue
-        if lhs != plus[xy][xz]:
-            return False
-    return True
-
-
-def _distrib_right_ok(plus, times, n):
-    # (x + y) ; z = x;z + y;z
-    for x, y, z in product(range(n), repeat=3):
-        lhs = times[plus[x][y]][z]
-        xz, yz = times[x][z], times[y][z]
-        if lhs is None or xz is None or yz is None:
-            continue
-        if lhs != plus[xz][yz]:
-            return False
-    return True
-
-
-def _star_tables(n, plus, times):
-    one = n - 1
-    star = [None] * n
-
-    def leq(i, j):
-        return plus[i][j] == j
-
-    def unfold_ok(x):
-        s = star[x]
-        return (plus[one][times[x][s]] == s
-                and plus[one][times[s][x]] == s)
-
-    def induction_ok():
-        for x, y, z in product(range(n), repeat=3):
-            if leq(plus[z][times[x][y]], y) and not leq(times[star[x]][z], y):
-                return False
-            if leq(plus[z][times[y][x]], y) and not leq(times[z][star[x]], y):
-                return False
-        return True
-
-    def rec(k):
-        if k == n:
-            if induction_ok():
-                yield tuple(star)
+    def fill(k):
+        if k == len(steps):
+            yield from candidates()
             return
-        for v in range(n):
-            star[k] = v
-            if unfold_ok(k):
-                yield from rec(k + 1)
-        star[k] = None
+        row, col, mrow, mcol, values, each, end, counts = steps[k]
+        for v in values:
+            row[col] = mrow[mcol] = v
+            counts[0] += 1
+            if (each(*args) is not None
+                    or end is not None and end(*args) is not None):
+                counts[1] += 1
+                continue
+            yield from fill(k + 1)
+        row[col] = mrow[mcol] = unknown
 
-    yield from rec(0)
-
-
-def _adom_tables(n, plus, times):
-    one = n - 1
-    a = [None] * n
-
-    def partial_ok(x):
-        if times[a[x]][x] != 0:
-            return False
-        ax = a[x]
-        if a[ax] is not None and plus[a[x]][a[ax]] != one:
-            return False
-        return True
-
-    def locality_ok():
-        d = [a[a[x]] for x in range(n)]
-        for x, y in product(range(n), repeat=2):
-            lhs = a[times[x][y]]
-            rhs = a[times[x][d[y]]]
-            if plus[lhs][rhs] != rhs:
-                return False
-        for x in range(n):
-            if plus[a[x]][a[a[x]]] != one:
-                return False
-        return True
-
-    def rec(k):
-        if k == n:
-            if locality_ok():
-                yield tuple(a)
-            return
-        for v in range(n):
-            a[k] = v
-            if partial_ok(k):
-                yield from rec(k + 1)
-        a[k] = None
-
-    yield from rec(0)
+    yield from fill(0)
 
 
-def _aran_tables(n, plus, times):
-    one = n - 1
-    r = [None] * n
-
-    def partial_ok(x):
-        if times[x][r[x]] != 0:
-            return False
-        rx = r[x]
-        if r[rx] is not None and plus[r[x]][r[rx]] != one:
-            return False
-        return True
-
-    def locality_ok():
-        ran = [r[r[x]] for x in range(n)]
-        for x, y in product(range(n), repeat=2):
-            lhs = r[times[x][y]]
-            rhs = r[times[ran[x]][y]]
-            if plus[lhs][rhs] != rhs:
-                return False
-        for x in range(n):
-            if plus[r[x]][r[r[x]]] != one:
-                return False
-        return True
-
-    def rec(k):
-        if k == n:
-            if locality_ok():
-                yield tuple(r)
-            return
-        for v in range(n):
-            r[k] = v
-            if partial_ok(k):
-                yield from rec(k + 1)
-        r[k] = None
-
-    yield from rec(0)
+def _fix_cells(table, law, n, symmetric):
+    """Set the cells the law fixes outright, for every assignment."""
+    vs = _law_vars(law)[0]
+    for values in product(range(n), repeat=len(vs)):
+        env = dict(zip(vs, values))
+        a, b, v = (0 if isinstance(t, tm.Zero) else n - 1
+                   if isinstance(t, tm.One) else env[t.name]
+                   for t in (law.lhs.left, law.lhs.right, law.rhs))
+        table[a][b] = v
+        if symmetric:
+            table[b][a] = v
 
 
-def _test_choices(n, plus, times):
-    """Test subsets (always containing zero and one) with valid complements."""
+def _test_choices(n):
+    """Test subsets (always containing zero and one) with an involution
+    as complement that swaps zero and one."""
     one = n - 1
     middles = list(range(1, n - 1))
+    found = []
     for mask in range(1 << len(middles)):
-        tests = [0] + [m for b, m in enumerate(middles) if mask >> b & 1]
-        if one not in tests:
-            tests.append(one)
-        tests = tuple(sorted(set(tests)))
+        tests = tuple(sorted({0, one} | {m for b, m in enumerate(middles)
+                                         if mask >> b & 1}))
         mids = [t for t in tests if t not in (0, one)]
         for values in product(tests, repeat=len(mids)):
             comp = {0: one, one: 0}
             comp.update(zip(mids, values))
-            if any(comp.get(comp[t]) != t for t in tests):
-                continue
-            if any(times[t][comp[t]] != 0 or plus[t][comp[t]] != one
-                   for t in tests):
-                continue
-            yield tests, comp
+            if all(comp[comp[t]] == t for t in tests):
+                found.append((tests, comp))
+    return found
 
 
 # ---------------------------------------------------------------------------
 # canonical representatives
 
-def _canonical(n, idem, plus, times, star, adom, aran, tests_i, comp_i):
-    middles = list(range(1, n - 1))
-    if len(middles) < 2:
+def _canonical(tb: _Tables, idem: bool) -> bool:
+    """No relabelling of the middle elements gives smaller tables (one
+    that breaks the search's own order on + aside)."""
+    if tb.n < 4:
         return True
-    mine = _model_key(n, plus, times, star, adom, aran, tests_i, comp_i)
-    for perm in permutations(middles):
-        if list(perm) == middles:
+    mine = _model_key(tb)
+    r = range(tb.n)
+    for perm in islice(permutations(range(1, tb.n - 1)), 1, None):
+        pi = (0, *perm, tb.n - 1)
+        if idem and any(pi[tb.plus[i][j]] < max(pi[i], pi[j])
+                        for i in r for j in r):
             continue
-        pi = {0: 0, n - 1: n - 1}
-        pi.update(zip(middles, perm))
-        p2 = _permute_binary(plus, pi, n)
-        if idem and not _order_compatible(p2, n):
-            continue
-        other = _model_key(
-            n, p2, _permute_binary(times, pi, n),
-            _permute_unary(star, pi, n), _permute_unary(adom, pi, n),
-            _permute_unary(aran, pi, n),
-            None if tests_i is None else tuple(sorted(pi[t] for t in tests_i)),
-            None if comp_i is None else {pi[k]: pi[v] for k, v in comp_i.items()})
-        if other < mine:
+        if _model_key(_relabel(tb, pi)) < mine:
             return False
     return True
 
 
-def _permute_binary(t, pi, n):
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[pi[i]][pi[j]] = pi[t[i][j]]
-    return tuple(tuple(row) for row in out)
-
-
-def _permute_unary(t, pi, n):
-    if t is None:
-        return None
-    out = [None] * n
-    for i in range(n):
-        out[pi[i]] = pi[t[i]]
-    return tuple(out)
-
-
-def _order_compatible(plus, n):
-    for i in range(n):
-        for j in range(n):
-            if plus[i][j] < max(i, j):
-                return False
-        if plus[i][n - 1] != n - 1:
-            return False
-    return True
-
-
-def _model_key(n, plus, times, star, adom, aran, tests_i, comp_i):
-    flat = [v for row in plus for v in row] + [v for row in times for v in row]
-    for t in (star, adom, aran):
-        flat += list(t) if t is not None else [-1]
-    flat += list(tests_i) if tests_i is not None else [-1]
-    if comp_i is not None:
-        flat += [v for _, v in sorted(comp_i.items())]
-    return tuple(flat)
+def _model_key(tb: _Tables) -> tuple:
+    comp = (None if tb.complement is None
+            else tuple(v for _, v in sorted(tb.complement.items())))
+    return tb.plus, tb.times, tb.star, tb.adom, tb.aran, tb.tests, comp

@@ -25,7 +25,7 @@ __all__ = [
     "Term", "Zero", "One", "Var", "TestVar", "Plus", "Times", "Star", "Not",
     "ADom", "Dom", "ARan", "Ran", "Box", "ZERO", "ONE",
     "Sort", "Env", "sort_of", "desugar", "parse_term", "print_term",
-    "variables", "DEFAULT_TEST_INITIALS",
+    "variables", "DEFAULT_TEST_INITIALS", "MAX_DEPTH",
 ]
 
 
@@ -294,6 +294,12 @@ _TOKEN_RE = re.compile(
 
 _OP_NAMES = {"a": ADom, "d": Dom, "r": Ran, "ar": ARan}
 
+# The parser rejects terms nested deeper than this, counting both the levels
+# of the tree it builds and the parentheses around them, so that neither it
+# nor any later walk over the tree (sorting, desugaring, printing,
+# evaluation: all recursive) can reach Python's recursion limit.
+MAX_DEPTH = 100
+
 # Identifiers starting with one of these letters parse as test variables
 # when no explicit test-name set is supplied (the conventional letters for
 # boolean elements); an explicit set always wins.
@@ -319,6 +325,20 @@ class _TermParser:
         self.tokens = tokens
         self.i = 0
         self.tests = tests
+        self.nesting = 0
+        # id of each node built -> (its depth, the node, kept so that the id
+        # is not reused); leaves are absent and have depth 1
+        self.depth = {}
+
+    def node(self, cls, col, *args):
+        """Build a node, refusing one nested deeper than MAX_DEPTH."""
+        depth = 1 + max(self.depth.get(id(a), (1,))[0] for a in args)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_DEPTH} levels",
+                             column=col)
+        t = cls(*args)
+        self.depth[id(t)] = depth, t
+        return t
 
     def peek(self):
         return self.tokens[self.i]
@@ -350,34 +370,42 @@ class _TermParser:
     def parse_expr(self):
         t = self.parse_term()
         while self.peek()[1] in ("+", "|"):
-            self.next()
-            t = Plus(t, self.parse_term())
+            col = self.next()[2]
+            t = self.node(Plus, col, t, self.parse_term())
         return t
 
     def parse_term(self):
         t = self.parse_unary()
         while self.peek()[1] in (";", "&"):
-            self.next()
-            t = Times(t, self.parse_unary())
+            col = self.next()[2]
+            t = self.node(Times, col, t, self.parse_unary())
         return t
 
     def parse_unary(self):
         kind, val, col = self.peek()
+        # every recursion of the grammar passes through here
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_DEPTH} levels",
+                             column=col)
         if val == "!":
             self.next()
-            return Not(self.parse_unary())
-        if val == "[":
+            t = self.node(Not, col, self.parse_unary())
+        elif val == "[":
             self.next()
             prog = self.parse_expr()
             self.expect("]")
-            return Box(prog, self.parse_unary())
-        return self.parse_postfix()
+            t = self.node(Box, col, prog, self.parse_unary())
+        else:
+            t = self.parse_postfix()
+        self.nesting -= 1
+        return t
 
     def parse_postfix(self):
         t = self.parse_primary()
         while self.peek()[1] == "*":
-            self.next()
-            t = Star(t)
+            col = self.next()[2]
+            t = self.node(Star, col, t)
         return t
 
     def parse_primary(self):
@@ -391,7 +419,7 @@ class _TermParser:
                 self.next()
                 arg = self.parse_expr()
                 self.expect(")")
-                return _OP_NAMES[val](arg)
+                return self.node(_OP_NAMES[val], col, arg)
             if self.is_test_name(val):
                 return TestVar(val)
             return Var(val)

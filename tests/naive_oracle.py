@@ -1,16 +1,19 @@
-"""Naive reference checkers for ``check_axioms`` and ``check_phi``.
+"""Naive references for ``check_axioms``, ``check_phi`` and ``find_models``.
 
-They walk every instance with the shared term evaluator through the
-index-level operations, in ``itertools.product`` order, and search every
-intermediate test r for phi: the direct reading of the definitions that
-the compiled law checker and the bitmask phi scan must reproduce exactly.
+The checkers walk every instance with the shared term evaluator through
+the index-level operations, in ``itertools.product`` order, and search
+every intermediate test r for phi: the direct reading of the definitions
+that the compiled law checker and the bitmask phi scan must reproduce
+exactly.  The model enumeration tries every table fill without pruning.
 """
 
 from itertools import product
 
-from kadlab.algebra import (CheckReport, ClosureLaw, Equation, PhiResult,
-                            Violation, _eval_idx, _require_profile_ops,
-                            profile_axioms)
+from kadlab.algebra import (CheckReport, ClosureLaw, Equation, FiniteAlgebra,
+                            PhiResult, Profile, Violation, _eval_idx,
+                            _require_profile_ops, check_axioms, is_isomorphic,
+                            profile_axioms, required_ops)
+from kadlab.errors import ModelError
 from kadlab.terms import variables
 
 
@@ -107,3 +110,138 @@ def naive_check_phi(algebra) -> PhiResult:
                     return PhiResult(False, (name(x), name(y), name(p), name(q)),
                                      scanned)
     return PhiResult(True, None, scanned)
+
+
+class _Padded:
+    """Index-level operations on tables padded with an absorbing unknown
+    index n (rows, columns and entries), as model search fills them."""
+
+    def __init__(self, tables):
+        self.zero_i, self.one_i, self.tables = tables.zero, tables.one, tables
+
+    def plus(self, i, j):
+        return self.tables.plus[i][j]
+
+    def times(self, i, j):
+        return self.tables.times[i][j]
+
+    def star(self, i):
+        return self.tables.star[i]
+
+    def adom(self, i):
+        return self.tables.adom[i]
+
+    def aran(self, i):
+        return self.tables.aran[i]
+
+    def complement(self, i):
+        return self.tables.complement[i]
+
+
+def naive_partial_violations(tables, law):
+    """The assignments, in loop order, at which the law fails on padded
+    tables with every value it reads known."""
+    algebra, n = _Padded(tables), tables.n
+    vs, ts = _law_vars(law)
+    found = []
+    for assignment in product(*([range(n)] * len(vs) + [tables.tests] * len(ts))):
+        venv = dict(zip(vs, assignment[:len(vs)]))
+        tenv = dict(zip(ts, assignment[len(vs):]))
+
+        def ev(t):
+            return _eval_idx(algebra, t, venv, tenv)
+
+        def known_leq(s, t):
+            return ev(t) != n and tables.plus[ev(s)][ev(t)] == ev(t)
+
+        if isinstance(law, Equation):
+            fails = n != ev(law.lhs) != ev(law.rhs) != n
+        elif isinstance(law, ClosureLaw):
+            fails = not tables.is_test[ev(law.term)]
+        else:
+            s, t = law.conclusion
+            join = tables.plus[ev(s)][ev(t)]
+            fails = (all(known_leq(*pair) for pair in law.premises)
+                     and n != join != ev(t))
+        if fails:
+            found.append(assignment)
+    return found
+
+
+# profiles in which x + x = x is an axiom or derivable
+IDEMPOTENT = frozenset(Profile) - {Profile.SEMIRING, Profile.NEAR_AS}
+
+
+def _fills(table, cells, values):
+    """Every way to give the cells (lists of positions) values, in place."""
+    for choice in product(*(values(cell[0]) for cell in cells)):
+        for cell, v in zip(cells, choice):
+            for i, j in cell:
+                table[i][j] = v
+        yield
+
+
+def brute_force_models(n, profile):
+    """The models of the profile on n elements, one per isomorphism class.
+
+    Every table fill is tried under the fixed cells and ordering rules of
+    model search: 0 is the additive unit, 1 the multiplicative one, 0
+    annihilates on the left (and on the right, but in near-as), + is
+    commutative, and for idempotent profiles x + x = x, 1 is the additive
+    top and x + y is at or above x and y in carrier order.  The star,
+    antidomain and antirange tables, the test set and its complement (any
+    involution of it) are free.  What passes ``check_axioms`` is kept unless
+    isomorphic to a model kept before.
+    """
+    idem = profile in IDEMPOTENT
+    ops = required_ops(profile)
+    one = n - 1
+    names = [f"e{i}" for i in range(n)]
+    plus = [[None] * n for _ in range(n)]
+    times = [[None] * n for _ in range(n)]
+    for i in range(n):
+        plus[0][i] = plus[i][0] = i
+        times[0][i] = 0
+        times[one][i] = times[i][one] = i
+        if profile is not Profile.NEAR_AS:
+            times[i][0] = 0
+        if idem:
+            plus[i][i] = i
+            plus[i][one] = plus[one][i] = one
+    plus_cells = [[(i, j), (j, i)] for i in range(n) for j in range(i, n)
+                  if plus[i][j] is None]
+    times_cells = [[(i, j)] for i in range(n) for j in range(n)
+                   if times[i][j] is None]
+    unary = [product(range(n), repeat=n) if op in ops else [None]
+             for op in ("star", "adom", "aran")]
+    unary = list(product(*map(list, unary)))
+    test_sets = [[(None, None)]]
+    if "tests" in ops:
+        test_sets = []
+        for extra in product((False, True), repeat=max(n - 2, 0)):
+            tests = sorted({0, one} | {i + 1 for i, b in enumerate(extra) if b})
+            test_sets.append([
+                (tests, dict(zip(tests, comp)))
+                for comp in product(tests, repeat=len(tests))
+                if all(comp[tests.index(c)] == t for t, c in zip(tests, comp))])
+    kept = []
+    for _ in _fills(plus, plus_cells,
+                    lambda c: range(max(c), n) if idem else range(n)):
+        for _ in _fills(times, times_cells, lambda c: range(n)):
+            for (star, adom, aran), choices in product(unary, test_sets):
+                for tests, comp in choices:
+                    kwargs = {}
+                    if tests is not None:
+                        kwargs["tests"] = [names[t] for t in tests]
+                        kwargs["complement"] = {names[k]: names[v]
+                                                for k, v in comp.items()}
+                    try:
+                        model = FiniteAlgebra(
+                            names, names[0], names[one], plus, times,
+                            star=star, adom=adom, aran=aran, **kwargs)
+                    except ModelError:
+                        continue    # the antidomain's image misses 0 or 1
+                    if (check_axioms(model, profile).passed
+                            and not any(is_isomorphic(model, m) for m in kept)):
+                        kept.append(model)
+    return kept

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from kadlab.cli import main
+from kadlab.terms import MAX_DEPTH
 
 PROGRAM_TEXT = """
 states: 1 2 3
@@ -200,3 +201,37 @@ def test_parse_error_exit_2(capsys, tmp_path):
                        "--profile", "kat")
     assert code == 2
     assert "error:" in err
+
+
+def test_find_models_structured_stats(capsys):
+    code, out, _ = run(capsys, "find-models", "--size", "4", "--profile",
+                       "kad", "--format", "structured")
+    assert code == 0
+    payload = json.loads(out)
+    stats = payload["stats"]
+    assert [s["stage"] for s in stats["stages"]] == [
+        "plus", "times", "star", "adom"]
+    assert all(0 <= s["pruned"] <= s["tried"] for s in stats["stages"])
+    assert stats["models"] == payload["count"] == 3
+    assert stats["candidates"] >= stats["models"]
+    _, text, _ = run(capsys, "find-models", "--size", "4", "--profile", "kad")
+    assert "stats" not in text and "pruned" not in text
+
+
+@pytest.mark.parametrize("term", [
+    "a" + " ; 1" * 2999,                  # too deep for the tree walks
+    "(" * 2000 + "a" + ")" * 2000,        # too deep for the parser itself
+])
+def test_eval_refuses_deep_terms(capsys, term):
+    code, _, err = run(capsys, "eval", "--builtin", "lemma4", "--term", term)
+    assert code == 2
+    assert f"nested deeper than {MAX_DEPTH} levels" in err
+
+
+def test_eval_at_the_depth_limit(capsys):
+    for term in ("a" + " ; 1" * (MAX_DEPTH - 1),
+                 "(" * (MAX_DEPTH - 1) + "a" + ")" * (MAX_DEPTH - 1)):
+        code, out, _ = run(capsys, "eval", "--builtin", "lemma4",
+                           "--term", term)
+        assert code == 0
+        assert out.strip().endswith("= a")

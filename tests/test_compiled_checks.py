@@ -11,14 +11,18 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kadlab.algebra import (FiniteAlgebra, Profile, bool2_model, check_axioms,
-                            check_phi, lemma4_model, near_as_model,
+from kadlab.algebra import (Equation, FiniteAlgebra, Profile, Quasi,
+                            _compile, _require_profile_ops, _tables,
+                            bool2_model, check_axioms, check_phi,
+                            lemma4_model, near_as_model, profile_axioms,
                             trivial_model)
 from kadlab.errors import KadlabError
 from kadlab.relations import RelModel, StateSpace, rel_algebra_model
 from kadlab.search import _enumerate_models, find_models
+from kadlab.terms import ONE, Times, Var
 
-from naive_oracle import naive_check_axioms, naive_check_phi
+from naive_oracle import (naive_check_axioms, naive_check_phi,
+                          naive_partial_violations)
 
 BUILTINS = {
     "lemma4": lemma4_model, "bool2": bool2_model, "trivial": trivial_model,
@@ -182,3 +186,65 @@ def test_phi_counts_instantiations():
     assert check_phi(rel_algebra_model(2)).instantiations == 16 * 16 * 4 * 4
     # lemma4 fails at x = y = a, p = 1, q = 0: the 19th (x, y, p, q)
     assert check_phi(lemma4_model()).instantiations == ((1 * 3 + 1) * 2 + 1) * 2 + 0 + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_algebras())
+def test_fused_partial_nest_fails_when_a_law_does(model):
+    # on complete tables, a profile's laws fused into one partial-table
+    # nest (as model search runs them) fail exactly when check_axioms does
+    for profile in Profile:
+        try:
+            passed = check_axioms(model, profile).passed
+        except KadlabError:
+            continue
+        run = _compile(profile_axioms(profile), partial=True)
+        assert (run(*_tables(model)) is None) == passed
+
+
+def test_fused_nest_recomputes_what_a_premise_guards():
+    # x* ; z is computed under star-induct-left's premise; a later law of
+    # the nest must compute it afresh, or it reads a stale value
+    induct = next(law for law in profile_axioms(Profile.KLEENE)
+                  if law.name == "star-induct-left")
+    s = induct.conclusion[0]
+    reuse = Equation("reuse", s, Times(s.left, Times(s.right, ONE)))
+    for model in (lemma4_model(), bool2_model(), rel_algebra_model(2)):
+        assert _compile((induct, reuse))(*_tables(model)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_algebras(), st.randoms(use_true_random=False))
+def test_partial_nests_skip_unknown_cells(model, rnd):
+    # blank about a third of the cells to the absorbing unknown index n, as
+    # model search leaves them; each law compiled for partial tables must
+    # report the first instance the naive partial reading finds
+    tb = _tables(model)
+    n = tb.n
+
+    def blank(row):
+        return [n if rnd.random() < 0.3 else v for v in row] + [n]
+
+    def unary(t):
+        return None if t is None else blank(t)
+
+    padded = tb._replace(
+        plus=[blank(row) for row in tb.plus] + [[n] * (n + 1)],
+        times=[blank(row) for row in tb.times] + [[n] * (n + 1)],
+        star=unary(tb.star), adom=unary(tb.adom), aran=unary(tb.aran),
+        complement=tb.complement and {**tb.complement, n: n},
+        is_test=list(tb.is_test) + [True])
+    # a premise whose right side is compound, so that it can be unknown
+    x, y = Var("x"), Var("y")
+    laws = {0: Quasi("unknown-bound", ((x, Times(x, y)),), (y, x))}
+    for profile in Profile:
+        try:
+            _require_profile_ops(model, profile)
+        except KadlabError:
+            continue
+        laws.update((id(law), law) for law in profile_axioms(profile))
+    for law in laws.values():
+        expected = naive_partial_violations(padded, law)
+        found = _compile((law,), partial=True)(*padded)
+        assert (found and found[0]) == (expected[0] if expected else None), \
+            law.name

@@ -3,7 +3,9 @@ import pytest
 from kadlab.algebra import (FiniteAlgebra, Profile, check_axioms, check_phi,
                             is_isomorphic, lemma4_model)
 from kadlab.errors import BoundError, ModelError
-from kadlab.search import find_models
+from kadlab.search import SearchStats, find_models
+
+from naive_oracle import brute_force_models
 
 
 def test_size_bound():
@@ -90,3 +92,53 @@ def test_phi_holds_constraint():
     for m in models:
         assert check_phi(m).holds
         assert not is_isomorphic(m, lemma4_model())
+
+
+# Model counts of the search, pinned for every (size, profile, constraint)
+# the benchmark runs; the search space is bounded as the module docstring
+# says (for idempotent profiles the unit is the additive top).
+_COUNTS = {
+    "semiring": (1, 2, 6, 40, 295), "dioid": (1, 1, 2, 9, 49),
+    "kleene": (1, 1, 2, 9, 49), "ts": (1, 1, 2, 10, 49),
+    "kat": (1, 1, 2, 10, 49), "as": (1, 1, 1, 3, 9),
+    "near-as": (1, 1, 3, 22), "kad": (1, 1, 1, 3, 9, 50),
+    "ars": (1, 1, 1, 3, 9), "kadr": (1, 1, 1, 3, 9),
+}
+_PHI_COUNTS = {"ts": (40, 9), "kat": (40, 9), "as": (0, 9), "kad": (0, 9),
+               "kadr": (0, 9)}
+_PINNED = ([(size, profile, None, count)
+            for profile, counts in _COUNTS.items()
+            for size, count in enumerate(counts, 1)]
+           + [(5, profile, constraint, count)
+              for profile, counts in _PHI_COUNTS.items()
+              for constraint, count in zip(("phi-fails", "phi-holds"), counts)])
+
+
+@pytest.mark.parametrize("size, profile, constraint, count", _PINNED)
+def test_model_counts_are_pinned(size, profile, constraint, count):
+    models = list(find_models(size, profile, constraint, bound=size))
+    assert len(models) == count
+    assert [m.name for m in models] == [
+        f"search-{profile}-{size}-{k}" for k in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+def test_search_matches_brute_force_enumeration(profile):
+    # every table fill at sizes 1-3 under the search's fixed cells and
+    # ordering rules, filtered by check_axioms, one per isomorphism class
+    for size in (1, 2, 3):
+        expected = brute_force_models(size, profile)
+        found = list(find_models(size, profile))
+        assert len(found) == len(expected), size
+        for m in found:
+            assert sum(is_isomorphic(m, e) for e in expected) == 1
+
+
+def test_stats_count_the_search():
+    stats = SearchStats()
+    models = list(find_models(4, Profile.KAT, "phi-fails", stats=stats))
+    assert list(stats.stages) == ["plus", "times", "star", "tests"]
+    assert all(0 <= pruned <= tried for tried, pruned in stats.stages.values())
+    assert stats.models == len(models) < stats.candidates
+    tried, pruned = stats.stages["tests"]
+    assert tried - pruned == stats.candidates + stats.duplicates
