@@ -96,9 +96,8 @@ def _cmd_check_axioms(args):
 
 def _cmd_eval(args):
     algebra = _load_algebra(args)
-    raw = parse_term(args.term, tests=frozenset())
-    names = sorted(variables(raw)[0])
-    env_pairs = {}
+    term = parse_term(args.term, tests=frozenset())
+    elements = {}
     for item in (args.env.split(",") if args.env else []):
         item = item.strip()
         if not item:
@@ -106,27 +105,15 @@ def _cmd_eval(args):
         key, eq, value = item.partition("=")
         if not eq:
             raise ModelError(f"bad env binding {item!r} (expected name=element)")
-        env_pairs[key.strip()] = value.strip()
-    carrier = set(algebra.carrier)
-    elements, tests = {}, {}
-    test_names = set()
+        elements[key.strip()] = value.strip()
+    names = sorted(variables(term)[0])
     for name in names:
-        if name in env_pairs:
-            value = env_pairs[name]
-        elif name in carrier:
-            value = name
-        else:
+        if name not in elements and name not in algebra.carrier:
             raise ModelError(f"unbound identifier {name!r}")
-        if algebra.tests is not None and value in algebra.tests:
-            tests[name] = value
-            test_names.add(name)
-        else:
-            elements[name] = value
-    for key, value in env_pairs.items():
-        elements.setdefault(key, value)
-    term = parse_term(args.term, tests=test_names)
-    sort_of(term, declared_tests=test_names)
-    result = evaluate(algebra, term, Env(elements=elements, tests=tests))
+    # an identifier is a test iff the element it names is one
+    tests = algebra.tests or ()
+    sort_of(term, declared_tests={n for n in names if elements.get(n, n) in tests})
+    result = evaluate(algebra, term, Env(elements=elements))
     lines = [f"{print_term(term)} = {result}"]
     payload = {"command": "eval", "model": algebra.name,
                "term": print_term(term), "result": result}
@@ -314,6 +301,14 @@ def _add_model_source(sub):
                        help=f"builtin model ({', '.join(sorted(BUILTIN_MODELS))})")
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _build_parser():
     # --format is accepted before and after the subcommand; SUPPRESS keeps
     # a subcommand's missing copy from overwriting the global value
@@ -351,7 +346,7 @@ def _build_parser():
     sub.add_argument("--size", type=int, required=True)
     sub.add_argument("--profile", required=True)
     sub.add_argument("--constraint", choices=CONSTRAINTS, default=None)
-    sub.add_argument("--limit", type=int, default=None)
+    sub.add_argument("--limit", type=_count, default=None)
     sub.set_defaults(handler=_cmd_find_models)
 
     sub = command("vcgen", "generate verification conditions")
@@ -374,7 +369,7 @@ def _build_parser():
     sub.add_argument("what", choices=("separation", "nonexpressivity"))
     sub.add_argument("--set", default="evens",
                      help="target set literal (nonexpressivity)")
-    sub.add_argument("--candidates", type=int, default=100)
+    sub.add_argument("--candidates", type=_count, default=100)
     sub.set_defaults(handler=_cmd_demo)
 
     return parser

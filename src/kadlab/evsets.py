@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from typing import Iterator, Optional
 
@@ -62,7 +62,6 @@ class EvPeriodicSet:
 
         # minimal threshold: absorb head entries that already follow the tail
         while n > 0 and ((n - 1) in head) == ((n - 1) % p in res):
-            head = head - {n - 1}
             n -= 1
 
         object.__setattr__(self, "threshold", n)
@@ -216,26 +215,19 @@ def refute_wlp_candidate(target: EvPeriodicSet, candidate: EvPeriodicSet):
 def enumerate_candidates(target: EvPeriodicSet, count: int) -> Iterator[EvPeriodicSet]:
     """The first ``count`` test-algebra candidates disjoint from the target.
 
-    Finite sets are drawn from a universe sized off the target's period and
-    enumerated by size then lexicographically; their cofinite complements
-    follow (for a valid target those always intersect it, so in practice
-    the stream is the finite sets).
+    These are the finite sets of the target's non-members below a universe
+    sized off the target's period, by size then lexicographically.  Every
+    period past the threshold holds a non-member, so the universe holds at
+    least 4 * count: the empty set and the singletons already suffice.
     """
     if in_test_algebra(target):
         raise ModelError("target must be neither finite nor cofinite")
+    if count < 0:
+        raise ModelError("candidate count must be nonnegative")
     universe = max(64, target.threshold + 4 * count * target.period)
-    produced = 0
-    for phase in ("finite", "cofinite"):
-        for size in range(universe + 1):
-            for combo in combinations(range(universe), size):
-                cand = finite_set(combo)
-                if phase == "cofinite":
-                    cand = cand.complement()
-                if target.intersect(cand).is_empty:
-                    yield cand
-                    produced += 1
-                    if produced >= count:
-                        return
+    free = [k for k in range(universe) if k not in target]
+    yield from islice((finite_set(combo) for size in range(len(free) + 1)
+                       for combo in combinations(free, size)), count)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,7 @@ class _Parser(tm._TermParser):
     def __init__(self, text, atoms, tests):
         super().__init__(tm._tokenize(text), frozenset(tests))
         self.atoms = frozenset(atoms)
+        self.blocks = 0     # if/while levels open, bounded like term depth
 
     def guard(self) -> tm.Term:
         """A test-sorted term whose variables are all declared tests."""
@@ -147,6 +148,11 @@ class _Parser(tm._TermParser):
         kind, tok, col = self.next()
         if tok == "skip":
             return Skip()
+        if tok in ("if", "while"):
+            self.blocks += 1
+            if self.blocks > tm.MAX_DEPTH:
+                raise ParseError(f"program nested deeper than {tm.MAX_DEPTH} "
+                                 "if/while levels", column=col)
         if tok == "if":
             guard = self.guard()
             self.expect("then")
@@ -154,6 +160,7 @@ class _Parser(tm._TermParser):
             self.expect("else")
             orelse = self.program()
             self.expect("fi")
+            self.blocks -= 1
             return If(guard, then, orelse)
         if tok == "while":
             guard = self.guard()
@@ -164,6 +171,7 @@ class _Parser(tm._TermParser):
             self.expect("do")
             body = self.program()
             self.expect("od")
+            self.blocks -= 1
             return While(guard, body, invariant)
         if kind == "ident" and tok not in _KEYWORDS:
             if tok not in self.atoms:
@@ -187,6 +195,26 @@ def parse_test_expr(text: str, tests) -> tm.Term:
 # ---------------------------------------------------------------------------
 # semantics
 
+def _spine(prog: Program) -> list[Program]:
+    """The statements of a ``Seq`` chain in order, walked without recursion."""
+    out, stack = [], [prog]
+    while stack:
+        p = stack.pop()
+        if isinstance(p, Seq):
+            stack += [p.second, p.first]
+        else:
+            out.append(p)
+    return out
+
+
+def _product(factors: list[tm.Term]) -> tm.Term:
+    """A balanced product (composition is associative): shallow for any length."""
+    if len(factors) == 1:
+        return factors[0]
+    mid = len(factors) // 2
+    return tm.Times(_product(factors[:mid]), _product(factors[mid:]))
+
+
 def _encode(prog: Program) -> tm.Term:
     """The KAT encoding of a program; atoms become element variables."""
     match prog:
@@ -194,8 +222,8 @@ def _encode(prog: Program) -> tm.Term:
             return tm.ONE
         case Atom(name):
             return tm.Var(name)
-        case Seq(a, b):
-            return tm.Times(_encode(a), _encode(b))
+        case Seq():
+            return _product([_encode(p) for p in _spine(prog)])
         case If(guard, then, orelse):
             return tm.Plus(tm.Times(guard, _encode(then)),
                            tm.Times(tm.Not(guard), _encode(orelse)))
@@ -281,10 +309,12 @@ def vcgen(pre: Rel, prog: Program, post: Rel, bindings: Bindings) -> VcReport:
                 return q, []
             case Atom(_):
                 return denote(p, bindings).box(q), []
-            case Seq(a, b):
-                wb, vb = wp(b, q)
-                wa, va = wp(a, wb)
-                return wa, va + vb
+            case Seq():
+                vcs = []    # last statement first: loops count from the back
+                for statement in reversed(_spine(p)):
+                    q, v = wp(statement, q)
+                    vcs[:0] = v
+                return q, vcs
             case If(guard, then, orelse):
                 t = eval_test(guard, bindings)
                 wt, vt = wp(then, q)

@@ -1,24 +1,24 @@
 """Binary relations over a finite state space.
 
-A relation is an adjacency matrix packed into an int: bit i*n + j is set
-iff state i steps to state j.  Union is |, intersection is &, composition
-is a boolean matrix product over rows, and reflexive-transitive closure is
-computed by repeated squaring of (R | id).  Tests are subidentities.
-
-``RelModel`` is the relation algebra on a space behind the index-level
-interface of ``FiniteAlgebra``, computed on demand at any state count.
-Tabulating it gives the eager 1- and 2-state algebras (at most 16
-elements); over 3 states (512 elements) the model itself is exported.
+A relation is an adjacency matrix packed into an int; only the row view
+below knows the layout.  It splits the bits into n successor masks (bit j
+of row i set iff state i steps to j) and packs them back, builds the
+subidentity on a state mask or on the states whose row lies in one, and
+composes by copying each row of the second relation into the rows of the
+first that reach it.  Tests are subidentities.  ``RelModel`` is the
+relation algebra behind the index-level interface of ``FiniteAlgebra``,
+computed on demand; tabulated, it gives the eager 1- and 2-state algebras
+(at most 16 elements); over 3 states (512 elements) it is exported as is.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, _tables
 from .errors import BoundError, EvalError, ModelError, ParseError
 
 __all__ = ["StateSpace", "Rel", "RelModel", "as_finite_algebra",
@@ -52,6 +52,63 @@ class StateSpace:
             raise ModelError(f"unknown state {name!r}") from None
 
 
+# ---------------------------------------------------------------------------
+# the row view, the only code that knows the layout; mask bit i is state i
+
+def _rows(bits: int, n: int) -> list[int]:
+    """Split packed bits into the n successor masks."""
+    mask = (1 << n) - 1
+    return [bits >> shift & mask for shift in range(0, n * n, n)]
+
+
+def _pack(rows, n: int) -> int:
+    """Pack n successor masks back into bits."""
+    return sum(row << i * n for i, row in enumerate(rows))
+
+
+@cache
+def _spaced(n: int, step: int) -> int:
+    """n set bits, step apart (step n: bit 0 of each row; n + 1: identity)."""
+    return ((1 << n * step) - 1) // ((1 << step) - 1)
+
+
+def _diagonal(states: int, n: int) -> int:
+    """The subidentity on a state mask: its row copies cut to the identity."""
+    return states * _spaced(n, n) & _spaced(n, n + 1)
+
+
+def _compose(a: int, b: int, n: int) -> int:
+    """a ; b: row k of b copied into the rows of a that reach k, by a
+    carry-free product with column k of a moved to bit 0 of each row."""
+    every_row, out = _spaced(n, n), 0
+    for k, row in enumerate(_rows(b, n)):
+        if row:
+            out |= (a >> k & every_row) * row
+    return out
+
+
+def _within(bits: int, n: int, allowed: int) -> int:
+    """The subidentity on the states whose successors all lie in a mask:
+    the successors outside it, ORed onto bit 0 of their row, leave it clear."""
+    every_row = _spaced(n, n)
+    bits &= ~(allowed * every_row)
+    width = 1
+    while 2 * width <= n:
+        bits |= bits >> width
+        width *= 2
+    bits |= bits >> n - width
+    return (every_row & ~bits) * ((1 << n) - 1) & _spaced(n, n + 1)
+
+
+def _edges(bits: int, n: int) -> Iterator[tuple[int, int]]:
+    """The index pairs (i, j) with i -> j, in row-major order."""
+    for i, row in enumerate(_rows(bits, n)):
+        while row:
+            low = row & -row
+            yield i, low.bit_length() - 1
+            row ^= low
+
+
 @dataclass(frozen=True)
 class Rel:
     space: StateSpace
@@ -60,11 +117,10 @@ class Rel:
     # -- constructors ---------------------------------------------------------
     @classmethod
     def from_pairs(cls, space: StateSpace, pairs) -> "Rel":
-        bits = 0
-        n = space.size
+        rows = [0] * space.size
         for a, b in pairs:
-            bits |= 1 << (space.index(str(a)) * n + space.index(str(b)))
-        return cls(space, bits)
+            rows[space.index(str(a))] |= 1 << space.index(str(b))
+        return cls(space, _pack(rows, space.size))
 
     @classmethod
     def empty(cls, space: StateSpace) -> "Rel":
@@ -72,11 +128,7 @@ class Rel:
 
     @classmethod
     def identity(cls, space: StateSpace) -> "Rel":
-        n = space.size
-        bits = 0
-        for i in range(n):
-            bits |= 1 << (i * n + i)
-        return cls(space, bits)
+        return cls(space, _diagonal((1 << space.size) - 1, space.size))
 
     @classmethod
     def full(cls, space: StateSpace) -> "Rel":
@@ -84,36 +136,19 @@ class Rel:
 
     @classmethod
     def test_from_states(cls, space: StateSpace, states) -> "Rel":
-        n = space.size
-        bits = 0
-        for s in states:
-            i = space.index(str(s))
-            bits |= 1 << (i * n + i)
-        return cls(space, bits)
+        return cls.from_pairs(space, ((s, s) for s in states))
 
     # -- views ---------------------------------------------------------------
     def pairs(self) -> frozenset:
-        n = self.space.size
-        return frozenset(
-            (self.space.names[i], self.space.names[j])
-            for i in range(n) for j in range(n)
-            if self.bits >> (i * n + j) & 1)
-
-    def _row(self, i: int) -> int:
-        n = self.space.size
-        return (self.bits >> (i * n)) & ((1 << n) - 1)
+        names = self.space.names
+        return frozenset((names[i], names[j])
+                         for i, j in _edges(self.bits, self.space.size))
 
     def is_empty(self) -> bool:
         return self.bits == 0
 
     def is_subidentity(self) -> bool:
         return self.bits & ~Rel.identity(self.space).bits == 0
-
-    def test_states(self) -> tuple[str, ...]:
-        """State names on the diagonal; only meaningful for subidentities."""
-        n = self.space.size
-        return tuple(self.space.names[i] for i in range(n)
-                     if self.bits >> (i * n + i) & 1)
 
     def __str__(self):
         return format_rel(self)
@@ -137,20 +172,7 @@ class Rel:
 
     def compose(self, other: "Rel") -> "Rel":
         self._same_space(other)
-        n = self.space.size
-        rows = [other._row(k) for k in range(n)]
-        out = 0
-        for i in range(n):
-            row = self._row(i)
-            acc = 0
-            k = 0
-            while row:
-                if row & 1:
-                    acc |= rows[k]
-                row >>= 1
-                k += 1
-            out |= acc << (i * n)
-        return Rel(self.space, out)
+        return Rel(self.space, _compose(self.bits, other.bits, self.space.size))
 
     def leq(self, other: "Rel") -> bool:
         self._same_space(other)
@@ -158,21 +180,14 @@ class Rel:
 
     def converse(self) -> "Rel":
         n = self.space.size
-        out = 0
-        for i in range(n):
-            for j in range(n):
-                if self.bits >> (i * n + j) & 1:
-                    out |= 1 << (j * n + i)
-        return Rel(self.space, out)
+        cols = [0] * n
+        for i, j in _edges(self.bits, n):
+            cols[j] |= 1 << i
+        return Rel(self.space, _pack(cols, n))
 
     def adom(self) -> "Rel":
         """Subidentity on the states with no outgoing edge."""
-        n = self.space.size
-        out = 0
-        for i in range(n):
-            if self._row(i) == 0:
-                out |= 1 << (i * n + i)
-        return Rel(self.space, out)
+        return Rel(self.space, _within(self.bits, self.space.size, 0))
 
     def aran(self) -> "Rel":
         """Subidentity on the states with no incoming edge."""
@@ -203,24 +218,14 @@ class Rel:
         return Rel(self.space, Rel.identity(self.space).bits & ~self.bits)
 
     def box(self, post: "Rel") -> "Rel":
-        """Weakest liberal precondition a(R ; a(post)) as a subidentity.
-
-        State s is included iff every successor of s under self lands in
-        the post states.
-        """
+        """Weakest liberal precondition a(R ; a(post)) as a subidentity: the
+        states all of whose successors under self land in the post states."""
         self._same_space(post)
         if not post.is_subidentity():
             raise ModelError("box postcondition must be a subidentity")
+        # each row of a subidentity holds just its own state, if any
         n = self.space.size
-        post_states = 0
-        for i in range(n):
-            if post.bits >> (i * n + i) & 1:
-                post_states |= 1 << i
-        out = 0
-        for i in range(n):
-            if self._row(i) & ~post_states == 0:
-                out |= 1 << (i * n + i)
-        return Rel(self.space, out)
+        return Rel(self.space, _within(self.bits, n, sum(_rows(post.bits, n))))
 
 
 def all_relations(space: StateSpace) -> Iterator[Rel]:
@@ -232,46 +237,28 @@ def all_relations(space: StateSpace) -> Iterator[Rel]:
 # ---------------------------------------------------------------------------
 # literals
 
-_PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
+_PAIR = r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)"
+_LITERAL_RE = re.compile(rf"\{{\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*)?\s*\}}")
+_NAMED = {"id": Rel.identity, "empty": Rel.empty, "full": Rel.full}
 
 
 def parse_rel_literal(space: StateSpace, text: str) -> Rel:
     """Parse ``{(s1,s2),(s3,s3)}``, ``id``, ``empty`` or ``full``."""
     body = text.strip()
-    if body == "id":
-        return Rel.identity(space)
-    if body == "empty":
-        return Rel.empty(space)
-    if body == "full":
-        return Rel.full(space)
-    if not (body.startswith("{") and body.endswith("}")):
-        raise ParseError(f"bad relation literal {text!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        return Rel.empty(space)
-    consumed = 0
-    pairs = []
-    for m in _PAIR_RE.finditer(inner):
-        gap = inner[consumed:m.start()].strip()
-        expected = "" if not pairs else ","
-        if gap != expected:
-            raise ParseError(f"bad relation literal {text!r}")
-        pairs.append((m.group(1), m.group(2)))
-        consumed = m.end()
-    if inner[consumed:].strip():
+    if body in _NAMED:
+        return _NAMED[body](space)
+    if not _LITERAL_RE.fullmatch(body):
         raise ParseError(f"bad relation literal {text!r}")
     try:
-        return Rel.from_pairs(space, pairs)
+        return Rel.from_pairs(space, re.findall(_PAIR, body))
     except ModelError as e:
         raise ParseError(f"bad relation literal {text!r}: {e}") from None
 
 
 def format_rel(r: Rel) -> str:
-    n = r.space.size
-    parts = [f"({r.space.names[i]},{r.space.names[j]})"
-             for i in range(n) for j in range(n)
-             if r.bits >> (i * n + j) & 1]
-    return "{" + ",".join(parts) + "}"
+    names = r.space.names
+    return "{" + ",".join(f"({names[i]},{names[j]})"
+                          for i, j in _edges(r.bits, r.space.size)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +287,7 @@ class RelModel:
     def tests_i(self) -> tuple[int, ...]:
         """The subidentities in increasing bit-pattern order."""
         n = self.space.size
-        return tuple(sum(1 << i * (n + 1) for i in range(n) if mask >> i & 1)
-                     for mask in range(1 << n))
+        return tuple(_diagonal(mask, n) for mask in range(1 << n))
 
     def element_name(self, i: int) -> str:
         return format_rel(Rel(self.space, i))
@@ -335,9 +321,6 @@ class RelModel:
             raise EvalError(
                 f"complement of non-test element {self.element_name(i)!r}")
         return self.one_i & ~i
-
-    def leq(self, i: int, j: int) -> bool:
-        return i & ~j == 0
 
     def has_op(self, op: str) -> bool:
         if op in ("star", "adom", "aran", "tests", "complement"):
@@ -373,10 +356,7 @@ def rel_algebra_model(size: int) -> FiniteAlgebra | RelModel:
 
 
 def _tabulate(m: RelModel) -> FiniteAlgebra:
-    r = range(m.size)
-    name = m.element_name
-    return FiniteAlgebra(m.carrier, name(m.zero_i), name(m.one_i),
-                         [[m.plus(i, j) for j in r] for i in r],
-                         [[m.times(i, j) for j in r] for i in r],
-                         star=list(map(m.star, r)), adom=list(map(m.adom, r)),
-                         aran=list(map(m.aran, r)), name=m.name)
+    tb = _tables(m)
+    return FiniteAlgebra(m.carrier, m.carrier[tb.zero], m.carrier[tb.one],
+                         tb.plus, tb.times, star=tb.star, adom=tb.adom,
+                         aran=tb.aran, name=m.name)

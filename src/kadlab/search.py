@@ -112,6 +112,8 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
             f"constraint {constraint} needs a profile with tests "
             f"(ts/kat) or an antidomain (as/near-as/kad/kadr)")
 
+    if limit is not None and limit < 1:
+        return
     stats = SearchStats() if stats is None else stats
     found = 0
     for model in _enumerate_models(size, profile, stats):

@@ -235,3 +235,55 @@ def test_eval_at_the_depth_limit(capsys):
                            "--term", term)
         assert code == 0
         assert out.strip().endswith("= a")
+
+
+def _bindings_file(tmp_path, program=None):
+    path = tmp_path / "chain.kat"
+    text = "states: 1 2 3\nrel x = {(1,2),(2,3)}\ntest p = {(1,1)}\n"
+    if program is not None:
+        text += f"pre: p\npost: 1\nprogram: {program}\n"
+    path.write_text(text)
+    return str(path)
+
+
+def test_vcgen_on_a_long_program(capsys, tmp_path):
+    path = _bindings_file(tmp_path, " ; ".join(["skip"] * 3000))
+    code, out, _ = run(capsys, "vcgen", "--program", path)
+    assert code == 0
+    assert out.splitlines()[-1] == "result: VALID"
+
+
+def test_synth_mid_on_a_long_program(capsys, tmp_path):
+    path = _bindings_file(tmp_path)
+    code, out, _ = run(capsys, "synth-mid", "--program", path,
+                       "--x", " ; ".join(["x"] * 3000), "--y", "skip",
+                       "--pre", "p", "--post", "1", "--method", "wlp")
+    assert code == 0
+    assert "r = {(1,1),(2,2),(3,3)}" in out
+
+
+def test_deeply_nested_program_is_refused(capsys, tmp_path):
+    path = _bindings_file(tmp_path, "while p do " * 2000 + "x" + " od" * 2000)
+    code, _, err = run(capsys, "vcgen", "--program", path)
+    assert code == 2
+    assert f"program nested deeper than {MAX_DEPTH} if/while levels" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("demo", "nonexpressivity", "--candidates", "0"),
+    ("demo", "nonexpressivity", "--candidates", "-3"),
+    ("find-models", "--size", "2", "--profile", "kat", "--limit", "0"),
+    ("find-models", "--size", "2", "--profile", "kat", "--limit", "-1"),
+])
+def test_counts_below_one_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_find_models_limit_one(capsys):
+    code, out, _ = run(capsys, "find-models", "--size", "2", "--profile",
+                       "kat", "--limit", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "found: 1"

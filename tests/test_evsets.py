@@ -137,6 +137,32 @@ def test_candidate_enumeration_order():
         "finite{7}", "finite{9}"]
 
 
+def test_candidate_enumeration_order_with_a_head():
+    target = parse_evset("periodic(4; 0,3; 12; 1,2,5,7,11)")
+    assert target.head == frozenset({0, 3}) and target.period == 12
+    assert [format_evset(c) for c in enumerate_candidates(target, 20)] == [
+        "finite{}", "finite{1}", "finite{2}", "finite{4}", "finite{6}",
+        "finite{8}", "finite{9}", "finite{10}", "finite{12}", "finite{15}",
+        "finite{16}", "finite{18}", "finite{20}", "finite{21}", "finite{22}",
+        "finite{24}", "finite{27}", "finite{28}", "finite{30}", "finite{32}"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 250])
+def test_exactly_count_candidates(count):
+    assert len(list(enumerate_candidates(odds(), count))) == count
+
+
+def test_negative_candidate_count_is_refused():
+    with pytest.raises(ModelError):
+        next(enumerate_candidates(evens(), -1))
+
+
+def test_long_head_is_absorbed_in_one_pass():
+    assert finite_set({100000}).union(evens()) == evens()
+    s = EvPeriodicSet(20000, frozenset(range(0, 20000, 2)), 2, frozenset({0}))
+    assert s == evens()
+
+
 # ---------------------------------------------------------------------------
 # properties
 

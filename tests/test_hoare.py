@@ -12,7 +12,7 @@ from kadlab.hoare import (Atom, Bindings, HoareTriple, If, PremiseError, Seq,
                           parse_program, parse_test_expr, synth_mid, vcgen,
                           wlp)
 from kadlab.relations import Rel, StateSpace
-from kadlab.terms import ONE, Not, Plus, Times
+from kadlab.terms import MAX_DEPTH, ONE, Not, Plus, Times
 from kadlab.terms import TestVar as TV
 
 S2 = StateSpace(["1", "2"])
@@ -63,6 +63,21 @@ def test_parse_program_shapes():
     assert p == While(Times(TV("p"), Not(TV("q"))), Atom("x"))
     p = parse_program("while p invariant 1 do x od", b.atoms, b.tests)
     assert p == While(TV("p"), Atom("x"), invariant=ONE)
+
+
+def test_program_nesting_is_bounded():
+    b = b2()
+    for depth, ok in ((MAX_DEPTH, True), (MAX_DEPTH + 1, False)):
+        text = "while p do " * (depth - 1) + "if q then x else y fi" \
+            + " od" * (depth - 1)
+        if ok:
+            assert isinstance(parse_program(text, b.atoms, b.tests), While)
+        else:
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_program(text, b.atoms, b.tests)
+    # sequenced blocks do not nest
+    text = " ; ".join(["while p do x od"] * (MAX_DEPTH + 1))
+    assert isinstance(parse_program(text, b.atoms, b.tests), Seq)
 
 
 def test_parse_test_expressions():
@@ -316,6 +331,31 @@ def test_vcgen_without_invariant_is_exact():
     for q in _tests_of(S2):
         report = vcgen(Rel.empty(S2), prog, q, b)
         assert report.precondition == denote(prog, b).box(q)
+
+
+def test_long_chains_keep_their_meaning_and_conditions():
+    b = b2()
+    rng = random.Random(7)
+    pieces = ["x", "y", "swap", "skip", "while p invariant 1 do x od",
+              "if q then y else skip fi"]
+    stmts = [rng.choice(pieces) for _ in range(400)]
+    prog = parse_program(" ; ".join(stmts), b.atoms, b.tests)
+    expected = Rel.identity(S2)
+    for st in stmts:
+        expected = expected.compose(denote(parse_program(st, b.atoms, b.tests), b))
+    assert denote(prog, b) == expected
+    # the same statements nested to the right: one meaning, same conditions
+    right = parse_program(stmts[-1], b.atoms, b.tests)
+    for st in reversed(stmts[:-1]):
+        right = Seq(parse_program(st, b.atoms, b.tests), right)
+    assert denote(right, b) == expected
+    q = b.tests["q"]
+    left_report, right_report = (vcgen(b.tests["p"], p, q, b)
+                                 for p in (prog, right))
+    assert left_report == right_report
+    loops = stmts.count(pieces[4])
+    assert [c.name for c in left_report.conditions][1:3] == [
+        f"while{loops}-preserve", f"while{loops}-exit"]
 
 
 def test_program_level_phi():

@@ -130,6 +130,26 @@ def test_literal_errors():
         parse_rel_literal(S2, "{(1,2) (2,1)}")
 
 
+# malformed: unbalanced braces, missing, doubled or stray separators, pairs
+# that are not two names, unknown states
+@pytest.mark.parametrize("text", [
+    "{(1,2)", "(1,2)}", "{(1,2) (2,1)}", "{(1,2),}", "{,(1,2)}", "{(1,2),,(2,1)}",
+    "{(1 2,3)}", "{(1,2)x}", "{{(1,2)}", "{(1,2)}}", "{(1,2,1)}", "{()}", "{,}",
+    "{(1,9)}", "{(9,1)}", "ident", ""])
+def test_literal_grammar_rejects(text):
+    with pytest.raises(ParseError):
+        parse_rel_literal(S2, text)
+
+
+@pytest.mark.parametrize("text, pairs", [
+    ("{}", set()), (" { } ", set()), ("{(1,2)}", {("1", "2")}),
+    ("{ ( 1 , 2 ) }", {("1", "2")}), ("{(1,2),(1,2)}", {("1", "2")}),
+    ("{(1,2) ,\t(2,1)}", {("1", "2"), ("2", "1")}),
+    ("\n{(2,2),(1,1)}\n", {("1", "1"), ("2", "2")})])
+def test_literal_grammar_accepts(text, pairs):
+    assert parse_rel_literal(S2, text).pairs() == pairs
+
+
 # ---------------------------------------------------------------------------
 # properties on random relations
 
@@ -194,6 +214,50 @@ def test_star_least_fixpoint(rels):
     cand = s.union(Rel.identity(r.space)).union(r)
     if cand.compose(cand) == cand:
         assert star.leq(cand)
+
+
+@st.composite
+def _sparse_rels(draw):
+    """Two random sparse relations and a test over 5-40 states, each with
+    the pairs it was built from."""
+    n = draw(st.integers(5, 40))
+    space = StateSpace.of_size(n)
+    state = st.sampled_from(space.names)
+    r_pairs, s_pairs = (draw(st.sets(st.tuples(state, state), max_size=3 * n))
+                        for _ in range(2))
+    q_pairs = {(a, a) for a in draw(st.sets(state))}
+    return [(Rel.from_pairs(space, r_pairs), r_pairs),
+            (Rel.from_pairs(space, s_pairs), s_pairs),
+            (Rel.test_from_states(space, {a for a, _ in q_pairs}), q_pairs)]
+
+
+@given(_sparse_rels())
+def test_row_view_matches_pair_set_oracles(rels):
+    (r, pairs), (s, s_pairs), (q, q_pairs) = rels
+    names = r.space.names
+    assert (r.pairs(), s.pairs(), q.pairs()) == (pairs, s_pairs, q_pairs)
+    assert bin(r.bits).count("1") == len(pairs)
+    assert r.compose(s).pairs() == o_compose(pairs, s_pairs)
+    assert r.converse().pairs() == {(b, a) for a, b in pairs}
+    assert r.adom().pairs() == o_adom(pairs, names)
+    assert r.aran().pairs() == o_adom({(b, a) for a, b in pairs}, names)
+    post_states = {a for a, _ in q_pairs}
+    assert r.box(q).pairs() == o_box(pairs, post_states, names)
+    assert Rel.identity(r.space).pairs() == {(a, a) for a in names}
+    assert q.is_subidentity()
+    assert r.is_subidentity() == all(a == b for a, b in pairs)
+
+
+@given(_sparse_rels())
+def test_format_then_parse_is_the_identity(rels):
+    for rel, _ in rels:
+        text = format_rel(rel)
+        assert parse_rel_literal(rel.space, text) == rel
+        # pairs print row-major: by source state, then by target state
+        idx = {name: i for i, name in enumerate(rel.space.names)}
+        listed = [tuple(p.split(",")) for p in text[2:-2].split("),(") if p]
+        assert listed == sorted(listed, key=lambda e: (idx[e[0]], idx[e[1]]))
+        assert set(listed) == rel.pairs()
 
 
 def _all_tests(space):

@@ -67,6 +67,13 @@ def test_limit():
     assert len(models) == 2
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_yields_nothing(limit):
+    stats = SearchStats()
+    assert list(find_models(2, Profile.KAT, limit=limit, stats=stats)) == []
+    assert stats.candidates == 0
+
+
 def test_near_as_search_includes_proper_near_semiring():
     # at size 3 some antidomain near-semirings already drop x;0 = 0
     models = list(find_models(3, Profile.NEAR_AS))
