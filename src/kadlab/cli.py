@@ -62,6 +62,21 @@ def _load_program_file(path_str):
     return load_program_file(text, name=path.name)
 
 
+def _split_bindings(text: str) -> list[str]:
+    """Split ``--env`` on the commas outside braces and parentheses, so an
+    element may be a relation literal such as ``{(1,2),(2,1)}``."""
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "({":
+            depth += 1
+        elif ch in ")}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            items.append(text[start:i])
+            start = i + 1
+    return items + [text[start:]]
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -98,7 +113,7 @@ def _cmd_eval(args):
     algebra = _load_algebra(args)
     term = parse_term(args.term, tests=frozenset())
     elements = {}
-    for item in (args.env.split(",") if args.env else []):
+    for item in _split_bindings(args.env):
         item = item.strip()
         if not item:
             continue
@@ -267,16 +282,12 @@ def _demo_nonexpressivity(args):
     entries = []
     for i, cand in enumerate(evsets.enumerate_candidates(target, count), start=1):
         verdict = evsets.refute_wlp_candidate(target, cand)
+        ok = evsets.verify_refutation(target, cand, verdict)
         if isinstance(verdict, evsets.NotAPrecondition):
-            ok = False
             desc = f"intersects target at {verdict.witness}"
         else:
-            ext = verdict.extension
-            ok = (evsets.in_test_algebra(ext)
-                  and cand.leq(ext) and not ext.leq(cand)
-                  and target.intersect(ext).is_empty)
             desc = (f"not maximal, add {verdict.missing} -> "
-                    f"{evsets.format_evset(ext)}")
+                    f"{evsets.format_evset(verdict.extension)}")
         refuted += ok
         entries.append({"candidate": evsets.format_evset(cand),
                         "verdict": desc, "verified": ok})
@@ -335,7 +346,9 @@ def _build_parser():
     _add_model_source(sub)
     sub.add_argument("--term", required=True)
     sub.add_argument("--env", default="",
-                     help="comma separated name=element bindings")
+                     help="comma separated name=element bindings "
+                          "(commas inside braces or parentheses do not "
+                          "separate)")
     sub.set_defaults(handler=_cmd_eval)
 
     sub = command("check-phi", "check the mid-assertion sentence")

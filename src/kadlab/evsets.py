@@ -1,16 +1,18 @@
 """Eventually periodic subsets of the naturals.
 
-A set is stored as an explicit head below a threshold plus a periodic tail
-given by residues.  Every value is kept in canonical form (minimal period,
-then minimal threshold), so equality is structural.  These sets form a
-countable algebra of subsets of an infinite ground set that is closed
-under union, intersection and complement, contains sets that are neither
-finite nor cofinite (the evens), and carries the trivial star sending
-every set to the full one.  That is exactly the environment needed to
-refute proposed weakest liberal preconditions drawn from the
-finite-or-cofinite test algebra: any candidate disjoint from an infinite,
-co-infinite target set is finite and can be extended by one fresh element
-while staying disjoint, so no candidate is maximal.
+A set is a threshold n, a period p and two bit patterns held in ints: bit
+k < n of the head says whether k is a member, bit c < p of the residues
+whether every k >= n with k % p == c is.  Values are canonical (minimal
+period by rotating the residues, then minimal threshold: the bit length
+of the head XOR the repeated residues), so equality is structural.
+Operations lift both sets to the lcm period (a repunit product) and the
+larger threshold, then apply one int operation each.  The sets form a
+countable algebra closed under union, intersection and complement, with
+sets neither finite nor cofinite (the evens) and the trivial star sending
+every set to the full one: the environment needed to refute proposed
+weakest liberal preconditions from the finite-or-cofinite test algebra,
+as any candidate disjoint from an infinite, co-infinite target is finite
+and grows by one fresh element while staying disjoint.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterator, Optional
 
 from .errors import ModelError, ParseError
@@ -27,76 +29,101 @@ __all__ = [
     "EvPeriodicSet", "empty_set", "full_set", "evens", "odds",
     "finite_set", "cofinite_set", "kat_star", "in_test_algebra",
     "NotAPrecondition", "NotMaximal", "refute_wlp_candidate",
-    "enumerate_candidates", "parse_evset", "format_evset",
+    "verify_refutation", "enumerate_candidates", "parse_evset", "format_evset",
 ]
 
 
-@dataclass(frozen=True)
+def _mask(width: int) -> int:
+    return (1 << width) - 1
+
+
+def _tail(res: int, period: int, below: int) -> int:
+    """The residue bits repeated from 0 (times a repunit), cut at ``below``."""
+    return res * (_mask(-(-below // period) * period) // _mask(period)) & _mask(below)
+
+
+def _rotate(bits: int, by: int, width: int) -> int:
+    """Bit c of the result is bit (c + by) % width of ``bits``."""
+    return (bits >> by | bits << (width - by)) & _mask(width)
+
+
+def _members(bits: int) -> list:
+    return [m.start() for m in re.finditer("1", bin(bits)[:1:-1])]
+
+
+def _bits(elements, bound: int, message: str) -> int:
+    elements = set(elements)
+    try:
+        if elements and not 0 <= min(elements) <= max(elements) < bound:
+            raise ModelError(message)
+        return sum(map((1).__lshift__, elements))
+    except TypeError:       # not all integers
+        raise ModelError(message) from None
+
+
+def _canonical(n: int, head: int, p: int, res: int, s=None) -> "EvPeriodicSet":
+    """Store the canonical form of (n, head, p, res) in ``s`` or a new set."""
+    d = min(d for i in range(1, isqrt(p) + 1) if p % i == 0 for d in (i, p // i)
+            if _rotate(res, d, p) == res)
+    res, p = res & _mask(d), d
+    n = (head ^ _tail(res, p, n)).bit_length()
+    s = object.__new__(EvPeriodicSet) if s is None else s
+    s.__dict__.update(threshold=n, _head=head & _mask(n), period=p, _res=res)
+    return s
+
+
+@dataclass(frozen=True, init=False)
 class EvPeriodicSet:
+    """From iterables of naturals: members below the threshold, tail residues."""
+
     threshold: int
-    head: frozenset
+    _head: int
     period: int
-    residues: frozenset
+    _res: int
 
-    def __post_init__(self):
-        n, head = self.threshold, frozenset(self.head)
-        p, res = self.period, frozenset(self.residues)
-        if n < 0:
+    def __init__(self, threshold: int, head, period: int, residues):
+        if threshold < 0:
             raise ModelError("threshold must be nonnegative")
-        if p < 1:
+        if period < 1:
             raise ModelError("period must be positive")
-        if not head <= frozenset(range(n)):
-            raise ModelError("head elements must lie below the threshold")
-        if not res <= frozenset(range(p)):
-            raise ModelError("residues must lie below the period")
-
-        # minimal period: smallest divisor of p under which the residue set
-        # is shift-invariant
-        for d in range(1, p + 1):
-            if p % d:
-                continue
-            if all(((c + d) % p in res) == (c in res) for c in range(p)):
-                res = frozenset(c for c in range(d) if c in res)
-                p = d
-                break
-
-        # minimal threshold: absorb head entries that already follow the tail
-        while n > 0 and ((n - 1) in head) == ((n - 1) % p in res):
-            n -= 1
-
-        object.__setattr__(self, "threshold", n)
-        object.__setattr__(self, "head", frozenset(x for x in head if x < n))
-        object.__setattr__(self, "period", p)
-        object.__setattr__(self, "residues", res)
+        h = _bits(head, threshold, "head elements must lie below the threshold")
+        r = _bits(residues, period, "residues must lie below the period")
+        _canonical(threshold, h, period, r, self)
 
     # -- membership and views --------------------------------------------------
+    head = property(lambda self: frozenset(_members(self._head)))
+    residues = property(lambda self: frozenset(_members(self._res)))
+
     def __contains__(self, n: int) -> bool:
         if n < self.threshold:
-            return n in self.head
-        return n % self.period in self.residues
+            return n >= 0 and self._head >> n & 1 == 1
+        return self._res >> n % self.period & 1 == 1
 
     @property
     def is_finite(self) -> bool:
-        return not self.residues
+        return not self._res
 
     @property
     def is_cofinite(self) -> bool:
-        return len(self.residues) == self.period
+        return self._res == _mask(self.period)
 
     @property
     def is_empty(self) -> bool:
-        return not self.head and not self.residues
+        return not self._head and not self._res
 
     def least(self) -> Optional[int]:
-        if self.head:
-            return min(self.head)
-        if not self.residues:
-            return None
+        n, p = self.threshold, self.period
+        bits = self._head or _rotate(self._res, n % p, p) << n
+        return (bits & -bits).bit_length() - 1 if bits else None
+
+    def _prefix(self, below: int) -> int:
+        """The membership bits of 0 .. below - 1: the head, then the tail."""
         n = self.threshold
-        return n + min((r - n) % self.period for r in self.residues)
+        tail = _tail(self._res, self.period, below) >> n << n
+        return (self._head | tail) & _mask(below)
 
     def elements(self, below: int) -> list:
-        return [n for n in range(below) if n in self]
+        return _members(self._prefix(below))
 
     def __str__(self):
         return format_evset(self)
@@ -105,27 +132,22 @@ class EvPeriodicSet:
     def _combine(self, other: "EvPeriodicSet", op) -> "EvPeriodicSet":
         p = lcm(self.period, other.period)
         n = max(self.threshold, other.threshold)
-        head = frozenset(k for k in range(n) if op(k in self, k in other))
-        res = frozenset(c for c in range(p)
-                        if op(c % self.period in self.residues,
-                              c % other.period in other.residues))
-        return EvPeriodicSet(n, head, p, res)
+        return _canonical(n, op(self._prefix(n), other._prefix(n)), p,
+                          op(_tail(self._res, self.period, p),
+                             _tail(other._res, other.period, p)))
 
     def union(self, other):
-        return self._combine(other, lambda a, b: a or b)
+        return self._combine(other, lambda a, b: a | b)
 
     def intersect(self, other):
-        return self._combine(other, lambda a, b: a and b)
+        return self._combine(other, lambda a, b: a & b)
 
     def difference(self, other):
-        return self._combine(other, lambda a, b: a and not b)
+        return self._combine(other, lambda a, b: a & ~b)
 
     def complement(self) -> "EvPeriodicSet":
-        return EvPeriodicSet(
-            self.threshold,
-            frozenset(range(self.threshold)) - self.head,
-            self.period,
-            frozenset(range(self.period)) - self.residues)
+        return _canonical(self.threshold, self._head ^ _mask(self.threshold),
+                          self.period, self._res ^ _mask(self.period))
 
     def leq(self, other) -> bool:
         return self.difference(other).is_empty
@@ -212,6 +234,16 @@ def refute_wlp_candidate(target: EvPeriodicSet, candidate: EvPeriodicSet):
     return NotMaximal(x, candidate.union(finite_set({x})))
 
 
+def verify_refutation(target, candidate, verdict) -> bool:
+    """Check a verdict of ``refute_wlp_candidate``: a witness lies in the
+    candidate and the target; an extension is a larger test disjoint from it."""
+    if isinstance(verdict, NotAPrecondition):
+        return verdict.witness in candidate and verdict.witness in target
+    ext = verdict.extension
+    return (in_test_algebra(ext) and candidate.leq(ext)
+            and not ext.leq(candidate) and target.intersect(ext).is_empty)
+
+
 def enumerate_candidates(target: EvPeriodicSet, count: int) -> Iterator[EvPeriodicSet]:
     """The first ``count`` test-algebra candidates disjoint from the target.
 
@@ -225,7 +257,7 @@ def enumerate_candidates(target: EvPeriodicSet, count: int) -> Iterator[EvPeriod
     if count < 0:
         raise ModelError("candidate count must be nonnegative")
     universe = max(64, target.threshold + 4 * count * target.period)
-    free = [k for k in range(universe) if k not in target]
+    free = _members(~target._prefix(universe) & _mask(universe))
     yield from islice((finite_set(combo) for size in range(len(free) + 1)
                        for combo in combinations(free, size)), count)
 
@@ -273,15 +305,13 @@ def parse_evset(text: str) -> EvPeriodicSet:
 
 
 def format_evset(s: EvPeriodicSet) -> str:
-    if s == evens():
-        return "evens"
-    if s == odds():
-        return "odds"
+    def csv(bits):
+        return ",".join(map(str, _members(bits)))
+
+    if s.threshold == 0 and s.period == 2:  # canonical: residues {0} or {1}
+        return "evens" if s._res == 1 else "odds"
     if s.is_finite:
-        return "finite{" + ",".join(map(str, sorted(s.head))) + "}"
+        return "finite{" + csv(s._head) + "}"
     if s.is_cofinite:
-        comp = s.complement()
-        return "cofinite{" + ",".join(map(str, sorted(comp.head))) + "}"
-    head = ",".join(map(str, sorted(s.head)))
-    res = ",".join(map(str, sorted(s.residues)))
-    return f"periodic({s.threshold}; {head}; {s.period}; {res})"
+        return "cofinite{" + csv(s._head ^ _mask(s.threshold)) + "}"
+    return f"periodic({s.threshold}; {csv(s._head)}; {s.period}; {csv(s._res)})"

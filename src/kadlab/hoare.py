@@ -54,10 +54,26 @@ class Atom(Program):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Program):
+    """``first ; second``.  Parsed programs are left-deep chains of any
+    length, so equality, hashing and repr walk the statements with
+    ``_spine`` instead of recursing.  Like the encoding, they ignore the
+    grouping: two chains of the same statements are equal."""
+
     first: Program
     second: Program
+
+    def __eq__(self, other):
+        if not isinstance(other, Seq):
+            return NotImplemented
+        return _spine(self) == _spine(other)
+
+    def __hash__(self):
+        return hash(tuple(_spine(self)))
+
+    def __repr__(self):
+        return f"Seq({', '.join(map(repr, _spine(self)))})"
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,14 @@ class StateSpace:
     def size(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise ModelError(f"unknown state {name!r}") from None
 
 

@@ -1,13 +1,18 @@
-"""Naive references for ``check_axioms``, ``check_phi`` and ``find_models``.
+"""Naive references for ``check_axioms``, ``check_phi``, ``find_models`` and
+the eventually periodic sets of ``evsets``.
 
 The checkers walk every instance with the shared term evaluator through
 the index-level operations, in ``itertools.product`` order, and search
 every intermediate test r for phi: the direct reading of the definitions
 that the compiled law checker and the bitmask phi scan must reproduce
 exactly.  The model enumeration tries every table fill without pruning.
+``NaiveEvPeriodicSet`` keeps head and residues as frozensets and computes
+every operation and canonical form one element at a time.
 """
 
-from itertools import product
+from dataclasses import dataclass
+from itertools import combinations, islice, product
+from math import lcm
 
 from kadlab.algebra import (CheckReport, ClosureLaw, Equation, FiniteAlgebra,
                             PhiResult, Profile, Violation, _eval_idx,
@@ -245,3 +250,131 @@ def brute_force_models(n, profile):
                             and not any(is_isomorphic(model, m) for m in kept)):
                         kept.append(model)
     return kept
+
+
+# ---------------------------------------------------------------------------
+# eventually periodic sets, one element at a time
+
+@dataclass(frozen=True)
+class NaiveEvPeriodicSet:
+    threshold: int
+    head: frozenset
+    period: int
+    residues: frozenset
+
+    def __post_init__(self):
+        n, head = self.threshold, frozenset(self.head)
+        p, res = self.period, frozenset(self.residues)
+        if n < 0:
+            raise ModelError("threshold must be nonnegative")
+        if p < 1:
+            raise ModelError("period must be positive")
+        if not head <= frozenset(range(n)):
+            raise ModelError("head elements must lie below the threshold")
+        if not res <= frozenset(range(p)):
+            raise ModelError("residues must lie below the period")
+
+        # minimal period: smallest divisor of p under which the residue set
+        # is shift-invariant
+        for d in range(1, p + 1):
+            if p % d:
+                continue
+            if all(((c + d) % p in res) == (c in res) for c in range(p)):
+                res = frozenset(c for c in range(d) if c in res)
+                p = d
+                break
+
+        # minimal threshold: absorb head entries that already follow the tail
+        while n > 0 and ((n - 1) in head) == ((n - 1) % p in res):
+            n -= 1
+
+        object.__setattr__(self, "threshold", n)
+        object.__setattr__(self, "head", frozenset(x for x in head if x < n))
+        object.__setattr__(self, "period", p)
+        object.__setattr__(self, "residues", res)
+
+    def __contains__(self, n):
+        if n < self.threshold:
+            return n in self.head
+        return n % self.period in self.residues
+
+    @property
+    def is_finite(self):
+        return not self.residues
+
+    @property
+    def is_cofinite(self):
+        return len(self.residues) == self.period
+
+    @property
+    def is_empty(self):
+        return not self.head and not self.residues
+
+    def least(self):
+        if self.head:
+            return min(self.head)
+        if not self.residues:
+            return None
+        n = self.threshold
+        return n + min((r - n) % self.period for r in self.residues)
+
+    def _combine(self, other, op):
+        p = lcm(self.period, other.period)
+        n = max(self.threshold, other.threshold)
+        head = frozenset(k for k in range(n) if op(k in self, k in other))
+        res = frozenset(c for c in range(p)
+                        if op(c % self.period in self.residues,
+                              c % other.period in other.residues))
+        return NaiveEvPeriodicSet(n, head, p, res)
+
+    def union(self, other):
+        return self._combine(other, lambda a, b: a or b)
+
+    def intersect(self, other):
+        return self._combine(other, lambda a, b: a and b)
+
+    def difference(self, other):
+        return self._combine(other, lambda a, b: a and not b)
+
+    def complement(self):
+        return NaiveEvPeriodicSet(
+            self.threshold,
+            frozenset(range(self.threshold)) - self.head,
+            self.period,
+            frozenset(range(self.period)) - self.residues)
+
+    def leq(self, other):
+        return self.difference(other).is_empty
+
+
+NAIVE_EVENS = NaiveEvPeriodicSet(0, frozenset(), 2, frozenset({0}))
+NAIVE_ODDS = NaiveEvPeriodicSet(0, frozenset(), 2, frozenset({1}))
+
+
+def naive_finite_set(elements):
+    elements = frozenset(elements)
+    bound = max(elements) + 1 if elements else 0
+    return NaiveEvPeriodicSet(bound, elements, 1, frozenset())
+
+
+def naive_enumerate_candidates(target, count):
+    """Finite sets of the target's non-members, by size then lexicographically."""
+    universe = max(64, target.threshold + 4 * count * target.period)
+    free = [k for k in range(universe) if k not in target]
+    yield from islice((naive_finite_set(combo) for size in range(len(free) + 1)
+                       for combo in combinations(free, size)), count)
+
+
+def naive_format_evset(s):
+    if s == NAIVE_EVENS:
+        return "evens"
+    if s == NAIVE_ODDS:
+        return "odds"
+    if s.is_finite:
+        return "finite{" + ",".join(map(str, sorted(s.head))) + "}"
+    if s.is_cofinite:
+        comp = s.complement()
+        return "cofinite{" + ",".join(map(str, sorted(comp.head))) + "}"
+    head = ",".join(map(str, sorted(s.head)))
+    res = ",".join(map(str, sorted(s.residues)))
+    return f"periodic({s.threshold}; {head}; {s.period}; {res})"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kadlab import evsets
 from kadlab.cli import main
 from kadlab.terms import MAX_DEPTH
 
@@ -65,6 +66,20 @@ def test_eval_with_env(capsys):
                        "--term", "x ; x", "--env", "x=a")
     assert code == 0
     assert out.strip().endswith("= 0")
+
+
+def test_eval_binds_relation_literals_with_several_pairs(capsys):
+    code, out, _ = run(capsys, "eval", "--builtin", "rel2", "--term", "x ; y",
+                       "--env", "x={(1,2),(2,1)}, y={(1,1),(2,2)}")
+    assert code == 0
+    assert out.strip().endswith("= {(1,2),(2,1)}")
+
+
+@pytest.mark.parametrize("env", ["x=", "x", "x={(1,2)"])
+def test_eval_rejects_bad_bindings(capsys, env):
+    code, _, err = run(capsys, "eval", "--builtin", "rel2",
+                       "--term", "x ; x", "--env", env)
+    assert code == 2 and err.startswith("error:")
 
 
 def test_eval_classifies_tests_from_model(capsys):
@@ -133,6 +148,18 @@ def test_demo_nonexpressivity(capsys):
     code, out, _ = run(capsys, "demo", "nonexpressivity", "--candidates", "12")
     assert code == 0
     assert "refuted and verified: 12/12" in out
+
+
+def test_demo_nonexpressivity_verifies_not_a_precondition(capsys, monkeypatch):
+    # the enumeration only yields finite candidates disjoint from the target;
+    # a cofinite one is refuted by a witness, which counts as verified
+    monkeypatch.setattr(evsets, "enumerate_candidates", lambda target, count:
+                        iter([evsets.cofinite_set({1}), evsets.finite_set({1})]))
+    code, out, _ = run(capsys, "demo", "nonexpressivity", "--candidates", "2")
+    assert code == 0
+    assert "1. cofinite{1} : intersects target at 0\n" in out
+    assert "FAILED" not in out
+    assert "refuted and verified: 2/2" in out
 
 
 def test_demo_nonexpressivity_rejects_test_algebra_target(capsys):

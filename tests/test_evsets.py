@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,7 +8,9 @@ from kadlab.evsets import (EvPeriodicSet, NotAPrecondition, NotMaximal,
                            cofinite_set, empty_set, enumerate_candidates,
                            evens, finite_set, format_evset, full_set,
                            in_test_algebra, kat_star, odds, parse_evset,
-                           refute_wlp_candidate)
+                           refute_wlp_candidate, verify_refutation)
+from naive_oracle import (NaiveEvPeriodicSet, naive_enumerate_candidates,
+                          naive_format_evset)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +44,15 @@ def test_invalid_inputs():
         EvPeriodicSet(1, frozenset({3}), 2, frozenset())
     with pytest.raises(ModelError):
         EvPeriodicSet(0, frozenset(), 2, frozenset({5}))
+    for head in ([-1], ["a"], [1.5], [0, 10 ** 30]):
+        with pytest.raises(ModelError):
+            EvPeriodicSet(3, head, 1, ())
+
+
+def test_constructor_takes_any_iterables():
+    s = EvPeriodicSet(3, [0, 2, 2], 2, iter([1]))
+    assert s == EvPeriodicSet(3, frozenset({0, 2}), 2, frozenset({1}))
+    assert s.head == frozenset({0, 2}) and s.residues == frozenset({1})
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +141,36 @@ def test_refuter_on_cofinite_candidate():
     # a cofinite candidate always meets the evens
     v = refute_wlp_candidate(evens(), cofinite_set({1, 3}))
     assert isinstance(v, NotAPrecondition)
+
+
+def test_cofinite_candidate_refutation_is_verified():
+    candidate = cofinite_set({1})
+    verdict = refute_wlp_candidate(evens(), candidate)
+    assert verdict == NotAPrecondition(0)
+    assert verify_refutation(evens(), candidate, verdict)
+
+
+def test_finite_candidate_meeting_the_target_is_verified():
+    candidate = finite_set({3, 4})
+    verdict = refute_wlp_candidate(evens(), candidate)
+    assert verdict == NotAPrecondition(4)
+    assert verify_refutation(evens(), candidate, verdict)
+
+
+@pytest.mark.parametrize("verdict", [
+    NotAPrecondition(3),    # in the candidate, not in the target
+    NotAPrecondition(2),    # in the target, not in the candidate
+    NotMaximal(5, finite_set({3, 4, 5})),   # the extension meets the target
+])
+def test_wrong_refutations_fail_verification(verdict):
+    assert not verify_refutation(evens(), finite_set({3, 4}), verdict)
+
+
+def test_not_maximal_refutation_is_verified():
+    candidate = finite_set({1, 3})
+    verdict = refute_wlp_candidate(evens(), candidate)
+    assert verify_refutation(evens(), candidate, verdict)
+    assert not verify_refutation(evens(), candidate, NotMaximal(5, candidate))
 
 
 def test_candidate_enumeration_order():
@@ -239,3 +282,70 @@ def test_refuter_property_on_finite_candidates(elems):
     assert candidate.leq(ext) and not ext.leq(candidate)
     assert ext.intersect(evens()) == empty_set()
     assert verdict.missing not in candidate
+
+
+# ---------------------------------------------------------------------------
+# the bit patterns against the frozenset oracle
+
+@st.composite
+def _raw_sets(draw):
+    """(threshold, head, period, residues) with thresholds up to 40 and
+    periods up to 24.  The residues repeat a pattern of a random divisor of
+    the period and the head follows the tail from a random cut, so both the
+    period and the threshold usually shrink on canonicalisation."""
+    n = draw(st.integers(0, 40))
+    p = draw(st.integers(1, 24))
+    d = draw(st.sampled_from([d for d in range(1, p + 1) if p % d == 0]))
+    pattern = draw(st.frozensets(st.integers(0, d - 1)))
+    res = frozenset(c for c in range(p) if c % d in pattern)
+    cut = draw(st.integers(0, n))
+    low = draw(st.frozensets(st.integers(0, cut - 1))) if cut else frozenset()
+    return n, low | {k for k in range(cut, n) if k % p in res}, p, res
+
+
+def _canon(s):
+    return s.threshold, s.head, s.period, s.residues
+
+
+def _both(raw):
+    return EvPeriodicSet(*raw), NaiveEvPeriodicSet(*raw)
+
+
+@given(_raw_sets())
+def test_unary_views_match_the_oracle(raw):
+    s, naive = _both(raw)
+    assert _canon(s) == _canon(naive)
+    assert _canon(s.complement()) == _canon(naive.complement())
+    assert s.least() == naive.least()
+    assert format_evset(s) == naive_format_evset(naive)
+    assert [k in s for k in range(200)] == [k in naive for k in range(200)]
+    assert (s.is_finite, s.is_cofinite, s.is_empty) == \
+        (naive.is_finite, naive.is_cofinite, naive.is_empty)
+
+
+@given(_raw_sets(), _raw_sets())
+def test_binary_ops_match_the_oracle(raw_a, raw_b):
+    (a, naive_a), (b, naive_b) = _both(raw_a), _both(raw_b)
+    for op in ("union", "intersect", "difference"):
+        assert _canon(getattr(a, op)(b)) == _canon(getattr(naive_a, op)(naive_b))
+    assert a.leq(b) == naive_a.leq(naive_b)
+    assert a.union(b).leq(a) == naive_a.union(naive_b).leq(naive_a)
+
+
+def _seeded_periodic(seed, period, count):
+    rng = random.Random(seed)
+    threshold = rng.randint(0, 8)
+    head = frozenset(k for k in range(threshold) if rng.random() < 0.5)
+    return threshold, head, period, frozenset(rng.sample(range(period), count))
+
+
+@pytest.mark.parametrize("raw", [
+    (0, (), 2, {0}), (0, (), 2, {1}),
+    _seeded_periodic(3, 12, 5), _seeded_periodic(7, 10, 3),
+])
+def test_first_500_candidates_match_the_oracle(raw):
+    target, naive = _both(raw)
+    assert not in_test_algebra(target)
+    ours = enumerate_candidates(target, 500)
+    theirs = naive_enumerate_candidates(naive, 500)
+    assert [_canon(c) for c in ours] == [_canon(c) for c in theirs]

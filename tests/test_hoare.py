@@ -57,6 +57,7 @@ def test_parse_program_shapes():
     b = b2()
     p = parse_program("x ; skip ; y", b.atoms, b.tests)
     assert p == Seq(Seq(Atom("x"), Skip()), Atom("y"))
+    assert isinstance(p.first, Seq)     # left-deep; == ignores the grouping
     p = parse_program("if p then x else y fi", b.atoms, b.tests)
     assert p == If(TV("p"), Atom("x"), Atom("y"))
     p = parse_program("while p & !q do x od", b.atoms, b.tests)
@@ -373,3 +374,18 @@ def test_program_level_phi():
             r = synth_mid(Atom("x"), Atom("y"), p, q, "wlp", bind)
             assert holds(HoareTriple(p, Atom("x"), r), bind)
             assert holds(HoareTriple(r, Atom("y"), q), bind)
+
+
+def test_long_sequences_compare_hash_and_print_without_recursion():
+    names = {"x", "y"}
+    text = " ; ".join(["x", "y"] * 1500)
+    left = parse_program(text, names, set())
+    right = Atom("y")
+    for name in ["x", "y"] * 1499 + ["x"]:
+        right = Seq(Atom(name), right)
+    assert left == right and hash(left) == hash(right)
+    assert left != parse_program(text + " ; x", names, set())
+    assert left != Atom("x") and left != If(TV("p"), left, left)
+    assert repr(left) == "Seq(" + ", ".join(
+        [f"Atom(name={n!r})" for n in ["x", "y"] * 1500]) + ")"
+    assert repr(If(TV("p"), left, Skip())).count("Atom(name='x')") == 1500

@@ -141,6 +141,15 @@ def test_literal_grammar_rejects(text):
         parse_rel_literal(S2, text)
 
 
+def test_state_index_on_a_large_space():
+    space = StateSpace.of_size(128)
+    assert [space.index(name) for name in space.names] == list(range(128))
+    with pytest.raises(ModelError):
+        space.index("129")
+    assert space == StateSpace.of_size(128)
+    assert hash(space) == hash(StateSpace.of_size(128))
+
+
 @pytest.mark.parametrize("text, pairs", [
     ("{}", set()), (" { } ", set()), ("{(1,2)}", {("1", "2")}),
     ("{ ( 1 , 2 ) }", {("1", "2")}), ("{(1,2),(1,2)}", {("1", "2")}),
