@@ -542,27 +542,40 @@ def _tables(algebra) -> _Tables:
 # as the law's assignment with the values of the two sides (None as the right
 # side of a closure law).  ``check_axioms`` compiles each law alone; model
 # search compiles several into one nest and runs it on partial tables (see
-# ``_LoopNest``).  Only the fixed law inventory is compiled, never user text.
+# ``_LoopNest``).  Model search also compiles a stage's laws in pinned form,
+# which tests only the instances that read one given cell of the stage's
+# table: after filling that cell, the instances that do not read it stand as
+# they stood before (see ``_compile``).  Only the fixed law inventory is
+# compiled, never user text.
 
 _TABLE_OF = {tm.Plus: "P", tm.Times: "T", tm.Star: "S", tm.Not: "C",
              tm.ADom: "AD", tm.ARan: "AR"}
 _LAW_PARAMS = "n, tests, P, T, S, AD, AR, C, ISTEST, zero, one"
 
 
+class _Open(str):
+    """A guard line outside every loop: the rest of the nest runs under it."""
+
+
 class _LoopNest:
     """Statements of a loop nest, each filed under its loop level.
 
-    With ``partial`` the tables are padded with an absorbing index ``n`` for
-    the cells not yet filled, and an instance that reads one is skipped: an
-    equation fails only when both sides are known and differ, and a premise
-    holds only when it is known to.
+    The nest loops over ``elements`` (over the carrier) and then ``tests``
+    (over the test list).  With ``partial`` the tables are padded with an
+    absorbing index ``n`` for the cells not yet filled, and an instance that
+    reads one is skipped: an equation fails only when both sides are known
+    and differ, and a premise holds only when it is known to.  ``pins`` binds
+    further variables to locals set outside every loop (``ci``, ``cj``).
     """
 
-    def __init__(self, order, partial=False):
-        self.level = {name: k for k, name in enumerate(order)}
+    def __init__(self, elements, tests, partial=False, pins=None):
+        self.order = elements + tests
+        self.elements = len(elements)
+        self.level = {name: k for k, name in enumerate(self.order)}
         # blocks[k + 1] runs inside the loop over order[k], blocks[0] before
-        self.blocks = [[] for _ in range(len(order) + 1)]
+        self.blocks = [[] for _ in range(len(self.order) + 1)]
         self.partial = partial
+        self.pins = pins or {}
         self._memo = {}
         self._count = 0
 
@@ -574,6 +587,9 @@ class _LoopNest:
             self._memo[key] = name, level
         return self._memo[key]
 
+    def _var(self, name):
+        return self.pins.get(name, f"v_{name}"), self.level.get(name, -1)
+
     def value(self, t):
         """The local holding t's value and the loop level that computes it."""
         if isinstance(t, tm.Zero):
@@ -581,7 +597,7 @@ class _LoopNest:
         if isinstance(t, tm.One):
             return "one", -1
         if isinstance(t, (tm.Var, tm.TestVar)):
-            return f"v_{t.name}", self.level[t.name]
+            return self._var(t.name)
         table = _TABLE_OF[type(t)]
         if isinstance(t, (tm.Plus, tm.Times)):
             a, la = self.value(t.left)
@@ -593,6 +609,15 @@ class _LoopNest:
         a, la = self.value(t.arg)
         return self._bind(t, f"{table}[{a}]", la)
 
+    def guard(self, t, target):
+        """Skip the instances in which t's value is not ``target``, at the
+        loop level that computes it."""
+        v, level = self.value(t)
+        if level < 0:
+            self.blocks[0].append(_Open(f"if {v} == {target}:"))
+        else:
+            self.blocks[level + 1].append(f"if {v} != {target}: continue")
+
     def leq(self, s, t) -> str:
         """A condition for s <= t known to hold, that is s + t = t."""
         join, bound = self.value(tm.Plus(s, t))[0], self.value(t)[0]
@@ -601,9 +626,9 @@ class _LoopNest:
     def add(self, law):
         """File the test of one law after its values, at its last variable."""
         vs, ts = _law_vars(law)
-        level = max((self.level[v] for v in vs + ts), default=-1)
+        level = max((self._var(v)[1] for v in vs + ts), default=-1)
         block = self.blocks[level + 1]
-        found = "(" + "".join(f"v_{v}, " for v in vs + ts) + ")"
+        found = "(" + "".join(f"{self._var(v)[0]}, " for v in vs + ts) + ")"
         if isinstance(law, Equation):
             lhs, rhs = self.value(law.lhs)[0], self.value(law.rhs)[0]
             known = f" and n != {lhs} and n != {rhs}" if self.partial else ""
@@ -629,6 +654,20 @@ class _LoopNest:
                       + [f"    if {join} != {rhs}{known}:",
                          f"        return {found}, {lhs}, {rhs}"])
 
+    def lines(self):
+        """The nest as source lines of a function body."""
+        out, pad = [], "    "
+        for k, block in enumerate(self.blocks):
+            if k:
+                domain = "range(n)" if k <= self.elements else "tests"
+                out.append(f"{pad}for v_{self.order[k - 1]} in {domain}:")
+                pad += "    "
+            for line in block:
+                out.append(pad + line)
+                if isinstance(line, _Open):
+                    pad += "    "
+        return out
+
 
 def _law_terms(law) -> tuple:
     if isinstance(law, Equation):
@@ -636,6 +675,15 @@ def _law_terms(law) -> tuple:
     if isinstance(law, ClosureLaw):
         return (law.term,)
     return tuple(t for pair in law.premises for t in pair) + law.conclusion
+
+
+def _subterms(law):
+    """Every subterm of the law, repeats included."""
+    stack = list(_law_terms(law))
+    while stack:
+        t = stack.pop()
+        yield t
+        stack += [c for c in vars(t).values() if isinstance(c, tm.Term)]
 
 
 def _law_vars(law):
@@ -647,24 +695,52 @@ def _law_vars(law):
     return tuple(sorted(vs)), tuple(sorted(ts))
 
 
-def _compile(laws, partial=False):
-    """One function testing the laws, in order, in one loop nest."""
-    vs, ts = set(), set()
-    for law in laws:
-        a, b = _law_vars(law)
-        vs.update(a)
-        ts.update(b)
-    order = tuple(sorted(vs)) + tuple(sorted(ts))
-    nest = _LoopNest(order, partial)
-    for law in laws:
-        nest.add(law)
-    lines = [f"def law({_LAW_PARAMS}):"]
-    pad = "    "
-    lines += [pad + line for line in nest.blocks[0]]
-    for k, v in enumerate(order):
-        lines.append(f"{pad}for v_{v} in {'range(n)' if k < len(vs) else 'tests'}:")
-        pad += "    "
-        lines += [pad + line for line in nest.blocks[k + 1]]
+def _pinned_nest(law, occurrence, partial):
+    """A nest over the instances of the law in which the occurrence reads
+    cell (ci, cj) of its table (cell ci of a unary table): a variable
+    argument is bound to its coordinate, any other is guarded."""
+    args = tuple(c for c in vars(occurrence).values() if isinstance(c, tm.Term))
+    coords = tuple(zip(args, ("ci", "cj")))
+    pins = {}
+    for a, c in coords:
+        if isinstance(a, tm.Var):
+            pins.setdefault(a.name, c)
+    vs, ts = _law_vars(law)
+    nest = _LoopNest(tuple(v for v in vs if v not in pins), ts, partial, pins)
+    for a, c in coords:
+        if not (isinstance(a, tm.Var) and pins[a.name] == c):
+            nest.guard(a, c)
+    nest.add(law)
+    return nest
+
+
+def _compile(laws, partial=False, pin=None):
+    """One function testing the laws, in order, in one loop nest.
+
+    With ``pin``, the term type of a table, the function takes two more
+    arguments ``ci, cj`` and tests only the instances in which the table is
+    read at cell (ci, cj), or at ci if it is unary: one nest for each
+    distinct occurrence of the table in each law, in which the occurrence's
+    variable arguments are bound to ci and cj instead of looped over.
+    """
+    if pin is None:
+        vs, ts = set(), set()
+        for law in laws:
+            a, b = _law_vars(law)
+            vs.update(a)
+            ts.update(b)
+        nests = [_LoopNest(tuple(sorted(vs)), tuple(sorted(ts)), partial)]
+        for law in laws:
+            nests[0].add(law)
+        params = _LAW_PARAMS
+    else:
+        nests = [_pinned_nest(law, t, partial) for law in laws
+                 for t in dict.fromkeys(t for t in _subterms(law)
+                                        if isinstance(t, pin))]
+        params = _LAW_PARAMS + ", ci, cj"
+    lines = [f"def law({params}):"]
+    for nest in nests:
+        lines += nest.lines()
     lines.append("    return None")
     namespace = {}
     exec("\n".join(lines), namespace)

@@ -3,13 +3,17 @@
 Exit codes: 0 when the checked property holds (or requested objects were
 produced), 1 when a check is refuted (axiom violation, phi counterexample,
 invalid verification condition, failing premise, empty search), 2 on
-usage, parse or model errors.  Reports are deterministic for identical
-inputs; ``--format structured`` switches to JSON.
+usage, parse or model errors, and 3 on an internal error: any other
+exception, reported as ``internal error: <type>: <message>`` on stderr
+without a traceback (the traceback goes to the ``kadlab.cli`` logger at
+debug level).  Reports are deterministic for identical inputs;
+``--format structured`` switches to JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -320,6 +324,7 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser():
     # --format is accepted before and after the subcommand; SUPPRESS keeps
     # a subcommand's missing copy from overwriting the global value
@@ -393,16 +398,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv, namespace=argparse.Namespace(format="text"))
     try:
         code, lines, payload = args.handler(args)
+        if args.format == "structured":
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        else:
+            text = "\n".join(lines)
     except PremiseError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1
     except KadlabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    except Exception as e:
+        # a defect, not a verdict: exit 1 would read as "refuted"; logging
+        # is imported here so that it costs nothing on every other run
+        import logging
+        logging.getLogger(__name__).debug("internal error", exc_info=True)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+    print(text)
     return code
 
 

@@ -7,15 +7,19 @@ test set with its complement.  Cells that a law of the profile fixes
 outright (x + 0 = x, 0 ; x = 0, 1 ; x = x, ...) are set before the search,
 and + is filled as a symmetric table when the profile makes it commutative.
 
-Pruning is read from ``profile_axioms(profile)``: after each cell the
-search runs the laws that mention only tables filled so far, compiled by
-the law checker's code generator and run on tables whose unfilled cells
-hold an absorbing "unknown" index, so an instance that reads one is
-skipped.  On star, antidomain and antirange only the one-variable laws run
-after each cell, and the others once the table is full.  Every candidate
-is re-validated with ``check_axioms``, and of the candidates that differ by
-a relabelling of the middle elements only the lexicographically least is
-kept.
+Pruning is read from ``profile_axioms(profile)``: a law belongs to the
+last stage whose table it reads, and is compiled by the law checker's code
+generator to run on tables whose unfilled cells hold an absorbing
+"unknown" index, so an instance that reads one is skipped.  At the first
+cell of a stage the search runs every instance of the stage's laws; after
+each later cell it runs only the instances that read that cell (or its
+mirror), because every other instance reads what it read at the parent
+node, where it passed.  The pruning is therefore the same as running every
+instance after every cell.  On star, antidomain and antirange only the
+one-variable laws run after each cell, and the others in full once the
+table is full.  Every candidate is re-validated with ``check_axioms``, and
+of the candidates that differ by a relabelling of the middle elements only
+the lexicographically least is kept.
 
 Search bound: for the profiles where x + x = x is an axiom or derivable,
 the search also assumes that the unit is the additive top and that a + b
@@ -32,8 +36,8 @@ from itertools import islice, permutations, product
 from typing import Iterator, Optional
 
 from . import terms as tm
-from .algebra import (Equation, FiniteAlgebra, Profile, _compile, _law_terms,
-                      _law_vars, _relabel, _Tables, check_axioms, check_phi,
+from .algebra import (Equation, FiniteAlgebra, Profile, _compile, _law_vars,
+                      _relabel, _subterms, _Tables, check_axioms, check_phi,
                       profile_axioms, required_ops)
 from .errors import BoundError, ModelError
 
@@ -56,8 +60,9 @@ _MIDDLE_NAMES = "abcdefgh"
 
 # the stages in fill order; a law belongs to the last stage whose table it reads
 _STAGES = ("plus", "times", "star", "adom", "aran", "tests")
-_STAGE_OF = {tm.Plus: 0, tm.Times: 1, tm.Star: 2, tm.ADom: 3, tm.ARan: 4,
-             tm.Not: 5, tm.TestVar: 5}
+# the term type of each stage's table; the tests stage fills no cells
+_TABLE = (tm.Plus, tm.Times, tm.Star, tm.ADom, tm.ARan)
+_STAGE_OF = {**{t: k for k, t in enumerate(_TABLE)}, tm.Not: 5, tm.TestVar: 5}
 _ATOMS = (tm.Zero, tm.One, tm.Var)
 
 
@@ -95,8 +100,10 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
     profile that provides tests.  Enumeration order is deterministic.
     The search is complete up to isomorphism except that, for the profiles
     where + is idempotent, it visits only algebras whose unit is the
-    additive top (see the module docstring).  A ``SearchStats`` passed as
-    ``stats`` is filled in as the search runs.
+    additive top (see the module docstring).  After each cell the search
+    checks the law instances that read it, so a partial fill is dropped as
+    soon as a law fails on the cells filled so far.  A ``SearchStats``
+    passed as ``stats`` is filled in as the search runs.
     """
     if isinstance(profile, str):
         profile = Profile.parse(profile)
@@ -138,13 +145,7 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
 # the laws of each stage
 
 def _stage(law) -> int:
-    stage = 0
-    stack = list(_law_terms(law))
-    while stack:
-        t = stack.pop()
-        stage = max(stage, _STAGE_OF.get(type(t), 0))
-        stack += [c for c in vars(t).values() if isinstance(c, tm.Term)]
-    return stage
+    return max(_STAGE_OF.get(type(t), 0) for t in _subterms(law))
 
 
 def _fixes_cells(law) -> bool:
@@ -168,8 +169,8 @@ def _commutes(law) -> bool:
 
 class _Stage:
     """The laws of one stage: those that set cells, whether its table is
-    symmetric, and the compiled tests run after each cell and once the
-    stage is complete."""
+    symmetric, and the compiled tests run after each cell (``each`` in
+    full, ``each_at`` pinned to the cell) and once the stage is complete."""
 
     def __init__(self, name, laws):
         self.name = name
@@ -182,8 +183,38 @@ class _Stage:
             end = [law for law in rest if law not in each]
         else:
             each, end = rest, []
+        self.laws = each
         self.each = _compile(each, partial=True)
+        k = _STAGES.index(name)
+        self.each_at = (_compile(each, partial=True, pin=_TABLE[k])
+                        if k < len(_TABLE) else None)
         self.end = _compile(end, partial=True)
+
+    def check(self, cell, first, last):
+        """The test run after filling ``cell``, a pair (i, j), or (k, k) in
+        a unary table, and its mirror in a symmetric one: it takes the
+        compiled laws' arguments and is true when a law fails.
+
+        The stage's first cell runs ``each`` in full, which also covers the
+        instances that read no free cell.  A later cell runs only the
+        instances that read it: any other reads what it read at the parent
+        node, where it passed.  The last cell also runs ``end``.
+        """
+        i, j = cell
+        each, at, end = self.each, self.each_at, self.end
+        if first:
+            def refuted(args):
+                return each(*args) is not None
+        elif self.symmetric and i != j:
+            def refuted(args):
+                return (at(*args, i, j) is not None
+                        or at(*args, j, i) is not None)
+        else:
+            def refuted(args):
+                return at(*args, i, j) is not None
+        if not last:
+            return refuted
+        return lambda args: refuted(args) or end(*args) is not None
 
 
 @functools.cache
@@ -222,7 +253,7 @@ def _enumerate_models(n: int, profile: Profile,
 
     # one step per free cell, in fill order: the cell as (row, column), its
     # mirror (the cell itself unless the table is symmetric), its values and
-    # the tests run after it
+    # the test run after it
     steps = []
     tests_stage = None
     for stage in _plan(profile):
@@ -232,20 +263,21 @@ def _enumerate_models(n: int, profile: Profile,
             continue
         table = tables[stage.name]
         if stage.name in unary:
-            cells = [(table, k, table, k) for k in range(n)]
+            cells = [(table, k, table, k, (k, k)) for k in range(n)]
         else:
             for law in stage.fixing:
                 _fix_cells(table, law, n, stage.symmetric)
             sym = stage.symmetric
             cells = [(table[i], j) + ((table[j], i) if sym else (table[i], j))
+                     + ((i, j),)
                      for i in range(n) for j in range(i if sym else 0, n)
                      if table[i][j] == unknown]
-        for k, (row, col, mrow, mcol) in enumerate(cells):
+        for k, (row, col, mrow, mcol, cell) in enumerate(cells):
             # the search bound: a + b is at or above a and b in carrier order
             lo = max(col, mcol) if stage.name == "plus" and idem else 0
-            end = stage.end if k == len(cells) - 1 else None
-            steps.append((row, col, mrow, mcol, range(lo, n), stage.each,
-                          end, counts))
+            steps.append((row, col, mrow, mcol, range(lo, n),
+                          stage.check(cell, k == 0, k == len(cells) - 1),
+                          counts))
     choices = _test_choices(n) if tests_stage else (((), None),)
     ops = required_ops(profile)
 
@@ -279,12 +311,11 @@ def _enumerate_models(n: int, profile: Profile,
         if k == len(steps):
             yield from candidates()
             return
-        row, col, mrow, mcol, values, each, end, counts = steps[k]
+        row, col, mrow, mcol, values, refuted, counts = steps[k]
         for v in values:
             row[col] = mrow[mcol] = v
             counts[0] += 1
-            if (each(*args) is not None
-                    or end is not None and end(*args) is not None):
+            if refuted(args):
                 counts[1] += 1
                 continue
             yield from fill(k + 1)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from kadlab import evsets
-from kadlab.cli import main
+from kadlab import cli
+from kadlab.cli import _build_parser, main
 from kadlab.terms import MAX_DEPTH
 
 PROGRAM_TEXT = """
@@ -314,3 +315,37 @@ def test_find_models_limit_one(capsys):
                        "kat", "--limit", "1")
     assert code == 0
     assert out.splitlines()[-1] == "found: 1"
+
+
+def test_cached_parser_answers_as_a_fresh_one(capsys):
+    calls = [("check-phi", "--builtin", "lemma4"),
+             ("--format", "structured", "check-axioms", "--builtin", "bool2",
+              "--profile", "kad")]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    with pytest.raises(SystemExit) as exc:
+        main(["check-axioms", "--builtin", "bool2"])
+    assert exc.value.code == 2
+    assert "--profile" in capsys.readouterr().err
+    assert [run(capsys, *argv) for argv in calls] == fresh
+
+
+def test_internal_error_exits_3_without_a_traceback(capsys, monkeypatch):
+    def broken(model):
+        raise RuntimeError("no phi today")
+
+    monkeypatch.setattr(cli, "check_phi", broken)
+    code, out, err = run(capsys, "check-phi", "--builtin", "lemma4")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: no phi today\n"
+
+
+def test_interrupts_are_not_internal_errors(monkeypatch):
+    def interrupted(model):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "check_phi", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check-phi", "--builtin", "lemma4"])

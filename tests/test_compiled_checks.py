@@ -18,7 +18,7 @@ from kadlab.algebra import (Equation, FiniteAlgebra, Profile, Quasi,
                             trivial_model)
 from kadlab.errors import KadlabError
 from kadlab.relations import RelModel, StateSpace, rel_algebra_model
-from kadlab.search import _enumerate_models, find_models
+from kadlab.search import _enumerate_models, _plan, find_models
 from kadlab.terms import ONE, Times, Var
 
 from naive_oracle import (naive_check_axioms, naive_check_phi,
@@ -213,13 +213,9 @@ def test_fused_nest_recomputes_what_a_premise_guards():
         assert _compile((induct, reuse))(*_tables(model)) is None
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_algebras(), st.randoms(use_true_random=False))
-def test_partial_nests_skip_unknown_cells(model, rnd):
-    # blank about a third of the cells to the absorbing unknown index n, as
-    # model search leaves them; each law compiled for partial tables must
-    # report the first instance the naive partial reading finds
-    tb = _tables(model)
+def padded_tables(tb, rnd):
+    """The tables with about a third of the cells blanked to the absorbing
+    unknown index n, as model search leaves them."""
     n = tb.n
 
     def blank(row):
@@ -228,12 +224,20 @@ def test_partial_nests_skip_unknown_cells(model, rnd):
     def unary(t):
         return None if t is None else blank(t)
 
-    padded = tb._replace(
+    return tb._replace(
         plus=[blank(row) for row in tb.plus] + [[n] * (n + 1)],
         times=[blank(row) for row in tb.times] + [[n] * (n + 1)],
         star=unary(tb.star), adom=unary(tb.adom), aran=unary(tb.aran),
         complement=tb.complement and {**tb.complement, n: n},
         is_test=list(tb.is_test) + [True])
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_algebras(), st.randoms(use_true_random=False))
+def test_partial_nests_skip_unknown_cells(model, rnd):
+    # each law compiled for partial tables must report the first instance
+    # the naive partial reading finds
+    padded = padded_tables(_tables(model), rnd)
     # a premise whose right side is compound, so that it can be unknown
     x, y = Var("x"), Var("y")
     laws = {0: Quasi("unknown-bound", ((x, Times(x, y)),), (y, x))}
@@ -248,3 +252,81 @@ def test_partial_nests_skip_unknown_cells(model, rnd):
         found = _compile((law,), partial=True)(*padded)
         assert (found and found[0]) == (expected[0] if expected else None), \
             law.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_algebras(), st.randoms(use_true_random=False))
+def test_pinned_checks_read_the_filled_cell(model, rnd):
+    # model search runs a stage's whole nest at the stage's first cell, and
+    # after any later cell only the instances that read it (or its mirror
+    # in a symmetric table); both must fail exactly when a law does.  The
+    # tables here need not be symmetric, so an instance that reads only the
+    # mirror need not have a mirror image that reads the cell.
+    tb = _tables(model)
+    n = tb.n
+    for profile in Profile:
+        try:
+            _require_profile_ops(model, profile)
+        except KadlabError:
+            continue
+        for stage in _plan(profile):
+            if stage.each_at is None:
+                continue
+            padded = padded_tables(tb, rnd)
+            table, full = getattr(padded, stage.name), getattr(tb, stage.name)
+            unary = stage.name not in ("plus", "times")
+            cells = ([(k, k) for k in range(n)] if unary else
+                     list(product(range(n), repeat=2)))
+
+            def at(t, cell):
+                return t[cell[0]] if unary else t[cell[0]][cell[1]]
+
+            def put(cell, v):
+                i, j = cell
+                if unary:
+                    table[i] = v
+                else:
+                    table[i][j] = v
+
+            def fails():
+                return any(naive_partial_violations(padded, law)
+                           for law in stage.laws)
+
+            # a first cell is checked on whatever the tables hold
+            check = stage.check(rnd.choice(cells), True, False)
+            assert check(padded) == fails(), (profile, stage.name)
+            # later cells: fill the table in a random order, leaving blank
+            # the cells skipped and those a law refuted, then fill each blank
+            for cell in cells:
+                put(cell, n)
+            rnd.shuffle(cells)
+            for cell in cells:
+                if rnd.random() < 0.7:
+                    put(cell, at(full, cell))
+                    if stage.each(*padded) is not None:
+                        put(cell, n)
+            for cell in [c for c in cells if at(table, c) == n]:
+                v = rnd.choice((at(full, cell), rnd.randrange(n)))
+                mirror = cell[::-1] if stage.symmetric else cell
+                before = at(table, mirror)
+                put(cell, v)
+                put(mirror, v)
+                check = stage.check(cell, False, False)
+                assert check(padded) == fails(), (profile, stage.name, cell)
+                put(mirror, before)
+                put(cell, n)
+
+
+def test_pinned_guards_outside_every_loop():
+    # an occurrence with a repeated variable or a constant argument reads
+    # the cell only if the cell's coordinates match, tested before any loop
+    x = Var("x")
+    square = Equation("square", Times(x, x), x)
+    unit = Equation("unit", Times(ONE, ONE), ONE)
+    tb = _tables(lemma4_model())
+    run = _compile((square, unit), partial=True, pin=Times)
+    assert run(*tb, 1, 1) == ((1,), 0, 1)       # a ; a = 0
+    assert run(*tb, 1, 2) is None and run(*tb, 2, 2) is None
+    off = tb._replace(times=((0, 0, 0), (0, 0, 1), (0, 1, 1)))
+    assert _compile((unit,), partial=True, pin=Times)(*off, 2, 2) == ((), 1, 2)
+    assert _compile((unit,), partial=True, pin=Times)(*off, 2, 1) is None

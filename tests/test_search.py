@@ -149,3 +149,28 @@ def test_stats_count_the_search():
     assert stats.models == len(models) < stats.candidates
     tried, pruned = stats.stages["tests"]
     assert tried - pruned == stats.candidates + stats.duplicates
+
+
+# What four searches did, [tried, pruned] per stage and then duplicates,
+# candidates and models.  Each cell is checked only on the law instances
+# that read it, which decides every cell as the whole nest would, so these
+# change only when the search space does.
+_STATS = [
+    (4, "semiring", None, {"plus": [720, 447], "times": [1148, 878]}, 37, 40, 40),
+    (5, "kat", "phi-fails", {"plus": [19, 4], "times": [990, 748],
+                             "star": [1275, 1020], "tests": [714, 663]}, 2, 49, 40),
+    (4, "near-as", None, {"plus": [720, 447], "times": [2960, 2178],
+                          "adom": [3392, 2638]}, 20, 22, 22),
+    (5, "kadr", None, {"plus": [19, 4], "times": [990, 748], "star": [1275, 1020],
+                       "adom": [3200, 2602], "aran": [225, 180]}, 0, 9, 9),
+]
+
+
+@pytest.mark.parametrize(
+    "size, profile, constraint, stages, duplicates, candidates, models", _STATS)
+def test_stats_are_pinned(size, profile, constraint, stages, duplicates,
+                          candidates, models):
+    stats = SearchStats()
+    list(find_models(size, profile, constraint, bound=size, stats=stats))
+    assert list(stats.stages) == list(stages)
+    assert stats == SearchStats(stages, duplicates, candidates, models)
