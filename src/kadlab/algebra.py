@@ -23,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import terms as tm
@@ -207,6 +207,15 @@ def required_ops(profile: Profile) -> frozenset:
 # ---------------------------------------------------------------------------
 # algebras
 
+def _indices_below(n, values) -> bool:
+    """Whether every value is an index in range(n), in one C-level pass; an
+    unhashable value is not an index."""
+    try:
+        return set(range(n)).issuperset(values)
+    except TypeError:
+        return False
+
+
 class FiniteAlgebra:
     """Immutable-by-convention algebra over an explicitly tabled carrier.
 
@@ -295,7 +304,7 @@ class FiniteAlgebra:
         rows = tuple(tuple(row) for row in table)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ModelError(f"{op} table must be {n}x{n}")
-        if any(v not in range(n) for r in rows for v in r):
+        if not _indices_below(n, chain.from_iterable(rows)):
             raise ModelError(f"{op} table value out of range")
         return rows
 
@@ -304,7 +313,7 @@ class FiniteAlgebra:
         if table is None:
             return None
         row = tuple(table)
-        if len(row) != n or any(v not in range(n) for v in row):
+        if len(row) != n or not _indices_below(n, row):
             raise ModelError(f"{op} table must have {n} in-range entries")
         return row
 

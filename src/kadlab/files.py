@@ -23,9 +23,15 @@ optional program and optional pre/post tests::
     post: !p
     program: x ; if p then skip else x fi
 
-``#`` starts a comment; blank lines are ignored.  Binary tables must list
+``#`` starts a comment, so no name contains it; blank lines are ignored.
+In a model file the text before a line's first ``:`` is its key.  Of the
+header lines, ``carrier`` and ``tests`` list element names separated by
+whitespace and ``zero`` and ``one`` name one element; each appears at most
+once.  A row holds its argument names, ``->`` and the result name as
+whitespace-separated tokens; the space around ``:`` and ``->`` may be left
+out, and an argument name cannot contain ``->``.  Binary tables must list
 every argument pair and unary tables every element: unspecified rows are
-errors.
+errors, and so are repeated rows.
 """
 
 from __future__ import annotations
@@ -52,106 +58,110 @@ def _lines(text):
 # ---------------------------------------------------------------------------
 # algebra model files
 
-_UNARY_KEYS = ("star", "adom", "aran", "not")
+_HEADER_KEYS = ("carrier", "zero", "one", "tests")
+_ROW_FORMS = {"plus": "A B -> C", "times": "A B -> C", "star": "A -> B",
+              "adom": "A -> B", "aran": "A -> B", "not": "A -> B"}
+_ARITY = {key: len(form.split()) - 2 for key, form in _ROW_FORMS.items()}
 
 
 def load_model(text: str, name: str = "model") -> FiniteAlgebra:
-    carrier = None
-    zero = one = None
-    tests = None
-    binary = {"plus": {}, "times": {}}
-    unary = {k: {} for k in _UNARY_KEYS}
+    headers = {}
+    rows = {key: {} for key in _ROW_FORMS}
+    # most lines are binary rows spaced as "KEY: A B -> C": five tokens, the
+    # fourth "->" and no "->" before it; any other line is read by its key,
+    # the text before its first ":"
+    spaced = {f"{key}:": (key, rows[key]) for key in ("plus", "times")}
 
-    for lineno, line in _lines(text):
-        if ":" not in line:
-            raise ParseError("expected 'key: ...'", line=lineno, source=name)
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
-        if key == "carrier":
-            carrier = rest.split()
-        elif key in ("zero", "one"):
-            toks = rest.split()
-            if len(toks) != 1:
-                raise ParseError(f"{key} takes one element", line=lineno, source=name)
-            if key == "zero":
-                zero = toks[0]
-            else:
-                one = toks[0]
-        elif key == "tests":
-            tests = rest.split()
-        elif key in binary:
-            lhs, _, out = rest.partition("->")
-            args = lhs.split()
-            out = out.split()
-            if len(args) != 2 or len(out) != 1:
-                raise ParseError(f"expected '{key}: A B -> C'",
-                                 line=lineno, source=name)
-            if (args[0], args[1]) in binary[key]:
-                raise ParseError(f"duplicate {key} row for {args[0]} {args[1]}",
-                                 line=lineno, source=name)
-            binary[key][(args[0], args[1])] = out[0]
-        elif key in unary:
-            lhs, _, out = rest.partition("->")
-            args = lhs.split()
-            out = out.split()
-            if len(args) != 1 or len(out) != 1:
-                raise ParseError(f"expected '{key}: A -> B'",
-                                 line=lineno, source=name)
-            if args[0] in unary[key]:
-                raise ParseError(f"duplicate {key} row for {args[0]}",
-                                 line=lineno, source=name)
-            unary[key][args[0]] = out[0]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        toks = line.split()
+        if not toks:
+            continue
+        key, table = spaced.get(toks[0], (None, None))
+        if (table is not None and len(toks) == 5 and toks[3] == "->"
+                and "->" not in toks[1] and "->" not in toks[2]):
+            args, out = (toks[1], toks[2]), toks[4]
         else:
-            raise ParseError(f"unknown directive {key!r}", line=lineno, source=name)
+            if ":" not in line:
+                raise ParseError("expected 'key: ...'",
+                                 line=lineno, source=name)
+            key, _, rest = line.partition(":")
+            key = key.strip()
+            if key in _HEADER_KEYS:
+                if key in headers:
+                    raise ParseError(f"duplicate {key} line",
+                                     line=lineno, source=name)
+                headers[key] = rest.split()
+                if key in ("zero", "one") and len(headers[key]) != 1:
+                    raise ParseError(f"{key} takes one element",
+                                     line=lineno, source=name)
+                continue
+            if key not in rows:
+                raise ParseError(f"unknown directive {key!r}",
+                                 line=lineno, source=name)
+            lhs, _, out = rest.partition("->")
+            args, out = tuple(lhs.split()), out.split()
+            if len(args) != _ARITY[key] or len(out) != 1:
+                raise ParseError(f"expected '{key}: {_ROW_FORMS[key]}'",
+                                 line=lineno, source=name)
+            table, out = rows[key], out[0]
+        if args in table:
+            raise ParseError(f"duplicate {key} row for {' '.join(args)}",
+                             line=lineno, source=name)
+        table[args] = out
 
+    carrier = headers.get("carrier")
     if carrier is None:
         raise ParseError("missing carrier line", source=name)
-    if zero is None or one is None:
+    if "zero" not in headers or "one" not in headers:
         raise ParseError("missing zero/one line", source=name)
     index = {e: i for i, e in enumerate(carrier)}
     if len(index) != len(carrier):
         raise ParseError("duplicate carrier elements", source=name)
 
-    def elem(e):
-        if e not in index:
-            raise ParseError(f"unknown element {e!r}", source=name)
-        return index[e]
-
-    def binary_table(key):
-        table = [[None] * len(carrier) for _ in carrier]
-        for (a, b), c in binary[key].items():
-            table[elem(a)][elem(b)] = elem(c)
-        for a, b in product(carrier, repeat=2):
-            if table[index[a]][index[b]] is None:
-                raise ParseError(f"missing {key} row for {a} {b}", source=name)
-        return table
-
-    def unary_table(key):
-        if not unary[key]:
-            return None
-        table = [None] * len(carrier)
-        for a, b in unary[key].items():
-            table[elem(a)] = elem(b)
-        missing = [e for e in carrier if table[index[e]] is None]
-        if missing:
-            raise ParseError(f"missing {key} row for {missing[0]}", source=name)
-        return table
-
     complement = None
-    if unary["not"]:
-        complement = dict(unary["not"])
+    if rows["not"]:
+        complement = {a: b for (a,), b in rows["not"].items()}
         for e in complement:
-            elem(e)
-
+            if e not in index:
+                raise ParseError(f"unknown element {e!r}", source=name)
+    plus, times, star, adom, aran = (
+        _index_table(key, rows[key], carrier, index, name)
+        for key in ("plus", "times", "star", "adom", "aran"))
     try:
         return FiniteAlgebra(
-            carrier, zero, one, binary_table("plus"), binary_table("times"),
-            star=unary_table("star"), adom=unary_table("adom"),
-            aran=unary_table("aran"), tests=tests, complement=complement,
-            name=name)
+            carrier, headers["zero"][0], headers["one"][0], plus, times,
+            star=star, adom=adom, aran=aran, tests=headers.get("tests"),
+            complement=complement, name=name)
     except ModelError as e:
         raise ModelError(f"{name}: {e}") from None
+
+
+def _index_table(key, rows, carrier, index, source):
+    """The rows of one table, keyed by argument names, as an index table;
+    None for an optional unary table without rows."""
+    arity, n = _ARITY[key], len(carrier)
+    if arity == 1 and not rows:
+        return None
+    if len(rows) == n ** arity:
+        try:
+            cells = list(map(index.__getitem__, map(
+                rows.__getitem__, product(carrier, repeat=arity))))
+        except KeyError:
+            pass
+        else:
+            return cells if arity == 1 else [
+                cells[i:i + n] for i in range(0, n * n, n)]
+    # the first fault: an unknown name in reading order, else a missing row
+    for args, out in rows.items():
+        for e in (out, *args):
+            if e not in index:
+                raise ParseError(f"unknown element {e!r}", source=source)
+    for args in product(carrier, repeat=arity):
+        if args not in rows:
+            raise ParseError(f"missing {key} row for {' '.join(args)}",
+                             source=source)
 
 
 def dump_model(algebra: FiniteAlgebra) -> str:

@@ -3,12 +3,13 @@
 A relation is an adjacency matrix packed into an int; only the row view
 below knows the layout.  It splits the bits into n successor masks (bit j
 of row i set iff state i steps to j) and packs them back, builds the
-subidentity on a state mask or on the states whose row lies in one, and
+subidentity on a state mask or on the states whose row lies in one,
 composes by copying each row of the second relation into the rows of the
-first that reach it.  Tests are subidentities.  ``RelModel`` is the
-relation algebra behind the index-level interface of ``FiniteAlgebra``,
-computed on demand; tabulated, it gives the eager 1- and 2-state algebras
-(at most 16 elements); over 3 states (512 elements) it is exported as is.
+first that reach it, and closes transitively the same way, one row at a
+time.  Tests are subidentities.  ``RelModel`` is the relation algebra
+behind the index-level interface of ``FiniteAlgebra``, computed on demand;
+tabulated, it gives the eager 1- and 2-state algebras (at most 16
+elements); over 3 states (512 elements) it is exported as is.
 """
 
 from __future__ import annotations
@@ -89,6 +90,15 @@ def _compose(a: int, b: int, n: int) -> int:
         if row:
             out |= (a >> k & every_row) * row
     return out
+
+
+def _closure(bits: int, n: int) -> int:
+    """Transitive closure by Warshall's passes: pass k copies row k into the
+    rows that reach k, with the carry-free product of ``_compose``."""
+    every_row, mask = _spaced(n, n), (1 << n) - 1
+    for k in range(n):
+        bits |= (bits >> k & every_row) * (bits >> k * n & mask)
+    return bits
 
 
 def _within(bits: int, n: int, allowed: int) -> int:
@@ -204,16 +214,9 @@ class Rel:
         return self.aran().aran()
 
     def star(self) -> "Rel":
-        # squaring (R | id) ceil(log2 n) + 1 times covers all path lengths
         n = self.space.size
-        acc = self.union(Rel.identity(self.space))
-        rounds = max(1, n.bit_length() + 1)
-        for _ in range(rounds):
-            nxt = acc.compose(acc)
-            if nxt == acc:
-                break
-            acc = nxt
-        return acc
+        reflexive = self.bits | _diagonal((1 << n) - 1, n)
+        return Rel(self.space, _closure(reflexive, n))
 
     def complement_test(self) -> "Rel":
         """Complement within the test algebra; defined on subidentities."""

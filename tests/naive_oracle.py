@@ -1,5 +1,5 @@
-"""Naive references for ``check_axioms``, ``check_phi``, ``find_models`` and
-the eventually periodic sets of ``evsets``.
+"""Naive references for ``check_axioms``, ``check_phi``, ``find_models``,
+the eventually periodic sets of ``evsets``, ``load_model`` and ``Rel.star``.
 
 The checkers walk every instance with the shared term evaluator through
 the index-level operations, in ``itertools.product`` order, and search
@@ -7,7 +7,9 @@ every intermediate test r for phi: the direct reading of the definitions
 that the compiled law checker and the bitmask phi scan must reproduce
 exactly.  The model enumeration tries every table fill without pruning.
 ``NaiveEvPeriodicSet`` keeps head and residues as frozensets and computes
-every operation and canonical form one element at a time.
+every operation and canonical form one element at a time.  The model file
+loader and the squaring relation star are the versions the one-pass loader
+and the packed Warshall star replaced.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,8 @@ from kadlab.algebra import (CheckReport, ClosureLaw, Equation, FiniteAlgebra,
                             PhiResult, Profile, Violation, _eval_idx,
                             _require_profile_ops, check_axioms, is_isomorphic,
                             profile_axioms, required_ops)
-from kadlab.errors import ModelError
+from kadlab.errors import ModelError, ParseError
+from kadlab.relations import Rel
 from kadlab.terms import variables
 
 
@@ -378,3 +381,125 @@ def naive_format_evset(s):
     head = ",".join(map(str, sorted(s.head)))
     res = ",".join(map(str, sorted(s.residues)))
     return f"periodic({s.threshold}; {head}; {s.period}; {res})"
+
+
+# ---------------------------------------------------------------------------
+# model files and relation star
+
+
+def naive_load_model(text, name="model"):
+    """The model file loader as it was before the one-pass loader: a key
+    dispatch per line, then one ``elem`` lookup per table cell.  It differs
+    from ``load_model`` in one place only: a repeated ``carrier``/``zero``/
+    ``one``/``tests`` line silently overrides the earlier one here."""
+    carrier = None
+    zero = one = None
+    tests = None
+    binary = {"plus": {}, "times": {}}
+    unary = {k: {} for k in ("star", "adom", "aran", "not")}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ParseError("expected 'key: ...'", line=lineno, source=name)
+        key, _, rest = line.partition(":")
+        key = key.strip()
+        rest = rest.strip()
+        if key == "carrier":
+            carrier = rest.split()
+        elif key in ("zero", "one"):
+            toks = rest.split()
+            if len(toks) != 1:
+                raise ParseError(f"{key} takes one element", line=lineno, source=name)
+            if key == "zero":
+                zero = toks[0]
+            else:
+                one = toks[0]
+        elif key == "tests":
+            tests = rest.split()
+        elif key in binary:
+            lhs, _, out = rest.partition("->")
+            args = lhs.split()
+            out = out.split()
+            if len(args) != 2 or len(out) != 1:
+                raise ParseError(f"expected '{key}: A B -> C'",
+                                 line=lineno, source=name)
+            if (args[0], args[1]) in binary[key]:
+                raise ParseError(f"duplicate {key} row for {args[0]} {args[1]}",
+                                 line=lineno, source=name)
+            binary[key][(args[0], args[1])] = out[0]
+        elif key in unary:
+            lhs, _, out = rest.partition("->")
+            args = lhs.split()
+            out = out.split()
+            if len(args) != 1 or len(out) != 1:
+                raise ParseError(f"expected '{key}: A -> B'",
+                                 line=lineno, source=name)
+            if args[0] in unary[key]:
+                raise ParseError(f"duplicate {key} row for {args[0]}",
+                                 line=lineno, source=name)
+            unary[key][args[0]] = out[0]
+        else:
+            raise ParseError(f"unknown directive {key!r}", line=lineno, source=name)
+
+    if carrier is None:
+        raise ParseError("missing carrier line", source=name)
+    if zero is None or one is None:
+        raise ParseError("missing zero/one line", source=name)
+    index = {e: i for i, e in enumerate(carrier)}
+    if len(index) != len(carrier):
+        raise ParseError("duplicate carrier elements", source=name)
+
+    def elem(e):
+        if e not in index:
+            raise ParseError(f"unknown element {e!r}", source=name)
+        return index[e]
+
+    def binary_table(key):
+        table = [[None] * len(carrier) for _ in carrier]
+        for (a, b), c in binary[key].items():
+            table[elem(a)][elem(b)] = elem(c)
+        for a, b in product(carrier, repeat=2):
+            if table[index[a]][index[b]] is None:
+                raise ParseError(f"missing {key} row for {a} {b}", source=name)
+        return table
+
+    def unary_table(key):
+        if not unary[key]:
+            return None
+        table = [None] * len(carrier)
+        for a, b in unary[key].items():
+            table[elem(a)] = elem(b)
+        missing = [e for e in carrier if table[index[e]] is None]
+        if missing:
+            raise ParseError(f"missing {key} row for {missing[0]}", source=name)
+        return table
+
+    complement = None
+    if unary["not"]:
+        complement = dict(unary["not"])
+        for e in complement:
+            elem(e)
+
+    try:
+        return FiniteAlgebra(
+            carrier, zero, one, binary_table("plus"), binary_table("times"),
+            star=unary_table("star"), adom=unary_table("adom"),
+            aran=unary_table("aran"), tests=tests, complement=complement,
+            name=name)
+    except ModelError as e:
+        raise ModelError(f"{name}: {e}") from None
+
+
+def naive_star(rel):
+    """Reflexive-transitive closure by squaring R | id until it is stable,
+    at most ceil(log2 n) + 1 times."""
+    acc = rel.union(Rel.identity(rel.space))
+    for _ in range(max(1, rel.space.size.bit_length() + 1)):
+        nxt = acc.compose(acc)
+        if nxt == acc:
+            break
+        acc = nxt
+    return acc

@@ -247,6 +247,17 @@ def test_complement_must_be_involution():
                       complement={"0": "1", "1": "0", "a": "1"})
 
 
+@pytest.mark.parametrize("bad", [2, -1, None, "1", [0], 0.5])
+def test_table_values_must_be_indices(bad):
+    plus, times = [[0, 1], [1, 1]], [[0, 0], [0, 1]]
+    with pytest.raises(ModelError, match="plus table value out of range"):
+        FiniteAlgebra(["0", "1"], "0", "1", [[0, 1], [1, bad]], times)
+    with pytest.raises(ModelError, match="times table value out of range"):
+        FiniteAlgebra(["0", "1"], "0", "1", plus, [[0, 0], [bad, 1]])
+    with pytest.raises(ModelError, match="star table must have 2 in-range"):
+        FiniteAlgebra(["0", "1"], "0", "1", plus, times, star=[1, bad])
+
+
 def test_eval_errors():
     m = lemma4_model()
     with pytest.raises(EvalError):

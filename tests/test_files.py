@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kadlab.algebra import Profile, bool2_model, check_axioms, lemma4_model
-from kadlab.errors import ParseError
+from kadlab.algebra import (Profile, bool2_model, check_axioms, lemma4_model,
+                            near_as_model, trivial_model)
+from kadlab.errors import KadlabError, ParseError
 from kadlab.files import dump_model, load_model, load_program_file
 from kadlab.relations import Rel, rel_algebra_model
+from naive_oracle import naive_load_model
 
 LEMMA4_TEXT = """
 # the three-element separation witness
@@ -49,7 +52,8 @@ def test_load_lemma4_equivalent():
 
 
 @pytest.mark.parametrize("factory", [
-    lemma4_model, bool2_model, lambda: rel_algebra_model(1)])
+    lemma4_model, bool2_model, near_as_model, trivial_model,
+    lambda: rel_algebra_model(1)])
 def test_dump_load_roundtrip(factory):
     m = factory()
     again = load_model(dump_model(m), name=m.name)
@@ -92,6 +96,173 @@ def test_unknown_element_is_an_error():
 def test_unknown_directive_is_an_error():
     with pytest.raises(ParseError, match="unknown directive"):
         load_model("carrier: 0\nzero: 0\none: 0\nfoo: bar\n")
+
+
+@pytest.mark.parametrize("key,first,again", [
+    ("carrier", "carrier: 0 a 1", "carrier: 0 a 1 b"),
+    ("zero", "zero: 0", "zero: 1"),
+    ("one", "one: 1", "one: a"),
+    ("tests", "tests: 0 1", "tests: 0 1"),
+])
+def test_repeated_header_line_is_an_error(key, first, again):
+    lines = LEMMA4_TEXT.splitlines()
+    assert first in lines
+    text = "\n".join(lines + [again]) + "\n"
+    with pytest.raises(ParseError, match=f"duplicate {key} line") as info:
+        load_model(text)
+    assert info.value.line == len(lines) + 1
+
+
+def test_row_spacing_is_free_around_colon_and_arrow():
+    text = LEMMA4_TEXT.replace("plus: 0 a -> a", "plus:0 a->a").replace(
+        "star: a -> 1", "  star :a   ->1  # spaced")
+    assert dump_model(load_model(text)) == dump_model(load_model(LEMMA4_TEXT))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass loader against the loader it replaced
+
+_HEADERS = ("carrier", "zero", "one", "tests")
+_BASES = [dump_model(m) for m in (lemma4_model(), bool2_model(),
+                                  near_as_model(), trivial_model(),
+                                  rel_algebra_model(1))]
+_BASES.append(LEMMA4_TEXT)
+
+
+def _respace(line, style):
+    key, _, rest = line.partition(":")
+    lhs, arrow, out = rest.partition("->")
+    if style == 0:
+        return f"{key}:{lhs.strip()}{arrow}{out.strip()}"
+    if style == 1:
+        return f"  {key} :\t{'  '.join(lhs.split())}  {arrow}{out}  "
+    return f"{key}: {lhs.strip()} {arrow}  {out.strip()} # note"
+
+
+@st.composite
+def _mutated_model_texts(draw):
+    """A valid model text, then up to five edits: shuffled lines, comments,
+    other spacing, dropped and duplicated lines, unknown names, unknown
+    directives, malformed rows, ``->`` inside a name and repeated header
+    lines."""
+    lines = draw(st.sampled_from(_BASES)).strip().splitlines()
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from([
+            "shuffle", "comment", "respace", "drop", "duplicate", "reroute",
+            "unknown", "strangers", "directive", "arrow", "blank"]))
+        at = draw(st.integers(0, len(lines)))
+        pick = min(at, len(lines) - 1) if lines else None
+        if kind == "shuffle":
+            lines = draw(st.permutations(lines))
+        elif kind == "comment":
+            lines.insert(at, "# " + draw(st.sampled_from(
+                ["note", "plus: 0 0 -> 0"])))
+        elif kind == "respace" and lines:
+            lines[pick] = _respace(lines[pick], draw(st.integers(0, 2)))
+        elif kind == "drop" and lines:
+            del lines[pick]
+        elif kind == "duplicate" and lines:
+            lines.insert(at, lines[pick])
+        elif kind == "reroute" and lines and "->" in lines[pick]:
+            lines.insert(at, lines[pick].rpartition("->")[0] + "-> 0")
+        elif kind in ("unknown", "arrow") and lines and lines[pick].split():
+            toks = lines[pick].split()
+            at_name = draw(st.integers(min(1, len(toks) - 1), len(toks) - 1))
+            toks[at_name] = (draw(st.sampled_from(["zz", "yy"]))
+                             if kind == "unknown" else "a->b")
+            lines[pick] = " ".join(toks)
+        elif kind == "strangers" and lines and "->" in lines[pick]:
+            key, *names = lines[pick].split()
+            lines[pick] = " ".join([key] + [
+                f"u{i}" if name != "->" and draw(st.booleans()) else name
+                for i, name in enumerate(names)])
+        elif kind == "directive":
+            lines.insert(at, draw(st.sampled_from(
+                ["foo: bar", "carrier : 0 1", "zero: 1", "one:", "tests:",
+                 "plus 0 0 -> 0", "times: 0 0 ->", "star: 0 0 -> 0"])))
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(load, text):
+    try:
+        m = load(text, name="m")
+    except KadlabError as e:
+        return "error", type(e), str(e), getattr(e, "line", None)
+    return ("model", m.carrier, m.zero, m.one, m.tests, m._plus, m._times,
+            m._star, m._adom, m._aran, m._complement)
+
+
+def _first_repeated_header(text):
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        key = line.partition(":")[0].strip()
+        if ":" in line and key in _HEADERS:
+            if key in seen:
+                return lineno, key
+            seen.add(key)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_model_texts())
+@example(LEMMA4_TEXT.replace("not: 0 -> 1", "not: zz -> 1"))
+@example(LEMMA4_TEXT.replace("not: 0 -> 1", "not: 0 -> zz"))
+@example(LEMMA4_TEXT.replace("times: a a -> 0", "times: yy a -> zz"))
+@example(LEMMA4_TEXT.replace("star: a -> 1", "star: yy -> zz"))
+@example(LEMMA4_TEXT.replace("plus: 0 a -> a", "plus: 0 a -> a->b"))
+@example(LEMMA4_TEXT.replace("plus: 0 a -> a", "plus: 0 a->b -> a"))
+def test_loader_matches_the_naive_loader(text):
+    expected = _outcome(naive_load_model, text)
+    repeated = _first_repeated_header(text)
+    # the one intended difference: the naive loader lets a repeated header
+    # line override the earlier one, and load_model stops there unless an
+    # earlier line is already an error
+    if repeated is not None:
+        lineno, key = repeated
+        if not (expected[0] == "error" and expected[3] is not None
+                and expected[3] < lineno):
+            expected = ("error", ParseError,
+                        f"m:{lineno}: duplicate {key} line", lineno)
+    assert _outcome(load_model, text) == expected
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed files end in a KadlabError
+
+_MODEL_WORDS = ["carrier:", "zero:", "one:", "tests:", "plus:", "times:",
+                "star:", "adom:", "aran:", "not:", "->", "0", "1", "a", "#",
+                ":", "-", ">", "foo:"]
+_PROGRAM_WORDS = ["states:", "rel", "test", "pre:", "post:", "program:", "=",
+                  "{", "}", "(", ")", ",", "1", "2", "x", "p", "!p", "id",
+                  "full", "empty", "{(1,1)}", "{(1,2)}", ";", "if", "then",
+                  "else", "fi", "while", "do", "od", "skip", "&", "|", "#"]
+
+
+def _line_texts(words):
+    line = st.lists(st.sampled_from(words), max_size=7).map(" ".join)
+    return st.lists(line, max_size=12).map("\n".join)
+
+
+def _only_kadlab_errors(load, text):
+    try:
+        load(text)
+    except KadlabError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _line_texts(_MODEL_WORDS)))
+def test_model_loader_fuzz(text):
+    _only_kadlab_errors(load_model, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _line_texts(_PROGRAM_WORDS)))
+def test_program_loader_fuzz(text):
+    _only_kadlab_errors(load_program_file, text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kadlab.algebra import Profile, check_axioms, check_phi, evaluate
 from kadlab.errors import BoundError, EvalError, ModelError, ParseError
@@ -11,6 +11,7 @@ from kadlab.relations import (Rel, RelModel, StateSpace, all_relations,
 from kadlab.terms import (ADom, ARan, Box, Dom, Env, Not, ONE, Plus, Star,
                           Times, Var, ZERO, desugar, parse_term)
 from kadlab.terms import TestVar as TV  # alias keeps pytest collection quiet
+from naive_oracle import naive_star
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +227,15 @@ def test_star_least_fixpoint(rels):
 
 
 @st.composite
-def _sparse_rels(draw):
-    """Two random sparse relations and a test over 5-40 states, each with
-    the pairs it was built from."""
-    n = draw(st.integers(5, 40))
+def _sparse_rels(draw, min_states=5, max_states=40, min_degree=0):
+    """Two random sparse relations and a test over 5-40 states (or the range
+    given), each with the pairs it was built from; the relations hold
+    min_degree to 3 pairs per state."""
+    n = draw(st.integers(min_states, max_states))
     space = StateSpace.of_size(n)
     state = st.sampled_from(space.names)
-    r_pairs, s_pairs = (draw(st.sets(st.tuples(state, state), max_size=3 * n))
+    r_pairs, s_pairs = (draw(st.sets(st.tuples(state, state),
+                                     min_size=min_degree * n, max_size=3 * n))
                         for _ in range(2))
     q_pairs = {(a, a) for a in draw(st.sets(state))}
     return [(Rel.from_pairs(space, r_pairs), r_pairs),
@@ -267,6 +270,13 @@ def test_format_then_parse_is_the_identity(rels):
         listed = [tuple(p.split(",")) for p in text[2:-2].split("),(") if p]
         assert listed == sorted(listed, key=lambda e: (idx[e[0]], idx[e[1]]))
         assert set(listed) == rel.pairs()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_rels(64, 128, min_degree=1))
+def test_warshall_star_matches_squaring(rels):
+    for rel, _ in rels:
+        assert rel.star() == naive_star(rel)
 
 
 def _all_tests(space):
