@@ -6,10 +6,11 @@ assertions and invariants are test-sorted terms of ``kadlab.terms`` over
 the declared tests, so ``denote`` and ``eval_test`` are term evaluation in
 the relation model of the state space.  A triple {p} x {q} holds iff
 p ; X ; !q is empty, equivalently iff p <= [X]q = a(X ; a(q)), the weakest
-liberal precondition.  ``while`` loops may carry an invariant annotation
-(``while t invariant j do ... od``); ``vcgen`` recurses over the program
-to use it when present and otherwise falls back to the exact loop wlp,
-which finite models make available.
+liberal precondition; it is decided in the second form, which needs no
+relation product (the box is a mask over X's rows).  ``while`` loops may
+carry an invariant annotation (``while t invariant j do ... od``);
+``vcgen`` recurses over the program to use it when present and otherwise
+falls back to the exact loop wlp, which finite models make available.
 """
 
 from __future__ import annotations
@@ -268,11 +269,14 @@ def _check_test(rel: Rel, what: str):
 
 
 def _triple_holds(pre: Rel, rel: Rel, post: Rel) -> bool:
-    return pre.compose(rel).compose(post.complement_test()).is_empty()
+    """{p} X {q} for tests p and q, decided as p <= [X]q, which holds iff
+    p ; X ; !q is empty (``box`` refuses a q that is not a test)."""
+    _check_test(pre, "precondition")
+    return pre.leq(rel.box(post))
 
 
 def holds(triple: HoareTriple, bindings: Bindings) -> bool:
-    """{p} x {q} iff p ; X ; !q is empty."""
+    """{p} x {q} iff p ; X ; !q is empty, decided as p <= [X]q."""
     _check_test(triple.pre, "precondition")
     _check_test(triple.post, "postcondition")
     return _triple_holds(triple.pre, denote(triple.prog, bindings), triple.post)
@@ -369,9 +373,10 @@ def synth_mid(x: Program, y: Program, p: Rel, q: Rel, method: str,
               bindings: Bindings) -> Rel:
     """An intermediate test r with {p} x {r} and {r} y {q}.
 
-    Requires the premise triple {p} x;y {q}; the three methods are the box
-    of the second factor, the range of p through the first factor (via a
-    double antirange), and their meet.
+    Requires the premise triple {p} x;y {q}, decided as p <= [X][Y]q, so
+    X ; Y is never formed; the three methods are the box of the second
+    factor, the range of p through the first factor (via a double
+    antirange), and their meet.
     """
     if method not in SYNTH_METHODS:
         raise ModelError(f"unknown synthesis method {method!r} "
@@ -380,14 +385,15 @@ def synth_mid(x: Program, y: Program, p: Rel, q: Rel, method: str,
     _check_test(q, "postcondition")
     X = denote(x, bindings)
     Y = denote(y, bindings)
-    if not _triple_holds(p, X.compose(Y), q):
+    box = Y.box(q)
+    if not _triple_holds(p, X, box):
         raise PremiseError("premise triple {p} x;y {q} does not hold")
     if method == "wlp":
-        return Y.box(q)
+        return box
     reach = p.compose(X).aran().aran()
     if method == "range":
         return reach
-    return Y.box(q).intersect(reach)
+    return box.intersect(reach)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +422,8 @@ class RuleReport:
 
 def check_seq_rule(p: Rel, x: Program, y: Program, q: Rel,
                    bindings: Bindings) -> RuleReport:
-    """{p} x;y {q} if and only if {p} x {[y]q}."""
+    """{p} x;y {q} if and only if {p} x {[y]q}: the composed form against
+    the factored one, so X ; Y is formed here on purpose."""
     X = denote(x, bindings)
     Y = denote(y, bindings)
     whole = _triple_holds(p, X.compose(Y), q)

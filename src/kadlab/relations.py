@@ -2,12 +2,16 @@
 
 A relation is an adjacency matrix packed into an int; only the row view
 below knows the layout.  It splits the bits into n successor masks (bit j
-of row i set iff state i steps to j) and packs them back, builds the
-subidentity on a state mask or on the states whose row lies in one,
-composes by copying each row of the second relation into the rows of the
-first that reach it, and closes transitively the same way, one row at a
-time.  Tests are subidentities.  ``RelModel`` is the relation algebra
-behind the index-level interface of ``FiniteAlgebra``, computed on demand;
+of row i set iff state i steps to j) and packs them back, ORs each row
+onto its first bit or all rows onto the first row by one logarithmic
+fold, builds the subidentity on a state mask or on the states whose row
+lies in one, composes by copying each row of the second relation into the
+rows of the first that reach it, and closes transitively the same way,
+one row at a time.  Tests are subidentities, and a composition with a test
+is a mask, not a product: t ; R keeps the rows of R at t's states and
+R ; t keeps its columns there.  Relation literals are split into pairs by
+one regular-expression pass.  ``RelModel`` is the relation algebra behind
+the index-level interface of ``FiniteAlgebra``, computed on demand;
 tabulated, it gives the eager 1- and 2-state algebras (at most 16
 elements); over 3 states (512 elements) it is exported as is.
 """
@@ -67,8 +71,11 @@ def _rows(bits: int, n: int) -> list[int]:
 
 
 def _pack(rows, n: int) -> int:
-    """Pack n successor masks back into bits."""
-    return sum(row << i * n for i, row in enumerate(rows))
+    """Pack n successor masks back into bits, the last row first."""
+    bits = 0
+    for row in reversed(rows):
+        bits = bits << n | row
+    return bits
 
 
 @cache
@@ -82,10 +89,39 @@ def _diagonal(states: int, n: int) -> int:
     return states * _spaced(n, n) & _spaced(n, n + 1)
 
 
+def _fold(bits: int, n: int, step: int) -> int:
+    """OR the n bits step apart that start at each position onto it: step 1
+    ORs each row onto its bit 0, step n ORs every row onto row 0 (the other
+    bits are left over from the fold)."""
+    width = 1
+    while 2 * width <= n:
+        bits |= bits >> width * step
+        width *= 2
+    return bits | bits >> (n - width) * step
+
+
+def _row_heads(bits: int, n: int) -> int:
+    """Bit 0 of each nonempty row."""
+    return _fold(bits, n, 1) & _spaced(n, n)
+
+
+def _reached(bits: int, n: int) -> int:
+    """The state mask of the union of all rows: the states with an incoming
+    edge (for a subidentity, its states)."""
+    return _fold(bits, n, n) & (1 << n) - 1
+
+
 def _compose(a: int, b: int, n: int) -> int:
-    """a ; b: row k of b copied into the rows of a that reach k, by a
-    carry-free product with column k of a moved to bit 0 of each row."""
-    every_row, out = _spaced(n, n), 0
+    """a ; b.  A test on the left keeps the rows of b at its states, one on
+    the right the columns of a; otherwise row k of b is copied into the
+    rows of a that reach k, by a carry-free product with column k of a
+    moved to bit 0 of each row."""
+    every_row, identity = _spaced(n, n), _spaced(n, n + 1)
+    if a & ~identity == 0:
+        return b & _row_heads(a, n) * ((1 << n) - 1)
+    if b & ~identity == 0:
+        return a & _reached(b, n) * every_row
+    out = 0
     for k, row in enumerate(_rows(b, n)):
         if row:
             out |= (a >> k & every_row) * row
@@ -103,15 +139,10 @@ def _closure(bits: int, n: int) -> int:
 
 def _within(bits: int, n: int, allowed: int) -> int:
     """The subidentity on the states whose successors all lie in a mask:
-    the successors outside it, ORed onto bit 0 of their row, leave it clear."""
+    the rows with a successor outside it are left out."""
     every_row = _spaced(n, n)
-    bits &= ~(allowed * every_row)
-    width = 1
-    while 2 * width <= n:
-        bits |= bits >> width
-        width *= 2
-    bits |= bits >> n - width
-    return (every_row & ~bits) * ((1 << n) - 1) & _spaced(n, n + 1)
+    outside = _row_heads(bits & ~(allowed * every_row), n)
+    return (every_row ^ outside) * ((1 << n) - 1) & _spaced(n, n + 1)
 
 
 def _edges(bits: int, n: int) -> Iterator[tuple[int, int]]:
@@ -131,9 +162,12 @@ class Rel:
     # -- constructors ---------------------------------------------------------
     @classmethod
     def from_pairs(cls, space: StateSpace, pairs) -> "Rel":
-        rows = [0] * space.size
-        for a, b in pairs:
-            rows[space.index(str(a))] |= 1 << space.index(str(b))
+        rows, positions = [0] * space.size, space._positions
+        try:
+            for a, b in pairs:
+                rows[positions[str(a)]] |= 1 << positions[str(b)]
+        except KeyError as e:
+            raise ModelError(f"unknown state {e.args[0]!r}") from None
         return cls(space, _pack(rows, space.size))
 
     @classmethod
@@ -142,7 +176,7 @@ class Rel:
 
     @classmethod
     def identity(cls, space: StateSpace) -> "Rel":
-        return cls(space, _diagonal((1 << space.size) - 1, space.size))
+        return cls(space, _spaced(space.size, space.size + 1))
 
     @classmethod
     def full(cls, space: StateSpace) -> "Rel":
@@ -162,7 +196,7 @@ class Rel:
         return self.bits == 0
 
     def is_subidentity(self) -> bool:
-        return self.bits & ~Rel.identity(self.space).bits == 0
+        return self.bits & ~_spaced(self.space.size, self.space.size + 1) == 0
 
     def __str__(self):
         return format_rel(self)
@@ -205,7 +239,9 @@ class Rel:
 
     def aran(self) -> "Rel":
         """Subidentity on the states with no incoming edge."""
-        return self.converse().adom()
+        n = self.space.size
+        unreached = _reached(self.bits, n) ^ (1 << n) - 1
+        return Rel(self.space, _diagonal(unreached, n))
 
     def dom(self) -> "Rel":
         return self.adom().adom()
@@ -215,14 +251,15 @@ class Rel:
 
     def star(self) -> "Rel":
         n = self.space.size
-        reflexive = self.bits | _diagonal((1 << n) - 1, n)
+        reflexive = self.bits | _spaced(n, n + 1)
         return Rel(self.space, _closure(reflexive, n))
 
     def complement_test(self) -> "Rel":
         """Complement within the test algebra; defined on subidentities."""
         if not self.is_subidentity():
             raise ModelError("test complement of a non-subidentity relation")
-        return Rel(self.space, Rel.identity(self.space).bits & ~self.bits)
+        n = self.space.size
+        return Rel(self.space, _spaced(n, n + 1) & ~self.bits)
 
     def box(self, post: "Rel") -> "Rel":
         """Weakest liberal precondition a(R ; a(post)) as a subidentity: the
@@ -230,9 +267,8 @@ class Rel:
         self._same_space(post)
         if not post.is_subidentity():
             raise ModelError("box postcondition must be a subidentity")
-        # each row of a subidentity holds just its own state, if any
         n = self.space.size
-        return Rel(self.space, _within(self.bits, n, sum(_rows(post.bits, n))))
+        return Rel(self.space, _within(self.bits, n, _reached(post.bits, n)))
 
 
 def all_relations(space: StateSpace) -> Iterator[Rel]:
@@ -244,20 +280,26 @@ def all_relations(space: StateSpace) -> Iterator[Rel]:
 # ---------------------------------------------------------------------------
 # literals
 
-_PAIR = r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)"
-_LITERAL_RE = re.compile(rf"\{{\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*)?\s*\}}")
+_PAIR = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 _NAMED = {"id": Rel.identity, "empty": Rel.empty, "full": Rel.full}
 
 
 def parse_rel_literal(space: StateSpace, text: str) -> Rel:
-    """Parse ``{(s1,s2),(s3,s3)}``, ``id``, ``empty`` or ``full``."""
+    """Parse ``{(s1,s2),(s3,s3)}``, ``id``, ``empty`` or ``full``.
+
+    One split by the pair pattern leaves the gaps around the pairs, which
+    must be whitespace at the ends and one comma between pairs."""
     body = text.strip()
     if body in _NAMED:
         return _NAMED[body](space)
-    if not _LITERAL_RE.fullmatch(body):
+    parts = _PAIR.split(body[1:-1])
+    gaps = parts[::3]
+    if not (body[:1] == "{" and body[-1:] == "}"
+            and not gaps[0].strip() and not gaps[-1].strip()
+            and set(map(str.strip, gaps[1:-1])) <= {","}):
         raise ParseError(f"bad relation literal {text!r}")
     try:
-        return Rel.from_pairs(space, re.findall(_PAIR, body))
+        return Rel.from_pairs(space, zip(parts[1::3], parts[2::3]))
     except ModelError as e:
         raise ParseError(f"bad relation literal {text!r}: {e}") from None
 
@@ -309,9 +351,6 @@ class RelModel:
         return i | j
 
     def times(self, i: int, j: int) -> int:
-        if (i | j) & ~self.one_i == 0:
-            # tests compose by intersection, far cheaper than a matrix product
-            return i & j
         return Rel(self.space, i).compose(Rel(self.space, j)).bits
 
     def star(self, i: int) -> int:

@@ -1,5 +1,6 @@
 """Naive references for ``check_axioms``, ``check_phi``, ``find_models``,
-the eventually periodic sets of ``evsets``, ``load_model`` and ``Rel.star``.
+the eventually periodic sets of ``evsets``, ``load_model``, ``Rel.star``,
+Hoare triples and relation literals.
 
 The checkers walk every instance with the shared term evaluator through
 the index-level operations, in ``itertools.product`` order, and search
@@ -9,9 +10,12 @@ exactly.  The model enumeration tries every table fill without pruning.
 ``NaiveEvPeriodicSet`` keeps head and residues as frozensets and computes
 every operation and canonical form one element at a time.  The model file
 loader and the squaring relation star are the versions the one-pass loader
-and the packed Warshall star replaced.
+and the packed Warshall star replaced.  A triple is decided in its compose
+form p ; R ; !q = 0 on pair sets, and a relation literal by the full-match
+grammar and ``findall`` that the one-pass split replaced.
 """
 
+import re
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 from math import lcm
@@ -384,7 +388,7 @@ def naive_format_evset(s):
 
 
 # ---------------------------------------------------------------------------
-# model files and relation star
+# model files, relations, triples and relation literals
 
 
 def naive_load_model(text, name="model"):
@@ -503,3 +507,38 @@ def naive_star(rel):
             break
         acc = nxt
     return acc
+
+
+def _pair_compose(r, s):
+    return {(a, c) for a, b in r for b2, c in s if b == b2}
+
+
+def naive_triple_holds(pre, rel, post):
+    """{pre} rel {post} in its compose form: pre ; rel ; !post is empty,
+    composed as pair sets."""
+    not_post = {(s, s) for s in rel.space.names} - post.pairs()
+    return not _pair_compose(_pair_compose(pre.pairs(), rel.pairs()), not_post)
+
+
+_PAIR = r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)"
+_LITERAL_RE = re.compile(rf"\{{\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*)?\s*\}}")
+
+
+def naive_parse_rel_literal(space, text):
+    """The relation literal parser as it was before the one-pass split: the
+    whole grammar as one full match, then ``findall`` for the pairs, whose
+    names are looked up one at a time."""
+    body = text.strip()
+    named = {"id": Rel.identity, "empty": Rel.empty, "full": Rel.full}
+    if body in named:
+        return named[body](space)
+    if not _LITERAL_RE.fullmatch(body):
+        raise ParseError(f"bad relation literal {text!r}")
+    pairs = re.findall(_PAIR, body)
+    try:
+        for a, b in pairs:
+            space.index(a)
+            space.index(b)
+    except ModelError as e:
+        raise ParseError(f"bad relation literal {text!r}: {e}") from None
+    return Rel.from_pairs(space, pairs)

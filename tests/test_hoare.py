@@ -273,6 +273,16 @@ def test_conseq_rule():
     assert report.all_hold
 
 
+def test_rules_refuse_a_precondition_that_is_not_a_test():
+    b = b2()
+    step = b.atoms["x"]
+    with pytest.raises(ModelError, match="precondition"):
+        check_seq_rule(step, Atom("x"), Atom("y"), b.tests["q"], b)
+    with pytest.raises(ModelError, match="precondition"):
+        check_conseq_rule(step, Rel.full(S2), Atom("x"), b.tests["q"],
+                          Rel.identity(S2), b)
+
+
 def test_rule_dispatcher():
     b = b2()
     report = check_rule_inversion(

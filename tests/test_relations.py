@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kadlab.algebra import Profile, check_axioms, check_phi, evaluate
-from kadlab.errors import BoundError, EvalError, ModelError, ParseError
+from kadlab.errors import (BoundError, EvalError, KadlabError, ModelError,
+                           ParseError)
+from kadlab.evsets import parse_evset
+from kadlab.hoare import _triple_holds
 from kadlab.relations import (Rel, RelModel, StateSpace, all_relations,
                               as_finite_algebra, format_rel,
                               parse_rel_literal, rel_algebra_model)
 from kadlab.terms import (ADom, ARan, Box, Dom, Env, Not, ONE, Plus, Star,
                           Times, Var, ZERO, desugar, parse_term)
 from kadlab.terms import TestVar as TV  # alias keeps pytest collection quiet
-from naive_oracle import naive_star
+from naive_oracle import (naive_parse_rel_literal, naive_star,
+                          naive_triple_holds)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +146,74 @@ def test_literal_grammar_rejects(text):
         parse_rel_literal(S2, text)
 
 
+LITERAL_SPACE = StateSpace(["1", "2", "ab"])
+_LITERAL_TOKENS = ["{", "}", "(", ")", ",", " ", "\t", "\n", "1", "2", "ab",
+                   "9", "x", ";", "{}", "id", "full", "empty", "(1,2)", "(ab,1)"]
+
+
+@st.composite
+def _literal_like(draw):
+    """A literal built from drawn pairs, separators and spacing, then maybe
+    one token inserted, one character deleted, or one swapped."""
+    space_ = st.sampled_from([" ", "\t", "", "  ", "\n"])
+    name = st.sampled_from(["1", "2", "ab", "9"])
+    pairs = draw(st.lists(st.tuples(space_, name, space_, space_, name, space_),
+                          max_size=4))
+    seps = [draw(space_) + draw(st.sampled_from([",", ",", ",,", ""]))
+            + draw(space_) for _ in pairs]
+    text = (draw(space_) + "{" + draw(space_)
+            + "".join((sep if k else "") + f"({s0}{a}{s1},{s2}{b}{s3})"
+                      for k, ((s0, a, s1, s2, b, s3), sep)
+                      in enumerate(zip(pairs, seps)))
+            + draw(space_) + "}" + draw(space_))
+    if text and draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "swap"]))
+        token = draw(st.sampled_from(_LITERAL_TOKENS))
+        text = (text[:i] + token + text[i:] if edit == "insert" else
+                text[:i] + text[i + 1:] if edit == "delete" else
+                text[:i] + token + text[i + 1:])
+    return text
+
+
+def _literal_outcome(parse, text):
+    try:
+        return "ok", parse(LITERAL_SPACE, text)
+    except ParseError as e:
+        return "error", str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), _literal_like(),
+                 st.lists(st.sampled_from(_LITERAL_TOKENS), max_size=12)
+                 .map("".join)))
+def test_literal_parser_matches_the_grammar_oracle(text):
+    assert (_literal_outcome(parse_rel_literal, text)
+            == _literal_outcome(naive_parse_rel_literal, text))
+
+
+def _only_kadlab_errors(parse, text):
+    try:
+        parse(text)
+    except KadlabError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_parse_term_fuzz(text):
+    _only_kadlab_errors(parse_term, text)
+    _only_kadlab_errors(lambda t: parse_term(t, tests=("p", "q")), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(
+    ["evens", "odds", "finite", "cofinite", "periodic", "{", "}", "(", ")",
+     ";", ",", " ", "0", "1", "2", "12", "x"]), max_size=12).map("".join)))
+def test_parse_evset_fuzz(text):
+    _only_kadlab_errors(parse_evset, text)
+
+
 def test_state_index_on_a_large_space():
     space = StateSpace.of_size(128)
     assert [space.index(name) for name in space.names] == list(range(128))
@@ -191,12 +263,6 @@ def test_adom_and_star_match_oracles(rels):
 
 
 @given(_two_rels())
-def test_aran_is_adom_of_converse(rels):
-    r, _ = rels
-    assert r.aran() == r.converse().adom()
-
-
-@given(_two_rels())
 def test_box_pointwise(rels):
     r, s = rels
     q = s.dom()  # an arbitrary subidentity
@@ -243,6 +309,12 @@ def _sparse_rels(draw, min_states=5, max_states=40, min_degree=0):
             (Rel.test_from_states(space, {a for a, _ in q_pairs}), q_pairs)]
 
 
+@given(st.one_of(_two_rels().map(lambda rels: rels[0]),
+                 _sparse_rels(1, 128).map(lambda rels: rels[0][0])))
+def test_aran_is_adom_of_converse(r):
+    assert r.aran() == r.converse().adom()
+
+
 @given(_sparse_rels())
 def test_row_view_matches_pair_set_oracles(rels):
     (r, pairs), (s, s_pairs), (q, q_pairs) = rels
@@ -258,6 +330,57 @@ def test_row_view_matches_pair_set_oracles(rels):
     assert Rel.identity(r.space).pairs() == {(a, a) for a in names}
     assert q.is_subidentity()
     assert r.is_subidentity() == all(a == b for a, b in pairs)
+
+
+@st.composite
+def _rel_between_tests(draw):
+    """A drawn test, a sparse relation and a drawn test over 1-128 states.
+    Random relations are almost never subidentities, so the tests are drawn
+    as state masks (hypothesis favours the empty and the full mask); the
+    relation is a test itself one time in four."""
+    n = draw(st.integers(1, 128))
+    space = StateSpace.of_size(n)
+    names = space.names
+
+    def draw_test():
+        mask = draw(st.integers(0, (1 << n) - 1))
+        return Rel.test_from_states(
+            space, [names[i] for i in range(n) if mask >> i & 1])
+
+    t, u = draw_test(), draw_test()
+    if draw(st.integers(0, 3)) == 0:
+        r = draw_test()
+    else:
+        state = st.sampled_from(names)
+        r = Rel.from_pairs(space, draw(st.sets(st.tuples(state, state),
+                                               max_size=3 * n)))
+    return t, r, u
+
+
+@settings(deadline=None)
+@given(_rel_between_tests())
+def test_compose_with_tests_matches_oracle(rels):
+    t, r, u = rels
+    tp, rp, up = t.pairs(), r.pairs(), u.pairs()
+    assert t.is_subidentity() and u.is_subidentity()
+    assert t.compose(r).pairs() == o_compose(tp, rp)
+    assert r.compose(u).pairs() == o_compose(rp, up)
+    assert t.compose(r).compose(u).pairs() == o_compose(o_compose(tp, rp), up)
+    assert t.compose(u).pairs() == o_compose(tp, up) == tp & up
+    assert RelModel(t.space).times(t.bits, u.bits) == (t & u).bits
+
+
+@settings(deadline=None)
+@given(_rel_between_tests())
+def test_triple_holds_matches_compose_form(rels):
+    p, r, q = rels
+    assert _triple_holds(p, r, q) == naive_triple_holds(p, r, q)
+    # the states of p whose successors all lie in q: there the triple holds
+    q_states = {a for a, _ in q.pairs()}
+    safe = Rel.test_from_states(p.space, [
+        a for a, _ in p.pairs()
+        if all(c in q_states for b, c in r.pairs() if b == a)])
+    assert _triple_holds(safe, r, q) and naive_triple_holds(safe, r, q)
 
 
 @given(_sparse_rels())
