@@ -2,12 +2,13 @@
 
 Usage, from the repository root:
 
-    python3 bench/layers.py --label NAME [--src DIR] [--out DIR] [--runs 7]
+    python3 bench/layers.py --label NAME [--src DIR] [--out DIR]
 
 ``--src`` is the directory that holds the ``kadlab`` package (default:
 this repository's ``src``), so the same script times any checkout.  For
 each layer and state count n in 3, 8, 32 and 128 it builds a seeded set of
-inputs, times one loop over them ``--runs`` times and records the median:
+inputs, times one loop over them ``RUNS`` times and records the median and
+the quartiles:
 
 - ``compose``: R ; S on random relations with three successors per state;
 - ``compose_test_left`` / ``compose_test_right``: t ; R and R ; t with a
@@ -16,8 +17,9 @@ inputs, times one loop over them ``--runs`` times and records the median:
 - ``parse_rel_literal``: the printed form of such a relation (3n pairs).
 
 Each record holds workload, layer, size, instances (operations per run),
-seconds (median per run), rate (instances / seconds), the Python version,
-and the commit and a hash of the ``kadlab`` sources it timed.
+seconds (median per run), seconds_q1 and seconds_q3 (the quartiles of the
+runs), rate (instances / seconds), the Python version, and the commit and
+a hash of the ``kadlab`` sources it timed.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ SIZES = (3, 8, 32, 128)
 INPUTS = 16
 # loops over the inputs per run, so that a run at each size takes milliseconds
 LOOPS = {3: 200, 8: 100, 32: 20, 128: 3}
+# timed runs per layer and size
+RUNS = 7
 DEGREE = 3
 
 
@@ -68,19 +72,20 @@ def _cases(kadlab_relations, n: int, rng: random.Random) -> dict:
     }
 
 
-def _time(calls, loops: int, runs: int) -> float:
-    """Median seconds of ``runs`` runs of ``loops`` passes over the calls,
-    after one untimed pass."""
+def _time(calls, loops: int) -> tuple[float, float, float]:
+    """Quartiles (q1, median, q3) of the seconds of ``RUNS`` runs of
+    ``loops`` passes over the calls, after one untimed pass."""
     for call in calls:
         call()
     seconds = []
-    for _ in range(runs):
+    for _ in range(RUNS):
         t0 = time.perf_counter()
         for _ in range(loops):
             for call in calls:
                 call()
         seconds.append(time.perf_counter() - t0)
-    return statistics.median(seconds)
+    q1, median, q3 = statistics.quantiles(seconds, n=4)
+    return q1, median, q3
 
 
 def _commit(src: Path) -> str:
@@ -104,10 +109,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--out", type=Path, default=ROOT / "bench")
-    parser.add_argument("--runs", type=int, default=7)
     args = parser.parse_args(argv)
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
@@ -120,9 +122,10 @@ def main(argv=None) -> int:
         cases = _cases(relations, n, random.Random(f"layers:{n}"))
         for layer, calls in cases.items():
             instances = LOOPS[n] * len(calls)
-            seconds = _time(calls, LOOPS[n], args.runs)
+            q1, seconds, q3 = _time(calls, LOOPS[n])
             records.append({**common, "layer": layer, "size": n,
                             "instances": instances, "seconds": seconds,
+                            "seconds_q1": q1, "seconds_q3": q3,
                             "rate": instances / seconds})
             print(f"{layer:20} n={n:<4} {seconds / instances * 1e6:10.2f} us/op")
     out = args.out / f"BENCH_{args.label}.json"

@@ -270,8 +270,9 @@ def _check_test(rel: Rel, what: str):
 
 def _triple_holds(pre: Rel, rel: Rel, post: Rel) -> bool:
     """{p} X {q} for tests p and q, decided as p <= [X]q, which holds iff
-    p ; X ; !q is empty (``box`` refuses a q that is not a test)."""
+    p ; X ; !q is empty."""
     _check_test(pre, "precondition")
+    _check_test(post, "postcondition")
     return pre.leq(rel.box(post))
 
 

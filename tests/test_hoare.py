@@ -273,14 +273,19 @@ def test_conseq_rule():
     assert report.all_hold
 
 
-def test_rules_refuse_a_precondition_that_is_not_a_test():
+def test_rules_refuse_conditions_that_are_not_tests():
     b = b2()
     step = b.atoms["x"]
-    with pytest.raises(ModelError, match="precondition"):
+    with pytest.raises(ModelError, match="^precondition must be"):
         check_seq_rule(step, Atom("x"), Atom("y"), b.tests["q"], b)
-    with pytest.raises(ModelError, match="precondition"):
+    with pytest.raises(ModelError, match="^precondition must be"):
         check_conseq_rule(step, Rel.full(S2), Atom("x"), b.tests["q"],
                           Rel.identity(S2), b)
+    with pytest.raises(ModelError, match="^postcondition must be"):
+        check_seq_rule(b.tests["p"], Atom("x"), Atom("y"), step, b)
+    with pytest.raises(ModelError, match="^postcondition must be"):
+        check_conseq_rule(b.tests["p"], Rel.identity(S2), Atom("x"),
+                          Rel.full(S2), step, b)
 
 
 def test_rule_dispatcher():

@@ -294,9 +294,12 @@ def test_star_least_fixpoint(rels):
 
 @st.composite
 def _sparse_rels(draw, min_states=5, max_states=40, min_degree=0):
-    """Two random sparse relations and a test over 5-40 states (or the range
-    given), each with the pairs it was built from; the relations hold
-    min_degree to 3 pairs per state."""
+    """Two random sparse relations and two tests over 5-40 states (or the
+    range given), each with the pairs it was built from; the relations hold
+    min_degree to 3 pairs per state.  Random relations are almost never
+    subidentities, so the tests are drawn on purpose: the first as a set of
+    states, the second as a state mask (hypothesis favours the empty and the
+    full mask)."""
     n = draw(st.integers(min_states, max_states))
     space = StateSpace.of_size(n)
     state = st.sampled_from(space.names)
@@ -304,20 +307,31 @@ def _sparse_rels(draw, min_states=5, max_states=40, min_degree=0):
                                      min_size=min_degree * n, max_size=3 * n))
                         for _ in range(2))
     q_pairs = {(a, a) for a in draw(st.sets(state))}
+    mask = draw(st.integers(0, (1 << n) - 1))
+    u_pairs = {(a, a) for i, a in enumerate(space.names) if mask >> i & 1}
     return [(Rel.from_pairs(space, r_pairs), r_pairs),
             (Rel.from_pairs(space, s_pairs), s_pairs),
-            (Rel.test_from_states(space, {a for a, _ in q_pairs}), q_pairs)]
+            (Rel.test_from_states(space, {a for a, _ in q_pairs}), q_pairs),
+            (Rel.test_from_states(space, {a for a, _ in u_pairs}), u_pairs)]
 
 
-@given(st.one_of(_two_rels().map(lambda rels: rels[0]),
-                 _sparse_rels(1, 128).map(lambda rels: rels[0][0])))
-def test_aran_is_adom_of_converse(r):
+@given(_two_rels())
+def test_aran_is_adom_of_converse(rels):
+    r, _ = rels
     assert r.aran() == r.converse().adom()
 
 
-@given(_sparse_rels())
+@settings(deadline=None)
+@given(_sparse_rels(1, 128))
+def test_aran_is_adom_of_converse_up_to_128_states(rels):
+    for rel, _ in rels:
+        assert rel.aran() == rel.converse().adom()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_rels(1, 128))
 def test_row_view_matches_pair_set_oracles(rels):
-    (r, pairs), (s, s_pairs), (q, q_pairs) = rels
+    (r, pairs), (s, s_pairs), (q, q_pairs), (u, u_pairs) = rels
     names = r.space.names
     assert (r.pairs(), s.pairs(), q.pairs()) == (pairs, s_pairs, q_pairs)
     assert bin(r.bits).count("1") == len(pairs)
@@ -328,52 +342,22 @@ def test_row_view_matches_pair_set_oracles(rels):
     post_states = {a for a, _ in q_pairs}
     assert r.box(q).pairs() == o_box(pairs, post_states, names)
     assert Rel.identity(r.space).pairs() == {(a, a) for a in names}
-    assert q.is_subidentity()
+    assert q.is_subidentity() and u.is_subidentity()
     assert r.is_subidentity() == all(a == b for a, b in pairs)
-
-
-@st.composite
-def _rel_between_tests(draw):
-    """A drawn test, a sparse relation and a drawn test over 1-128 states.
-    Random relations are almost never subidentities, so the tests are drawn
-    as state masks (hypothesis favours the empty and the full mask); the
-    relation is a test itself one time in four."""
-    n = draw(st.integers(1, 128))
-    space = StateSpace.of_size(n)
-    names = space.names
-
-    def draw_test():
-        mask = draw(st.integers(0, (1 << n) - 1))
-        return Rel.test_from_states(
-            space, [names[i] for i in range(n) if mask >> i & 1])
-
-    t, u = draw_test(), draw_test()
-    if draw(st.integers(0, 3)) == 0:
-        r = draw_test()
-    else:
-        state = st.sampled_from(names)
-        r = Rel.from_pairs(space, draw(st.sets(st.tuples(state, state),
-                                               max_size=3 * n)))
-    return t, r, u
+    # a test on the left, on the right and on both sides composes as a mask
+    assert q.compose(r).pairs() == o_compose(q_pairs, pairs)
+    assert r.compose(u).pairs() == o_compose(pairs, u_pairs)
+    assert (q.compose(r).compose(u).pairs()
+            == o_compose(o_compose(q_pairs, pairs), u_pairs))
+    assert (q.compose(u).pairs() == o_compose(q_pairs, u_pairs)
+            == q_pairs & u_pairs)
+    assert RelModel(r.space).times(q.bits, u.bits) == (q & u).bits
 
 
 @settings(deadline=None)
-@given(_rel_between_tests())
-def test_compose_with_tests_matches_oracle(rels):
-    t, r, u = rels
-    tp, rp, up = t.pairs(), r.pairs(), u.pairs()
-    assert t.is_subidentity() and u.is_subidentity()
-    assert t.compose(r).pairs() == o_compose(tp, rp)
-    assert r.compose(u).pairs() == o_compose(rp, up)
-    assert t.compose(r).compose(u).pairs() == o_compose(o_compose(tp, rp), up)
-    assert t.compose(u).pairs() == o_compose(tp, up) == tp & up
-    assert RelModel(t.space).times(t.bits, u.bits) == (t & u).bits
-
-
-@settings(deadline=None)
-@given(_rel_between_tests())
+@given(_sparse_rels(1, 128))
 def test_triple_holds_matches_compose_form(rels):
-    p, r, q = rels
+    (r, _), _, (p, _), (q, _) = rels
     assert _triple_holds(p, r, q) == naive_triple_holds(p, r, q)
     # the states of p whose successors all lie in q: there the triple holds
     q_states = {a for a, _ in q.pairs()}
