@@ -1,4 +1,4 @@
-"""Per-layer timings of the relation layer, written to BENCH_<label>.json.
+"""Per-layer timings of the relation and law layers, written to BENCH_<label>.json.
 
 Usage, from the repository root:
 
@@ -16,6 +16,12 @@ the quartiles:
 - ``star``, ``box`` (R and a half-size test), ``aran``;
 - ``parse_rel_literal``: the printed form of such a relation (3n pairs).
 
+The law layer (workload ``laws``, size 16, the carrier of ``rel2``) times
+``check_axioms(rel2, profile)`` for every profile whose operations ``rel2``
+has, as layer ``check_axioms_<profile>``, and ``check_phi(rel2)``; its
+instances are the library's own counts, ``CheckReport.instance_count`` and
+``PhiResult.instantiations``.
+
 Each record holds workload, layer, size, instances (operations per run),
 seconds (median per run), seconds_q1 and seconds_q3 (the quartiles of the
 runs), rate (instances / seconds), the Python version, and the commit and
@@ -25,6 +31,7 @@ a hash of the ``kadlab`` sources it timed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
@@ -43,6 +50,8 @@ LOOPS = {3: 200, 8: 100, 32: 20, 128: 3}
 # timed runs per layer and size
 RUNS = 7
 DEGREE = 3
+# loops per run of each law-layer call (a few milliseconds each on rel2)
+LAW_LOOPS = 10
 
 
 def _cases(kadlab_relations, n: int, rng: random.Random) -> dict:
@@ -70,6 +79,19 @@ def _cases(kadlab_relations, n: int, rng: random.Random) -> dict:
         "aran": [r.aran for r, _, _ in rels],
         "parse_rel_literal": [lambda text=text: parse(space, text) for text in texts],
     }
+
+
+def _law_cases(algebra, relations) -> dict:
+    """Per law layer, (instances of one call, the call) on ``rel2``."""
+    rel2 = relations.rel_algebra_model(2)
+    cases = {}
+    for profile in algebra.Profile:
+        if all(map(rel2.has_op, algebra.required_ops(profile))):
+            call = functools.partial(algebra.check_axioms, rel2, profile)
+            cases[f"check_axioms_{profile.value}"] = call().instance_count, call
+    phi = functools.partial(algebra.check_phi, rel2)
+    cases["check_phi"] = phi().instantiations, phi
+    return cases
 
 
 def _time(calls, loops: int) -> tuple[float, float, float]:
@@ -113,21 +135,26 @@ def main(argv=None) -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from kadlab import relations
+    from kadlab import algebra, relations
 
-    common = {"workload": "relations", "python": platform.python_version(),
-              "commit": _commit(src), "source_sha1": _source_hash(src / "kadlab")}
+    common = {"python": platform.python_version(), "commit": _commit(src),
+              "source_sha1": _source_hash(src / "kadlab")}
     records = []
+
+    def record(workload, layer, size, instances, calls, loops):
+        q1, seconds, q3 = _time(calls, loops)
+        records.append({"workload": workload, **common, "layer": layer,
+                        "size": size, "instances": instances,
+                        "seconds": seconds, "seconds_q1": q1,
+                        "seconds_q3": q3, "rate": instances / seconds})
+        print(f"{layer:22} n={size:<4} {seconds / instances * 1e6:10.3f} us/op")
+
     for n in SIZES:
         cases = _cases(relations, n, random.Random(f"layers:{n}"))
         for layer, calls in cases.items():
-            instances = LOOPS[n] * len(calls)
-            q1, seconds, q3 = _time(calls, LOOPS[n])
-            records.append({**common, "layer": layer, "size": n,
-                            "instances": instances, "seconds": seconds,
-                            "seconds_q1": q1, "seconds_q3": q3,
-                            "rate": instances / seconds})
-            print(f"{layer:20} n={n:<4} {seconds / instances * 1e6:10.2f} us/op")
+            record("relations", layer, n, LOOPS[n] * len(calls), calls, LOOPS[n])
+    for layer, (count, call) in _law_cases(algebra, relations).items():
+        record("laws", layer, 16, LAW_LOOPS * count, [call], LAW_LOOPS)
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {out}")

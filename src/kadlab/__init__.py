@@ -1,8 +1,9 @@
 """kadlab: finite-model toolkit for Kleene algebras with tests and with domain."""
 
 from .algebra import (FiniteAlgebra, Profile, CheckReport, PhiResult,
-                      Violation, check_axioms, check_phi, derive_test_algebra,
-                      evaluate, is_isomorphic, lemma4_model, bool2_model,
+                      Violation, check_axioms, check_phi, check_rules,
+                      derive_test_algebra, evaluate, hoare_rules,
+                      is_isomorphic, lemma4_model, bool2_model,
                       trivial_model, near_as_model)
 from .errors import (BoundError, EvalError, KadlabError, MissingTableError,
                      ModelError, ParseError, SortError)
@@ -12,9 +13,8 @@ from .evsets import (EvPeriodicSet, NotAPrecondition, NotMaximal,
                      kat_star, refute_wlp_candidate)
 from .files import ProgramFile, dump_model, load_model, load_program_file
 from .hoare import (Atom, Bindings, HoareTriple, If, PremiseError, Program,
-                    RuleReport, Seq, Skip, While, check_rule_inversion,
-                    denote, holds, parse_program, parse_test_expr, synth_mid,
-                    vcgen, wlp)
+                    Seq, Skip, While, denote, holds, parse_program,
+                    parse_test_expr, synth_mid, vcgen, wlp)
 from .relations import Rel, StateSpace, as_finite_algebra, rel_algebra_model
 from .search import find_models
 from .terms import (Env, Sort, Term, desugar, parse_term, print_term,

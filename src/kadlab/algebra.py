@@ -10,8 +10,10 @@ checked by testing the implication at every assignment, with the order
 x <= y decided by x + y = y.  Each law is compiled once, on first use,
 into a Python loop nest over its variables that runs on the raw tables
 and computes every subterm at the outermost loop binding its variables.
-The mid-assertion sentence phi is scanned with sets of tests kept as
-bitmasks, so the search for an intermediate test is one AND.
+``check_rules`` checks the Hoare rules the same way, as quasi-laws
+(``hoare_rules``).  The mid-assertion sentence phi, the rule inversion that
+is no law, is scanned with sets of tests kept as bitmasks, so the search
+for an intermediate test is one AND.
 
 Tables are index-based (positions into the carrier tuple); the public
 entry points speak element names.
@@ -33,7 +35,8 @@ __all__ = [
     "Profile", "FiniteAlgebra", "CheckReport", "Violation", "PhiResult",
     "check_axioms", "check_phi", "evaluate", "derive_test_algebra",
     "lemma4_model", "bool2_model", "trivial_model", "near_as_model",
-    "is_isomorphic", "profile_axioms", "required_ops",
+    "is_isomorphic", "profile_axioms", "required_ops", "hoare_rules",
+    "check_rules",
 ]
 
 
@@ -64,7 +67,8 @@ class Profile(str, Enum):
 # axiom inventory
 #
 # Axioms are stored as desugared terms over variables x, y, z (carrier) and
-# p, q (tests); test variables range over the declared test subset only.
+# p, q, r, s, t (tests); test variables range over the declared test subset
+# only.
 
 @dataclass(frozen=True)
 class Equation:
@@ -90,7 +94,7 @@ class ClosureLaw:
     term: tm.Term
 
 
-_AXIOM_TESTS = frozenset({"p", "q"})
+_AXIOM_TESTS = frozenset("pqrst")
 
 
 def _ax(text: str) -> tm.Term:
@@ -202,6 +206,48 @@ def profile_axioms(profile: Profile):
 def required_ops(profile: Profile) -> frozenset:
     """Optional operations the profile needs beyond + and ;."""
     return _PROFILE_OPS[profile]
+
+
+# Hoare rules as quasi-laws (Kozen, ACM TOCL 2000): {p} x {q} is p;x;!q <= 0.
+# Two inversions are no laws: that of consequence (r = p, s = q) restates its
+# premise, and that of the sequential rule is the existential sentence phi
+# (``check_phi``).  KAD proves phi with r = [y]q, the factored seq rule.
+
+@functools.cache
+def hoare_rules(profile: Profile) -> tuple:
+    """The Hoare rules of KAT or of KAD as quasi-laws, in check order."""
+    if profile not in (Profile.KAT, Profile.KAD):
+        raise ModelError(f"Hoare rules are laws of kat and kad, not "
+                         f"{profile.value}")
+
+    def triple(p, x, q):
+        return _ax(f"{p} ; ({x}) ; !{q}"), tm.ZERO
+
+    def rule(name, premises, conclusion):
+        return Quasi(name, tuple(triple(*t) for t in premises),
+                     triple(*conclusion))
+
+    branches = ("(p ; t)", "x", "q"), ("(p ; !t)", "y", "q")
+    cond = ("p", "t ; x + !t ; y", "q")
+    body, loop = ("(p ; t)", "x", "p"), ("p", "(t ; x)*", "p")
+    rules = (
+        rule("if-rule", branches, cond),
+        rule("if-inversion-then", (cond,), branches[0]),
+        rule("if-inversion-else", (cond,), branches[1]),
+        # the postcondition p ; !t complemented as !p + t: only tests have
+        # complements, and p ; !t is one only in a model of the test axioms
+        Quasi("while-rule", (triple(*body),),
+              (_ax("p ; (t ; x)* ; !t ; (!p + t)"), tm.ZERO)),
+        rule("while-invariant", (body,), loop),
+        rule("while-inversion", (loop,), body),
+        Quasi("consequence", ((_ax("p"), _ax("r")), triple("r", "x", "s"),
+                              (_ax("s"), _ax("q"))), triple("p", "x", "q")),
+    )
+    if profile == Profile.KAD:
+        whole, factored = ("p", "x ; y", "q"), ("p", "x", "[y]q")
+        rules += (rule("seq-factor", (whole,), factored),
+                  rule("seq-compose", (factored,), whole))
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +808,11 @@ def _compile_law(law) -> tuple:
     return (law, *_law_vars(law), _compile((law,)))
 
 
-# keyed by profile too: hashing the laws' term trees on every call would cost
-# as much as checking a small model
+# keyed by the law list's function and profile too: hashing the laws' term
+# trees on every call would cost as much as checking a small model
 @functools.cache
-def _compiled_axioms(profile: Profile) -> tuple[tuple, ...]:
-    return tuple(map(_compile_law, profile_axioms(profile)))
+def _compiled(laws_of, profile: Profile) -> tuple[tuple, ...]:
+    return tuple(map(_compile_law, laws_of(profile)))
 
 
 def _require_profile_ops(algebra: FiniteAlgebra, profile: Profile):
@@ -791,11 +837,21 @@ def check_axioms(algebra: FiniteAlgebra, profile: Profile) -> CheckReport:
     recorded per axiom, and the instances counted for a law are those up
     to and including it.
     """
+    return _check_laws(algebra, profile, _compiled(profile_axioms, profile))
+
+
+def check_rules(algebra: FiniteAlgebra, profile: Profile) -> CheckReport:
+    """Exhaustively instantiate the Hoare rules of KAT or KAD
+    (``hoare_rules``) over the carrier, as ``check_axioms`` does axioms."""
+    return _check_laws(algebra, profile, _compiled(hoare_rules, profile))
+
+
+def _check_laws(algebra, profile, compiled) -> CheckReport:
     _require_profile_ops(algebra, profile)
     tables = _tables(algebra)
     name = algebra.element_name
     report = CheckReport(profile)
-    for law, vs, ts, run in _compiled_axioms(profile):
+    for law, vs, ts, run in compiled:
         sizes = (tables.n,) * len(vs) + (len(tables.tests),) * len(ts)
         found = run(*tables)
         if found is None:

@@ -11,6 +11,8 @@ relation product (the box is a mask over X's rows).  ``while`` loops may
 carry an invariant annotation (``while t invariant j do ... od``);
 ``vcgen`` recurses over the program to use it when present and otherwise
 falls back to the exact loop wlp, which finite models make available.
+The inference rules are quasi-laws of the algebra, which
+``algebra.check_rules`` checks on any finite model (``RelModel`` too).
 """
 
 from __future__ import annotations
@@ -27,15 +29,12 @@ __all__ = [
     "Program", "Skip", "Atom", "Seq", "If", "While",
     "HoareTriple", "Bindings", "parse_test_expr", "parse_program",
     "eval_test", "denote", "holds", "wlp", "vcgen", "synth_mid",
-    "VerificationCondition", "VcReport", "RuleDirection", "RuleReport",
-    "check_seq_rule", "check_if_rule", "check_while_rule",
-    "check_conseq_rule", "check_rule_inversion", "PremiseError",
-    "SYNTH_METHODS",
+    "VerificationCondition", "VcReport", "PremiseError", "SYNTH_METHODS",
 ]
 
 
 class PremiseError(KadlabError):
-    """The triple a synthesis or rule check assumes does not hold."""
+    """The premise triple of an intermediate-assertion synthesis fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +268,8 @@ def _check_test(rel: Rel, what: str):
 
 
 def _triple_holds(pre: Rel, rel: Rel, post: Rel) -> bool:
-    """{p} X {q} for tests p and q, decided as p <= [X]q, which holds iff
-    p ; X ; !q is empty."""
-    _check_test(pre, "precondition")
-    _check_test(post, "postcondition")
+    """{p} X {q} for tests p and q, which the callers check, decided as
+    p <= [X]q, which holds iff p ; X ; !q is empty."""
     return pre.leq(rel.box(post))
 
 
@@ -396,115 +393,3 @@ def synth_mid(x: Program, y: Program, p: Rel, q: Rel, method: str,
         return reach
     return box.intersect(reach)
 
-
-# ---------------------------------------------------------------------------
-# inference-rule checks
-
-@dataclass(frozen=True)
-class RuleDirection:
-    name: str
-    premise: bool
-    conclusion: bool
-
-    @property
-    def holds(self) -> bool:
-        return (not self.premise) or self.conclusion
-
-
-@dataclass(frozen=True)
-class RuleReport:
-    rule: str
-    directions: tuple[RuleDirection, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(d.holds for d in self.directions)
-
-
-def check_seq_rule(p: Rel, x: Program, y: Program, q: Rel,
-                   bindings: Bindings) -> RuleReport:
-    """{p} x;y {q} if and only if {p} x {[y]q}: the composed form against
-    the factored one, so X ; Y is formed here on purpose."""
-    X = denote(x, bindings)
-    Y = denote(y, bindings)
-    whole = _triple_holds(p, X.compose(Y), q)
-    factored = _triple_holds(p, X, Y.box(q))
-    return RuleReport("seq", (
-        RuleDirection("compose-to-factor", whole, factored),
-        RuleDirection("factor-to-compose", factored, whole),
-    ))
-
-
-def check_if_rule(p: Rel, t: Rel, x: Program, y: Program, q: Rel,
-                  bindings: Bindings) -> RuleReport:
-    """{p&t} x {q} and {p&!t} y {q} if and only if {p} if t ... {q}."""
-    _check_test(t, "guard")
-    X = denote(x, bindings)
-    Y = denote(y, bindings)
-    tbar = t.complement_test()
-    branches = (_triple_holds(p.intersect(t), X, q)
-                and _triple_holds(p.intersect(tbar), Y, q))
-    conditional = _triple_holds(
-        p, t.compose(X).union(tbar.compose(Y)), q)
-    return RuleReport("if", (
-        RuleDirection("branches-to-if", branches, conditional),
-        RuleDirection("if-to-branches", conditional, branches),
-    ))
-
-
-def check_while_rule(p: Rel, t: Rel, x: Program,
-                     bindings: Bindings) -> RuleReport:
-    """While rule, its invariant strengthening, and the inversion.
-
-    The inversion recovers the body triple {p&t} x {p} from the
-    strengthened consequent {p} (t;x)* {p}; the plain while consequent is
-    too weak to invert (a nonterminating loop satisfies it vacuously).
-    """
-    _check_test(t, "guard")
-    X = denote(x, bindings)
-    tbar = t.complement_test()
-    loop = t.compose(X)
-    body = _triple_holds(p.intersect(t), X, p)
-    whole = _triple_holds(p, loop.star().compose(tbar), p.intersect(tbar))
-    invariant = _triple_holds(p, loop.star(), p)
-    return RuleReport("while", (
-        RuleDirection("while-rule", body, whole),
-        RuleDirection("invariant-strengthen", body, invariant),
-        RuleDirection("inversion", invariant, body),
-    ))
-
-
-def check_conseq_rule(p: Rel, p2: Rel, x: Program, q2: Rel, q: Rel,
-                      bindings: Bindings) -> RuleReport:
-    """p <= p2, {p2} x {q2}, q2 <= q entail {p} x {q}; inversion is trivial."""
-    X = denote(x, bindings)
-    premise = p.leq(p2) and _triple_holds(p2, X, q2) and q2.leq(q)
-    conclusion = _triple_holds(p, X, q)
-    # the inverse instantiates p2 = p and q2 = q, which restates the triple
-    return RuleReport("conseq", (
-        RuleDirection("consequence", premise, conclusion),
-        RuleDirection("inversion", conclusion, conclusion),
-    ))
-
-
-_RULE_FIELDS = {
-    "seq": ("p", "x", "y", "q"),
-    "if": ("p", "t", "x", "y", "q"),
-    "while": ("p", "t", "x"),
-    "conseq": ("p", "p2", "x", "q2", "q"),
-}
-
-
-def check_rule_inversion(rule: str, instance: Mapping, bindings: Bindings
-                         ) -> RuleReport:
-    """Dispatch a rule check on a field mapping (see _RULE_FIELDS)."""
-    if rule not in _RULE_FIELDS:
-        raise ModelError(f"unknown rule {rule!r} "
-                         f"(one of {', '.join(sorted(_RULE_FIELDS))})")
-    missing = [f for f in _RULE_FIELDS[rule] if f not in instance]
-    if missing:
-        raise ModelError(f"rule {rule} instance missing {', '.join(missing)}")
-    args = [instance[f] for f in _RULE_FIELDS[rule]]
-    fn = {"seq": check_seq_rule, "if": check_if_rule,
-          "while": check_while_rule, "conseq": check_conseq_rule}[rule]
-    return fn(*args, bindings)

@@ -1,6 +1,6 @@
-"""Naive references for ``check_axioms``, ``check_phi``, ``find_models``,
-the eventually periodic sets of ``evsets``, ``load_model``, ``Rel.star``,
-Hoare triples and relation literals.
+"""Naive references for ``check_axioms``, ``check_rules``, ``check_phi``,
+``find_models``, the eventually periodic sets of ``evsets``,
+``load_model``, ``Rel.star``, Hoare triples and relation literals.
 
 The checkers walk every instance with the shared term evaluator through
 the index-level operations, in ``itertools.product`` order, and search
@@ -77,12 +77,14 @@ def _check_instance(algebra, law, venv, tenv):
     return None
 
 
-def naive_check_axioms(algebra, profile) -> CheckReport:
+def naive_check_axioms(algebra, profile, laws=None) -> CheckReport:
+    """The profile's axioms, or the given laws (such as its Hoare rules),
+    checked on a model with the profile's operations."""
     _require_profile_ops(algebra, profile)
     report = CheckReport(profile)
     n = algebra.size
     test_range = algebra.tests_i or ()
-    for law in profile_axioms(profile):
+    for law in profile_axioms(profile) if laws is None else laws:
         report.axiom_count += 1
         vs, ts = _law_vars(law)
         domains = [range(n)] * len(vs) + [test_range] * len(ts)

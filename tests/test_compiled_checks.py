@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from kadlab.algebra import (Equation, FiniteAlgebra, Profile, Quasi,
                             _compile, _require_profile_ops, _tables,
-                            bool2_model, check_axioms, check_phi,
-                            lemma4_model, near_as_model, profile_axioms,
-                            trivial_model)
+                            bool2_model, check_axioms, check_phi, check_rules,
+                            hoare_rules, lemma4_model, near_as_model,
+                            profile_axioms, trivial_model)
 from kadlab.errors import KadlabError
 from kadlab.relations import RelModel, StateSpace, rel_algebra_model
 from kadlab.search import _enumerate_models, _plan, find_models
@@ -39,7 +39,8 @@ def _outcome(check, *args):
 
 
 def assert_same_reports(model, oracle=None):
-    """Compiled and naive checks agree on every profile and on phi."""
+    """Compiled and naive checks agree on every profile, on the Hoare rules
+    of KAT and KAD and on phi."""
     oracle = model if oracle is None else oracle
     for profile in Profile:
         got = _outcome(check_axioms, model, profile)
@@ -47,8 +48,16 @@ def assert_same_reports(model, oracle=None):
         if not isinstance(got, tuple):
             assert sum(k for _, k in got.law_instances) == got.instance_count
             assert len(got.law_instances) == got.axiom_count
+    assert_same_rules(model, oracle)
     if model.has_op("complement"):
         assert check_phi(model) == naive_check_phi(oracle)
+
+
+def assert_same_rules(model, oracle):
+    for profile in (Profile.KAT, Profile.KAD):
+        got = _outcome(check_rules, model, profile)
+        assert got == _outcome(naive_check_axioms, oracle, profile,
+                               hoare_rules(profile)), profile
 
 
 def product_model(*factors, seed=0):
@@ -100,10 +109,11 @@ def test_relation_model_is_tabulated_once_and_matches_oracle():
 @pytest.mark.parametrize("profile", list(Profile))
 def test_searched_models_match_oracle(profile):
     # every candidate up to size 3, failing ones included, and every model
-    # the search keeps at size 4
+    # the search keeps at size 4; the Hoare rules on each of them too
     for size in (1, 2, 3):
         for model in _enumerate_models(size, profile):
             assert check_axioms(model, profile) == naive_check_axioms(model, profile)
+            assert_same_rules(model, model)
     for model in find_models(4, profile):
         assert_same_reports(model)
 

@@ -3,17 +3,20 @@ from itertools import product
 
 import pytest
 
+from kadlab.algebra import (Profile, Quasi, _check_laws, _compile_law,
+                            _eval_idx, check_phi, check_rules, hoare_rules,
+                            lemma4_model)
 from kadlab.errors import ModelError, ParseError
 from kadlab.hoare import (Atom, Bindings, HoareTriple, If, PremiseError, Seq,
-                          Skip, While,
-                          check_conseq_rule, check_if_rule,
-                          check_rule_inversion, check_seq_rule,
-                          check_while_rule, denote, eval_test, holds,
+                          Skip, While, denote, eval_test, holds,
                           parse_program, parse_test_expr, synth_mid, vcgen,
                           wlp)
-from kadlab.relations import Rel, StateSpace
-from kadlab.terms import MAX_DEPTH, ONE, Not, Plus, Times
+from kadlab.relations import Rel, RelModel, StateSpace, rel_algebra_model
+from kadlab.terms import (MAX_DEPTH, ONE, ZERO, Not, Plus, Times, desugar,
+                          parse_term)
 from kadlab.terms import TestVar as TV
+
+from naive_oracle import naive_check_axioms
 
 S2 = StateSpace(["1", "2"])
 S3 = StateSpace(["1", "2", "3"])
@@ -228,76 +231,118 @@ def test_synth_methods_always_validate_exhaustive_size2():
 
 
 # ---------------------------------------------------------------------------
-# rules
+# rules, as the quasi-laws of kadlab.algebra.hoare_rules
+
+def _rule(name):
+    return next(law for law in hoare_rules(Profile.KAD) if law.name == name)
+
+
+def _at(law, space, **binds):
+    """(all premises hold, conclusion holds) of the law in the relation
+    model of the space, its variables bound to the given relations."""
+    model, env = RelModel(space), {k: rel.bits for k, rel in binds.items()}
+
+    def leq(s, t):
+        s, t = (_eval_idx(model, u, env, env) for u in (s, t))
+        return model.plus(s, t) == t
+
+    return all(leq(*pair) for pair in law.premises), leq(*law.conclusion)
+
+
+# {p} (t;x)*;!t {p;!t} => {p;t} x {p}: the while rule read backwards
+_PLAIN_INVERSION = Quasi("while-inversion-plain",
+                         (_rule("while-rule").conclusion,),
+                         _rule("while-rule").premises[0])
+# {p} x;y {q} => {p} x {d(y;q)}: the diamond in place of the box
+_DIAMOND_FACTOR = Quasi(
+    "seq-factor-diamond", _rule("seq-factor").premises,
+    (desugar(parse_term("p ; x ; !d(y ; q)", tests="pq")), ZERO))
+
 
 def test_seq_rule_both_directions():
     b = b3()
-    report = check_seq_rule(b.tests["p"], Atom("x"), Atom("y"),
-                            b.tests["q"], b)
-    assert report.all_hold
-    assert {d.name for d in report.directions} == {
-        "compose-to-factor", "factor-to-compose"}
+    inst = dict(p=b.tests["p"], x=b.atoms["x"], y=b.atoms["y"], q=b.tests["q"])
+    for name in ("seq-factor", "seq-compose"):
+        assert _at(_rule(name), S3, **inst) == (True, True)
 
 
 def test_if_rule_two_state_instance():
     b = b2()
-    report = check_if_rule(b.tests["p"], b.tests["q"], Atom("x"), Atom("y"),
-                           Rel.identity(S2), b)
-    assert report.all_hold
+    inst = dict(p=b.tests["p"], t=b.tests["q"], x=b.atoms["x"],
+                y=b.atoms["y"], q=Rel.identity(S2))
+    for name in ("if-rule", "if-inversion-then", "if-inversion-else"):
+        assert _at(_rule(name), S2, **inst) == (True, True)
 
 
 def test_while_rule_empty_guard():
     # guard 0: premise and conclusion both vacuous/trivial
     b = b2()
-    report = check_while_rule(Rel.identity(S2), Rel.empty(S2), Atom("swap"), b)
-    assert report.all_hold
+    inst = dict(p=Rel.identity(S2), t=Rel.empty(S2), x=b.atoms["swap"])
+    for name in ("while-rule", "while-invariant", "while-inversion"):
+        assert _at(_rule(name), S2, **inst) == (True, True)
 
 
 def test_while_plain_consequent_is_not_invertible():
     # {p} while 1 do swap od {p & !1} holds vacuously (no terminating run)
     # yet the body triple {p & 1} swap {p} fails: inversion needs the
-    # strengthened consequent
+    # strengthened consequent {p} (1;swap)* {p}, which fails too
     b = b2()
-    p = b.tests["p"]
-    t = Rel.identity(S2)
-    prog = While(ONE, Atom("swap"))
-    vacuous = holds(HoareTriple(p, prog, p.intersect(t.complement_test())), b)
-    body = holds(HoareTriple(p.intersect(t), Atom("swap"), p), b)
-    assert vacuous and not body
+    inst = dict(p=b.tests["p"], t=Rel.identity(S2), x=b.atoms["swap"])
+    assert _at(_PLAIN_INVERSION, S2, **inst) == (True, False)
+    assert _at(_rule("while-inversion"), S2, **inst) == (False, False)
 
 
 def test_conseq_rule():
     b = b2()
-    report = check_conseq_rule(b.tests["p"], Rel.identity(S2), Atom("x"),
-                               b.tests["q"], Rel.identity(S2), b)
-    assert report.all_hold
+    inst = dict(p=b.tests["p"], r=Rel.identity(S2), x=b.atoms["x"],
+                s=b.tests["q"], q=Rel.identity(S2))
+    assert _at(_rule("consequence"), S2, **inst) == (True, True)
+
+
+def test_kat_rules_hold_where_only_phi_separates():
+    # lemma4 is a KAT: every rule and inversion that is a KAT theorem holds
+    # there, and only the sequential inversion (phi) fails
+    lemma4 = lemma4_model()
+    assert check_rules(lemma4, Profile.KAT).passed
+    assert not check_phi(lemma4).holds
+    rel2 = rel_algebra_model(2)
+    report = check_rules(rel2, Profile.KAD)
+    assert report.passed and report.instance_count == 62208
+    assert check_phi(rel2).holds
+
+
+@pytest.mark.parametrize("law", [_PLAIN_INVERSION, _DIAMOND_FACTOR],
+                         ids=lambda law: law.name)
+def test_wrong_rules_fail_on_rel2(law):
+    rel2 = rel_algebra_model(2)
+    report = _check_laws(rel2, Profile.KAD, (_compile_law(law),))
+    assert not report.passed
+    assert report == naive_check_axioms(rel2, Profile.KAD, (law,))
+
+
+def test_hoare_rules_refuse_other_profiles():
+    assert hoare_rules(Profile.KAD)[:7] == hoare_rules(Profile.KAT)
+    for profile in Profile:
+        if profile not in (Profile.KAT, Profile.KAD):
+            with pytest.raises(ModelError, match="laws of kat and kad"):
+                hoare_rules(profile)
+            with pytest.raises(ModelError, match="laws of kat and kad"):
+                check_rules(lemma4_model(), profile)
 
 
 def test_rules_refuse_conditions_that_are_not_tests():
     b = b2()
-    step = b.atoms["x"]
+    step, p, q = b.atoms["x"], b.tests["p"], b.tests["q"]
     with pytest.raises(ModelError, match="^precondition must be"):
-        check_seq_rule(step, Atom("x"), Atom("y"), b.tests["q"], b)
+        holds(HoareTriple(step, Atom("x"), q), b)
     with pytest.raises(ModelError, match="^precondition must be"):
-        check_conseq_rule(step, Rel.full(S2), Atom("x"), b.tests["q"],
-                          Rel.identity(S2), b)
+        synth_mid(Atom("x"), Atom("y"), step, q, "wlp", b)
     with pytest.raises(ModelError, match="^postcondition must be"):
-        check_seq_rule(b.tests["p"], Atom("x"), Atom("y"), step, b)
+        holds(HoareTriple(p, Atom("x"), step), b)
     with pytest.raises(ModelError, match="^postcondition must be"):
-        check_conseq_rule(b.tests["p"], Rel.identity(S2), Atom("x"),
-                          Rel.full(S2), step, b)
-
-
-def test_rule_dispatcher():
-    b = b2()
-    report = check_rule_inversion(
-        "seq", {"p": b.tests["p"], "x": Atom("x"), "y": Atom("y"),
-                "q": b.tests["q"]}, b)
-    assert report.rule == "seq"
-    with pytest.raises(ModelError):
-        check_rule_inversion("seq", {"p": b.tests["p"]}, b)
-    with pytest.raises(ModelError):
-        check_rule_inversion("modus-ponens", {}, b)
+        wlp(Atom("x"), step, b)
+    with pytest.raises(ModelError, match="^postcondition must be"):
+        synth_mid(Atom("x"), Atom("y"), p, step, "wlp", b)
 
 
 # ---------------------------------------------------------------------------
