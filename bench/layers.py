@@ -20,7 +20,10 @@ The law layer (workload ``laws``, size 16, the carrier of ``rel2``) times
 ``check_axioms(rel2, profile)`` for every profile (``rel2`` has all their
 operations), as layer ``check_axioms_<profile>``, and ``check_phi(rel2)``; its
 instances are the library's own counts, ``CheckReport.instance_count`` and
-``PhiResult.instantiations``.
+``PhiResult.instantiations``.  At size 512, the carrier of ``rel3``, it times
+one call per run of ``rel_algebra_model(3)`` (layer ``rel3_build``, one
+instance) and of ``check_phi`` on a ``rel3`` built beforehand (layer
+``check_phi_rel3``).
 
 Each record holds workload, layer, size, instances (operations per run),
 seconds (median per run), seconds_q1 and seconds_q3 (the quartiles of the
@@ -82,14 +85,20 @@ def _cases(kadlab_relations, n: int, rng: random.Random) -> dict:
 
 
 def _law_cases(algebra, relations) -> dict:
-    """Per law layer, (instances of one call, the call) on ``rel2``."""
+    """Per law layer, (size, loops per run, instances of one call, the call)
+    on ``rel2`` and ``rel3``."""
     rel2 = relations.rel_algebra_model(2)
     cases = {}
     for profile in algebra.Profile:
         call = functools.partial(algebra.check_axioms, rel2, profile)
-        cases[f"check_axioms_{profile.value}"] = call().instance_count, call
+        cases[f"check_axioms_{profile.value}"] = (
+            16, LAW_LOOPS, call().instance_count, call)
     phi = functools.partial(algebra.check_phi, rel2)
-    cases["check_phi"] = phi().instantiations, phi
+    cases["check_phi"] = 16, LAW_LOOPS, phi().instantiations, phi
+    build = functools.partial(relations.rel_algebra_model, 3)
+    cases["rel3_build"] = 512, 1, 1, build
+    phi = functools.partial(algebra.check_phi, build())
+    cases["check_phi_rel3"] = 512, 1, phi().instantiations, phi
     return cases
 
 
@@ -152,8 +161,9 @@ def main(argv=None) -> int:
         cases = _cases(relations, n, random.Random(f"layers:{n}"))
         for layer, calls in cases.items():
             record("relations", layer, n, LOOPS[n] * len(calls), calls, LOOPS[n])
-    for layer, (count, call) in _law_cases(algebra, relations).items():
-        record("laws", layer, 16, LAW_LOOPS * count, [call], LAW_LOOPS)
+    law_cases = _law_cases(algebra, relations)
+    for layer, (size, loops, count, call) in law_cases.items():
+        record("laws", layer, size, loops * count, [call], loops)
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {out}")

@@ -33,7 +33,7 @@ from .errors import EvalError, MissingTableError, ModelError
 
 __all__ = [
     "Profile", "FiniteAlgebra", "CheckReport", "Violation", "PhiResult",
-    "check_axioms", "check_phi", "evaluate", "derive_test_algebra",
+    "check_axioms", "check_phi", "evaluate",
     "lemma4_model", "bool2_model", "trivial_model", "near_as_model",
     "is_isomorphic", "profile_axioms", "required_ops", "hoare_rules",
     "check_rules",
@@ -563,28 +563,18 @@ class _Tables(NamedTuple):
     one: int
 
 
-def _tables(algebra) -> _Tables:
-    """The raw tables of a ``FiniteAlgebra``; a model that offers only the
-    index-level interface (``relations.RelModel``) is tabulated once."""
+def _tables(algebra: FiniteAlgebra) -> _Tables:
+    """The raw tables of a ``FiniteAlgebra``."""
     n = algebra.size
     tests = algebra.tests_i or ()
-    if isinstance(algebra, FiniteAlgebra):
-        plus, times = algebra._plus, algebra._times
-        star, adom, aran = algebra._star, algebra._adom, algebra._aran
-    else:
-        r = range(n)
-        plus = tuple(tuple(algebra.plus(i, j) for j in r) for i in r)
-        times = tuple(tuple(algebra.times(i, j) for j in r) for i in r)
-        star, adom, aran = (tuple(map(getattr(algebra, op), r))
-                            if algebra.has_op(op) else None
-                            for op in ("star", "adom", "aran"))
     complement = ({t: algebra.complement(t) for t in tests}
                   if algebra.has_op("complement") else None)
     is_test = [False] * n
     for t in tests:
         is_test[t] = True
-    return _Tables(n, tests, plus, times, star, adom, aran, complement,
-                   is_test, algebra.zero_i, algebra.one_i)
+    return _Tables(n, tests, algebra._plus, algebra._times, algebra._star,
+                   algebra._adom, algebra._aran, complement, is_test,
+                   algebra.zero_i, algebra.one_i)
 
 
 # Laws are compiled, on first use, into one Python function: a loop nest over
@@ -930,32 +920,6 @@ def check_phi(algebra: FiniteAlgebra) -> PhiResult:
                                 name(tests[qi])),
                         ((x * n + y) * k + pi) * k + qi + 1)
     return PhiResult(True, None, n * n * k * k)
-
-
-# ---------------------------------------------------------------------------
-# derived test algebra
-
-def derive_test_algebra(algebra: FiniteAlgebra) -> FiniteAlgebra:
-    """Equip an antidomain semiring with its canonical test algebra.
-
-    Tests become the image of the domain operation and complement is the
-    antidomain restricted to tests.  Raises if the antidomain axioms fail.
-    """
-    report = check_axioms(algebra, Profile.AS)
-    if not report.passed:
-        raise ModelError(
-            f"{algebra.name}: antidomain axioms fail: {report.violations[0]}")
-    if algebra._complement is not None:
-        return algebra
-    tests = algebra.tests_i
-    comp = {algebra.element_name(t): algebra.element_name(algebra.adom(t))
-            for t in tests}
-    return FiniteAlgebra(
-        algebra.carrier, algebra.zero, algebra.one,
-        algebra._plus, algebra._times, star=algebra._star,
-        adom=algebra._adom, aran=algebra._aran,
-        tests=[algebra.element_name(t) for t in tests],
-        complement=comp, name=algebra.name)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import ModelError, ParseError
 
 __all__ = [
     "EvPeriodicSet", "empty_set", "full_set", "evens", "odds",
-    "finite_set", "cofinite_set", "kat_star", "in_test_algebra",
+    "finite_set", "cofinite_set", "in_test_algebra",
     "NotAPrecondition", "NotMaximal", "refute_wlp_candidate",
     "verify_refutation", "enumerate_candidates", "parse_evset", "format_evset",
 ]
@@ -183,11 +183,6 @@ def finite_set(elements) -> EvPeriodicSet:
 
 def cofinite_set(excluded) -> EvPeriodicSet:
     return finite_set(excluded).complement()
-
-
-def kat_star(s: EvPeriodicSet) -> EvPeriodicSet:
-    """Star in the powerset model: every set's star is the full set."""
-    return full_set()
 
 
 def in_test_algebra(s: EvPeriodicSet) -> bool:

@@ -12,7 +12,8 @@ carry an invariant annotation (``while t invariant j do ... od``);
 ``vcgen`` recurses over the program to use it when present and otherwise
 falls back to the exact loop wlp, which finite models make available.
 The inference rules are quasi-laws of the algebra, which
-``algebra.check_rules`` checks on any finite model (``RelModel`` too).
+``algebra.check_rules`` checks on any finite model (``rel_algebra_model``
+tabulates the relation algebras of up to 3 states for it).
 """
 
 from __future__ import annotations

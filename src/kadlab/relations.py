@@ -10,10 +10,10 @@ rows of the first that reach it, and closes transitively the same way,
 one row at a time.  Tests are subidentities, and a composition with a test
 is a mask, not a product: t ; R keeps the rows of R at t's states and
 R ; t keeps its columns there.  Relation literals are split into pairs by
-one regular-expression pass.  ``RelModel`` is the relation algebra behind
-the index-level interface of ``FiniteAlgebra``, computed on demand;
-tabulated, it gives the eager 1- and 2-state algebras (at most 16
-elements); over 3 states (512 elements) it is exported as is.
+one regular-expression pass.  ``RelModel`` is the relation algebra on
+bit patterns, computed on demand for term evaluation at any state count;
+``rel_algebra_model`` tabulates it into a ``FiniteAlgebra`` for checks,
+up to 3 states (512 elements).
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator
 
-from .algebra import FiniteAlgebra, _tables
+from .algebra import FiniteAlgebra
 from .errors import BoundError, EvalError, ModelError, ParseError
 
-__all__ = ["StateSpace", "Rel", "RelModel", "as_finite_algebra",
-           "parse_rel_literal", "rel_algebra_model", "all_relations"]
+__all__ = ["StateSpace", "Rel", "RelModel", "parse_rel_literal",
+           "rel_algebra_model", "all_relations"]
 
 
 @dataclass(frozen=True)
@@ -316,36 +316,17 @@ def format_rel(r: Rel) -> str:
 class RelModel:
     """The full relation algebra on a space, computed on demand.
 
-    It offers the index-level interface of ``FiniteAlgebra`` with element
-    index == bit pattern, so term evaluation runs on it at any state
-    count; the carrier and test lists are built only when asked for.
+    Element index == bit pattern, and the operations are those that term
+    evaluation calls, so terms evaluate in it at any state count.
     """
 
     def __init__(self, space: StateSpace):
         self.space = space
-        self.name = f"rel{space.size}"
-        self.size = 1 << space.size ** 2
         self.zero_i = 0
         self.one_i = Rel.identity(space).bits
 
-    @cached_property
-    def carrier(self) -> tuple[str, ...]:
-        return tuple(map(self.element_name, range(self.size)))
-
-    @cached_property
-    def tests_i(self) -> tuple[int, ...]:
-        """The subidentities in increasing bit-pattern order."""
-        n = self.space.size
-        return tuple(_diagonal(mask, n) for mask in range(1 << n))
-
     def element_name(self, i: int) -> str:
         return format_rel(Rel(self.space, i))
-
-    def index(self, name: str) -> int:
-        try:
-            return self.carrier.index(name)
-        except ValueError:
-            raise ModelError(f"unknown carrier element {name!r}") from None
 
     def plus(self, i: int, j: int) -> int:
         return i | j
@@ -368,41 +349,30 @@ class RelModel:
                 f"complement of non-test element {self.element_name(i)!r}")
         return self.one_i & ~i
 
-    def has_op(self, op: str) -> bool:
-        if op in ("star", "adom", "aran", "tests", "complement"):
-            return True
-        raise ValueError(f"unknown op {op!r}")
-
 
 # ---------------------------------------------------------------------------
-# packaging for axiom checks
+# the tabulated algebra, for checks
 
-_EAGER_MAX = 2
-_LAZY_MAX = 3
+_MAX_STATES = 3
 
 
-def as_finite_algebra(space: StateSpace) -> FiniteAlgebra | RelModel:
-    """The full relation algebra on the space, packaged for axiom checks.
+def rel_algebra_model(size: int) -> FiniteAlgebra:
+    """The full relation algebra on ``size`` states, tabulated.
 
-    Size <= 2 is tabulated into a ``FiniteAlgebra`` (2^(n^2) <= 16
-    elements); size 3 returns the on-demand ``RelModel`` (512 elements);
-    larger spaces are refused.
+    Element i is the relation with bit pattern i; the tests are the
+    subidentities, the image of the antidomain.  Above 3 states (512
+    elements) it is refused.
     """
-    n = space.size
-    if n > _LAZY_MAX:
+    if size > _MAX_STATES:
         raise BoundError(
-            f"relation algebra over {n} states has 2^{n * n} elements; "
-            f"the export bound is {_LAZY_MAX} states")
-    model = RelModel(space)
-    return _tabulate(model) if n <= _EAGER_MAX else model
-
-
-def rel_algebra_model(size: int) -> FiniteAlgebra | RelModel:
-    return as_finite_algebra(StateSpace.of_size(size))
-
-
-def _tabulate(m: RelModel) -> FiniteAlgebra:
-    tb = _tables(m)
-    return FiniteAlgebra(m.carrier, m.carrier[tb.zero], m.carrier[tb.one],
-                         tb.plus, tb.times, star=tb.star, adom=tb.adom,
-                         aran=tb.aran, name=m.name)
+            f"relation algebra over {size} states has 2^{size * size} "
+            f"elements; the export bound is {_MAX_STATES} states")
+    model = RelModel(StateSpace.of_size(size))
+    r = range(1 << size * size)
+    carrier = tuple(map(model.element_name, r))
+    return FiniteAlgebra(
+        carrier, carrier[0], carrier[model.one_i],
+        [[i | j for j in r] for i in r],
+        [[_compose(i, j, size) for j in r] for i in r],
+        star=list(map(model.star, r)), adom=list(map(model.adom, r)),
+        aran=list(map(model.aran, r)), name=f"rel{size}")

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from kadlab.algebra import (FiniteAlgebra, Profile, bool2_model, check_axioms,
-                            check_phi, derive_test_algebra, evaluate,
+                            check_phi, evaluate,
                             is_isomorphic, lemma4_model, near_as_model,
                             profile_axioms, trivial_model)
 from kadlab.errors import EvalError, MissingTableError, ModelError
@@ -82,7 +82,9 @@ def test_lemma4_refutes_phi():
 
 
 def test_phi_trivial_model():
-    assert check_phi(trivial_model()).holds
+    m = trivial_model()
+    assert m.tests == ("0",)
+    assert check_phi(m).holds
 
 
 def test_phi_on_relational_kad():
@@ -130,10 +132,17 @@ AS_BUILTINS = [trivial_model, bool2_model,
                lambda: rel_algebra_model(1), lambda: rel_algebra_model(2)]
 
 
+# the tests of each are the image of its antidomain
+AS_TEST_COUNTS = {"trivial": 1, "bool2": 2, "rel1": 2, "rel2": 4}
+
+
 @pytest.mark.parametrize("factory", AS_BUILTINS)
 def test_as_builtins_pass_as(factory):
-    report = check_axioms(factory(), Profile.AS)
+    m = factory()
+    report = check_axioms(m, Profile.AS)
     assert report.passed, [str(v) for v in report.violations]
+    assert len(m.tests) == AS_TEST_COUNTS[m.name]
+    assert check_axioms(m, Profile.TS).passed
 
 
 @pytest.mark.parametrize("factory", AS_BUILTINS)
@@ -166,33 +175,6 @@ def test_as_implies_dioid(factory):
 @pytest.mark.parametrize("factory", AS_BUILTINS)
 def test_phi_holds_on_antidomain_models(factory):
     assert check_phi(factory()).holds
-
-
-def test_derive_test_algebra_on_relations():
-    m = derive_test_algebra(rel_algebra_model(2))
-    assert m.tests is not None and len(m.tests) == 4
-    assert check_axioms(m, Profile.TS).passed
-    assert check_axioms(m, Profile.KAT).passed
-
-
-def test_derive_test_algebra_trivial():
-    m = derive_test_algebra(trivial_model())
-    assert m.tests == ("0",)
-
-
-def test_derive_test_algebra_two_tests():
-    m = derive_test_algebra(bool2_model())
-    assert len(m.tests) == 2
-    assert check_axioms(m, Profile.TS).passed
-
-
-def test_derive_test_algebra_rejects_non_as():
-    # a(0) = 0 breaks a(x) + d(x) = 1 but the tables still construct
-    bad = FiniteAlgebra(
-        ["0", "1"], "0", "1", [[0, 1], [1, 1]], [[0, 0], [0, 1]],
-        adom=[0, 1], name="bad-adom")
-    with pytest.raises(ModelError):
-        derive_test_algebra(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from kadlab.errors import ModelError, ParseError
 from kadlab.evsets import (EvPeriodicSet, NotAPrecondition, NotMaximal,
                            cofinite_set, empty_set, enumerate_candidates,
                            evens, finite_set, format_evset, full_set,
-                           in_test_algebra, kat_star, odds, parse_evset,
+                           in_test_algebra, odds, parse_evset,
                            refute_wlp_candidate, verify_refutation)
 from naive_oracle import (NaiveEvPeriodicSet, naive_enumerate_candidates,
                           naive_format_evset)
@@ -80,12 +80,6 @@ def test_set_operations():
     assert evens().complement() == odds()
     assert evens().union(odds()) == full_set()
     assert full_set().complement() == empty_set()
-
-
-def test_kat_star_is_full():
-    assert kat_star(empty_set()) == full_set()
-    assert kat_star(evens()) == full_set()
-    assert kat_star(full_set()) == full_set()
 
 
 def test_least():
@@ -266,9 +260,6 @@ def test_kat_spot_laws(a, b, c):
     assert a.union(empty_set()) == a
     assert a.intersect(full_set()) == a
     assert a.intersect(empty_set()) == empty_set()
-    assert kat_star(a) == full_set()
-    # star unfold: 1 + s . s* = s* with . = meet, 1 = full
-    assert full_set().union(a.intersect(kat_star(a))) == kat_star(a)
 
 
 @given(st.frozensets(st.integers(0, 40), max_size=8))

@@ -3,14 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kadlab.algebra import Profile, check_axioms, check_phi, evaluate
+from kadlab.algebra import (FiniteAlgebra, PhiResult, Profile, _eval_idx,
+                            check_axioms, check_phi, evaluate)
 from kadlab.errors import (BoundError, EvalError, KadlabError, ModelError,
                            ParseError)
 from kadlab.evsets import parse_evset
 from kadlab.hoare import _triple_holds
 from kadlab.relations import (Rel, RelModel, StateSpace, all_relations,
-                              as_finite_algebra, format_rel,
-                              parse_rel_literal, rel_algebra_model)
+                              format_rel, parse_rel_literal,
+                              rel_algebra_model)
 from kadlab.terms import (ADom, ARan, Box, Dom, Env, Not, ONE, Plus, Star,
                           Times, Var, ZERO, desugar, parse_term)
 from kadlab.terms import TestVar as TV  # alias keeps pytest collection quiet
@@ -434,6 +435,7 @@ def test_sampled_kat_kad_axioms_on_random_relations():
 
 def test_algebra_size_1():
     m = rel_algebra_model(1)
+    assert isinstance(m, FiniteAlgebra)
     assert m.size == 2
     assert m.carrier == ("{}", "{(1,1)}")
     assert check_axioms(m, Profile.KA_DR).passed
@@ -441,15 +443,24 @@ def test_algebra_size_1():
 
 def test_algebra_size_2_passes_kad():
     m = rel_algebra_model(2)
+    assert isinstance(m, FiniteAlgebra)
     assert m.size == 16
     assert len(m.tests) == 4
     assert check_axioms(m, Profile.KAD).passed
+    assert check_axioms(m, Profile.TS).passed
     assert check_axioms(m, Profile.KAT).passed
     assert check_phi(m).holds
 
 
-def test_lazy_algebra_size_3():
-    m = rel_algebra_model(3)
+@pytest.fixture(scope="module")
+def rel3():
+    """The 512-element algebra, tabulated once for the tests that read it."""
+    return rel_algebra_model(3)
+
+
+def test_lazy_algebra_size_3(rel3):
+    m = rel3
+    assert isinstance(m, FiniteAlgebra)
     assert m.size == 512
     assert len(m.tests_i) == 8
     space = StateSpace.of_size(3)
@@ -461,12 +472,12 @@ def test_lazy_algebra_size_3():
     assert m.adom(r.bits) == r.adom().bits
     assert m.aran(r.bits) == r.aran().bits
     assert m.complement(m.adom(r.bits)) == r.dom().bits
+    assert check_phi(m) == PhiResult(True, None, 512 * 512 * 8 * 8)
 
 
-def test_evaluate_in_rel3():
-    m = rel_algebra_model(3)
+def test_evaluate_in_rel3(rel3):
     env = Env(elements={"x": "{(1,2),(2,3)}"})
-    assert evaluate(m, parse_term("x ; x*", tests=()), env) == \
+    assert evaluate(rel3, parse_term("x ; x*", tests=()), env) == \
         "{(1,2),(1,3),(2,3)}"
 
 
@@ -486,19 +497,18 @@ _rel2_terms = st.recursive(
 ).map(desugar)
 
 
-_rel2_tests = st.sampled_from(REL2_MODEL.tests_i)
+_rel2_tests = st.sampled_from(REL2.tests_i)
 
 
 @given(_rel2_terms, st.integers(0, 15), st.integers(0, 15),
        _rel2_tests, _rel2_tests)
 def test_tabulated_rel2_agrees_with_relation_model(t, x, y, p, q):
-    name = REL2_MODEL.element_name
-    env = Env(elements={"x": name(x), "y": name(y)},
-              tests={"p": name(p), "q": name(q)})
+    # element i is bit pattern i in both models
+    venv, tenv = {"x": x, "y": y}, {"p": p, "q": q}
     results = []
     for model in (REL2, REL2_MODEL):
         try:
-            results.append(evaluate(model, t, env))
+            results.append(model.element_name(_eval_idx(model, t, venv, tenv)))
         except EvalError as e:   # complement of a non-test, on both sides
             results.append(f"error: {e}")
     assert results[0] == results[1]
@@ -506,7 +516,7 @@ def test_tabulated_rel2_agrees_with_relation_model(t, x, y, p, q):
 
 def test_algebra_size_4_refused():
     with pytest.raises(BoundError):
-        as_finite_algebra(StateSpace.of_size(4))
+        rel_algebra_model(4)
 
 
 def test_all_relations_count():
