@@ -369,10 +369,13 @@ def rel_algebra_model(size: int) -> FiniteAlgebra:
             f"elements; the export bound is {_MAX_STATES} states")
     model = RelModel(StateSpace.of_size(size))
     r = range(1 << size * size)
+    # table entries share one int object per element: at 3 states, fresh
+    # ints in the 512 x 512 tables would hold about 13 MB more
+    element = tuple(r)
     carrier = tuple(map(model.element_name, r))
     return FiniteAlgebra(
         carrier, carrier[0], carrier[model.one_i],
-        [[i | j for j in r] for i in r],
-        [[_compose(i, j, size) for j in r] for i in r],
+        [[element[i | j] for j in r] for i in r],
+        [[element[_compose(i, j, size)] for j in r] for i in r],
         star=list(map(model.star, r)), adom=list(map(model.adom, r)),
         aran=list(map(model.aran, r)), name=f"rel{size}")
