@@ -25,10 +25,20 @@ one call per run of ``rel_algebra_model(3)`` (layer ``rel3_build``, one
 instance) and of ``check_phi`` on a ``rel3`` built beforehand (layer
 ``check_phi_rel3``).
 
+The search layer (workload ``search``) times one ``find_models`` call per
+run for each of the 40 (size, profile, constraint) jobs of perfbench's
+``search`` workload and for near-as at size 5, as layer
+``find_models_<profile>[_<constraint>]`` at the carrier size, and records
+the ``SearchStats`` of the call under ``stats``.
+
 Each record holds workload, layer, size, instances (operations per run),
 seconds (median per run), seconds_q1 and seconds_q3 (the quartiles of the
 runs), rate (instances / seconds), the Python version, and the commit and
-a hash of the ``kadlab`` sources it timed.
+a hash of the ``kadlab`` sources it timed.  ``probe_s`` is the mean of the
+median speed probe (``perfbench/speed.py``) taken just before and just
+after the layer's runs, and ``seconds_ref`` the median rescaled by it to
+the probe's reference speed, so that host drift between two files can be
+told from a change to the layer.
 """
 
 from __future__ import annotations
@@ -46,6 +56,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from speed import probe, rescale  # noqa: E402
 SIZES = (3, 8, 32, 128)
 INPUTS = 16
 # loops over the inputs per run, so that a run at each size takes milliseconds
@@ -55,6 +67,9 @@ RUNS = 7
 DEGREE = 3
 # loops per run of each law-layer call (a few milliseconds each on rel2)
 LAW_LOOPS = 10
+# the search workload's profiles with + idempotent, and those with tests
+IDEMPOTENT = ("dioid", "kleene", "ts", "kat", "as", "kad", "ars", "kadr")
+PHI_CAPABLE = ("ts", "kat", "as", "kad", "kadr")
 
 
 def _cases(kadlab_relations, n: int, rng: random.Random) -> dict:
@@ -102,6 +117,30 @@ def _law_cases(algebra, relations) -> dict:
     return cases
 
 
+def _search_cases(algebra, search) -> dict:
+    """Per search layer, (size, the call, the ``SearchStats`` of one call)."""
+    specs = [(size, p.value, None) for size in (3, 4) for p in algebra.Profile]
+    for p in IDEMPOTENT:
+        specs.append((5, p, None))
+        if p in PHI_CAPABLE:
+            specs += [(5, p, "phi-fails"), (5, p, "phi-holds")]
+    specs += [(5, "semiring", None), (6, "kad", None), (5, "near-as", None)]
+    cases = {}
+    for size, profile, constraint in specs:
+        def call(stats=None, spec=(size, profile, constraint)):
+            return list(search.find_models(*spec, bound=spec[0], stats=stats))
+        stats = search.SearchStats()
+        call(stats)
+        layer = f"find_models_{profile}" + (f"_{constraint}" if constraint else "")
+        cases[layer] = size, call, vars(stats)
+    return cases
+
+
+def _probe() -> float:
+    """The median of nine speed probes."""
+    return sorted(probe() for _ in range(9))[4]
+
+
 def _time(calls, loops: int) -> tuple[float, float, float]:
     """Quartiles (q1, median, q3) of the seconds of ``RUNS`` runs of
     ``loops`` passes over the calls, after one untimed pass."""
@@ -143,19 +182,23 @@ def main(argv=None) -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from kadlab import algebra, relations
+    from kadlab import algebra, relations, search
 
     common = {"python": platform.python_version(), "commit": _commit(src),
               "source_sha1": _source_hash(src / "kadlab")}
     records = []
 
-    def record(workload, layer, size, instances, calls, loops):
+    def record(workload, layer, size, instances, calls, loops, **extra):
+        before = _probe()
         q1, seconds, q3 = _time(calls, loops)
+        probe_s = (before + _probe()) / 2
         records.append({"workload": workload, **common, "layer": layer,
                         "size": size, "instances": instances,
                         "seconds": seconds, "seconds_q1": q1,
-                        "seconds_q3": q3, "rate": instances / seconds})
-        print(f"{layer:22} n={size:<4} {seconds / instances * 1e6:10.3f} us/op")
+                        "seconds_q3": q3, "rate": instances / seconds,
+                        "probe_s": probe_s,
+                        "seconds_ref": rescale(seconds, probe_s), **extra})
+        print(f"{layer:30} n={size:<4} {seconds / instances * 1e6:12.3f} us/op")
 
     for n in SIZES:
         cases = _cases(relations, n, random.Random(f"layers:{n}"))
@@ -164,6 +207,8 @@ def main(argv=None) -> int:
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, loops * count, [call], loops)
+    for layer, (size, call, stats) in _search_cases(algebra, search).items():
+        record("search", layer, size, 1, [call], 1, stats=stats)
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {out}")

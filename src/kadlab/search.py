@@ -17,9 +17,13 @@ mirror), because every other instance reads what it read at the parent
 node, where it passed.  The pruning is therefore the same as running every
 instance after every cell.  On star, antidomain and antirange only the
 one-variable laws run after each cell, and the others in full once the
-table is full.  Every candidate is re-validated with ``check_axioms``, and
-of the candidates that differ by a relabelling of the middle elements only
-the lexicographically least is kept.
+table is full.  Every candidate is re-validated with ``check_axioms``.
+
+Of the fills that differ by a relabelling of the middle elements only the
+least is kept (tables compared in fill order, each row-major).  A fill is
+dropped once a table is complete and a relabelling that kept the earlier
+tables unchanged makes it smaller, since every completion then has a
+smaller relabelling too; those that keep it unchanged are passed on.
 
 Search bound: for the profiles where x + x = x is an axiom or derivable,
 the search also assumes that the unit is the additive top and that a + b
@@ -32,13 +36,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import islice, permutations, product
+from itertools import permutations, product
 from typing import Iterator, Optional
 
 from . import terms as tm
 from .algebra import (Equation, FiniteAlgebra, Profile, _compile, _law_vars,
-                      _relabel, _subterms, _Tables, check_axioms, check_phi,
-                      profile_axioms, required_ops)
+                      _subterms, check_axioms, check_phi, profile_axioms,
+                      required_ops)
 from .errors import BoundError, ModelError
 
 __all__ = ["find_models", "CONSTRAINTS", "SearchStats"]
@@ -72,9 +76,10 @@ class SearchStats:
 
     ``stages`` maps each stage the profile needs to ``[tried, pruned]``:
     the cell values tried (for ``tests``, the test sets with a complement)
-    and those a law refuted.  ``duplicates`` counts complete fills dropped
-    as relabellings of a smaller one, ``candidates`` the fills re-validated
-    with ``check_axioms`` and ``models`` the models yielded.
+    and those a law refuted.  ``duplicates`` counts the fills dropped as
+    relabellings of a smaller one, at whichever table's end (or at the test
+    set) that showed, ``candidates`` the fills re-validated with
+    ``check_axioms`` and ``models`` the models yielded.
     """
 
     stages: dict = field(default_factory=dict)
@@ -102,7 +107,9 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
     where + is idempotent, it visits only algebras whose unit is the
     additive top (see the module docstring).  After each cell the search
     checks the law instances that read it, so a partial fill is dropped as
-    soon as a law fails on the cells filled so far.  A ``SearchStats``
+    soon as a law fails on the cells filled so far, and once a table is
+    complete, as soon as a relabelling makes the tables so far smaller; of
+    each isomorphism class the least member is yielded.  A ``SearchStats``
     passed as ``stats`` is filled in as the search runs.
     """
     if isinstance(profile, str):
@@ -275,13 +282,17 @@ def _enumerate_models(n: int, profile: Profile,
         for k, (row, col, mrow, mcol, cell) in enumerate(cells):
             # the search bound: a + b is at or above a and b in carrier order
             lo = max(col, mcol) if stage.name == "plus" and idem else 0
+            last = k == len(cells) - 1
             steps.append((row, col, mrow, mcol, range(lo, n),
-                          stage.check(cell, k == 0, k == len(cells) - 1),
-                          counts))
+                          stage.check(cell, k == 0, last), counts,
+                          last and (table, stage.name == "plus" and idem)))
     choices = _test_choices(n) if tests_stage else (((), None),)
     ops = required_ops(profile)
+    # the relabellings of the middle elements but the identity, with inverses
+    perms = [(pi, tuple(sorted(range(n), key=pi.__getitem__)))
+             for pi in ((0, *p, one) for p in permutations(range(1, one)))][1:]
 
-    def candidates():
+    def candidates(perms):
         plus = tuple(tuple(row[:n]) for row in P[:n])
         times = tuple(tuple(row[:n]) for row in T[:n])
         star, adom, aran = (tuple(t[:n]) if op in ops else None
@@ -295,10 +306,14 @@ def _enumerate_models(n: int, profile: Profile,
                 if stage.each(*args) is not None:
                     counts[1] += 1
                     continue
-            if not _canonical(_Tables(n, tests_i, plus, times, star, adom, aran,
-                                      comp_i, is_test, 0, one), idem):
-                stats.duplicates += 1
-                continue
+
+                def key(pi):
+                    ts = sorted(tests_i, key=pi.__getitem__)
+                    return [pi[t] for t in ts], [pi[comp_i[t]] for t in ts]
+                mine = key(range(n))
+                if any(key(pi) < mine for pi, _ in perms):
+                    stats.duplicates += 1
+                    continue
             stats.candidates += 1
             yield FiniteAlgebra(
                 names, names[0], names[one], plus, times,
@@ -307,21 +322,25 @@ def _enumerate_models(n: int, profile: Profile,
                 complement=comp_i and {names[k]: names[v]
                                        for k, v in comp_i.items()})
 
-    def fill(k):
+    def fill(k, perms):
         if k == len(steps):
-            yield from candidates()
+            yield from candidates(perms)
             return
-        row, col, mrow, mcol, values, refuted, counts = steps[k]
+        row, col, mrow, mcol, values, refuted, counts, done = steps[k]
         for v in values:
             row[col] = mrow[mcol] = v
             counts[0] += 1
             if refuted(args):
                 counts[1] += 1
                 continue
-            yield from fill(k + 1)
+            kept = _stabiliser(*done, perms, n) if done else perms
+            if kept is None:
+                stats.duplicates += 1
+                continue
+            yield from fill(k + 1, kept)
         row[col] = mrow[mcol] = unknown
 
-    yield from fill(0)
+    yield from fill(0, perms)
 
 
 def _fix_cells(table, law, n, symmetric):
@@ -358,24 +377,25 @@ def _test_choices(n):
 # ---------------------------------------------------------------------------
 # canonical representatives
 
-def _canonical(tb: _Tables, idem: bool) -> bool:
-    """No relabelling of the middle elements gives smaller tables (one
-    that breaks the search's own order on + aside)."""
-    if tb.n < 4:
-        return True
-    mine = _model_key(tb)
-    r = range(tb.n)
-    for perm in islice(permutations(range(1, tb.n - 1)), 1, None):
-        pi = (0, *perm, tb.n - 1)
-        if idem and any(pi[tb.plus[i][j]] < max(pi[i], pi[j])
-                        for i in r for j in r):
-            continue
-        if _model_key(_relabel(tb, pi)) < mine:
-            return False
-    return True
-
-
-def _model_key(tb: _Tables) -> tuple:
-    comp = (None if tb.complement is None
-            else tuple(v for _, v in sorted(tb.complement.items())))
-    return tb.plus, tb.times, tb.star, tb.adom, tb.aran, tb.tests, comp
+def _stabiliser(table, bounded, perms, n):
+    """The relabellings that leave the table just completed unchanged, or
+    None if one makes it smaller, row-major as the tables are compared.
+    ``bounded`` first drops those that break the search's order on +."""
+    unary = not isinstance(table[0], list)
+    if bounded:
+        perms = [(pi, inv) for pi, inv in perms
+                 if all(pi[table[i][j]] >= max(pi[i], pi[j])
+                        for i in range(n) for j in range(n))]
+    kept = []
+    for pi, inv in perms:
+        for i in range(1 if unary else n):
+            mine, src = ((table[:n], table) if unary
+                         else (table[i][:n], table[inv[i]]))
+            new = [pi[src[j]] for j in inv]
+            if new != mine:
+                if new < mine:
+                    return None
+                break
+        else:
+            kept.append((pi, inv))
+    return kept

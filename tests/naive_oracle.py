@@ -6,7 +6,8 @@ The checkers walk every instance with the shared term evaluator through
 the index-level operations, in ``itertools.product`` order, and search
 every intermediate test r for phi: the direct reading of the definitions
 that the compiled law checker and the bitmask phi scan must reproduce
-exactly.  The model enumeration tries every table fill without pruning.
+exactly.  The model enumeration tries every table fill without pruning,
+and ``naive_is_least`` tries every relabelling of a complete model.
 ``NaiveEvPeriodicSet`` keeps head and residues as frozensets and computes
 every operation and canonical form one element at a time.  The model file
 loader and the squaring relation star are the versions the one-pass loader
@@ -17,13 +18,14 @@ grammar and ``findall`` that the one-pass split replaced.
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 from math import lcm
 
 from kadlab.algebra import (CheckReport, ClosureLaw, Equation, FiniteAlgebra,
                             PhiResult, Profile, Violation, _eval_idx,
-                            _require_profile_ops, check_axioms, is_isomorphic,
-                            profile_axioms, required_ops)
+                            _relabel, _require_profile_ops, _tables,
+                            check_axioms, is_isomorphic, profile_axioms,
+                            required_ops)
 from kadlab.errors import ModelError, ParseError
 from kadlab.relations import Rel
 from kadlab.terms import variables
@@ -259,6 +261,30 @@ def brute_force_models(n, profile):
                             and not any(is_isomorphic(model, m) for m in kept)):
                         kept.append(model)
     return kept
+
+
+def _model_key(tb):
+    comp = (None if tb.complement is None
+            else tuple(v for _, v in sorted(tb.complement.items())))
+    return (tuple(map(tuple, tb.plus)), tuple(map(tuple, tb.times)),
+            *(None if t is None else tuple(t) for t in (tb.star, tb.adom, tb.aran)),
+            tuple(tb.tests), comp)
+
+
+def naive_is_least(model, idem):
+    """No relabelling of the middle elements gives smaller tables (one that
+    breaks the search's order on + aside), comparing complete models only."""
+    tb = _tables(model)
+    mine = _model_key(tb)
+    r = range(tb.n)
+    for perm in islice(permutations(range(1, tb.n - 1)), 1, None):
+        pi = (0, *perm, tb.n - 1)
+        if idem and any(pi[tb.plus[i][j]] < max(pi[i], pi[j])
+                        for i in r for j in r):
+            continue
+        if _model_key(_relabel(tb, pi)) < mine:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
