@@ -118,7 +118,8 @@ def _law_cases(algebra, relations) -> dict:
 
 
 def _search_cases(algebra, search) -> dict:
-    """Per search layer, (size, the call, the ``SearchStats`` of one call)."""
+    """Per (search layer, size), the call and the ``SearchStats`` of one
+    call."""
     specs = [(size, p.value, None) for size in (3, 4) for p in algebra.Profile]
     for p in IDEMPOTENT:
         specs.append((5, p, None))
@@ -132,7 +133,7 @@ def _search_cases(algebra, search) -> dict:
         stats = search.SearchStats()
         call(stats)
         layer = f"find_models_{profile}" + (f"_{constraint}" if constraint else "")
-        cases[layer] = size, call, vars(stats)
+        cases[layer, size] = call, vars(stats)
     return cases
 
 
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, loops * count, [call], loops)
-    for layer, (size, call, stats) in _search_cases(algebra, search).items():
+    for (layer, size), (call, stats) in _search_cases(algebra, search).items():
         record("search", layer, size, 1, [call], 1, stats=stats)
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(records, indent=1) + "\n")
