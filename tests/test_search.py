@@ -147,6 +147,7 @@ def test_search_matches_brute_force_enumeration(profile):
 def test_stats_count_the_search():
     stats = SearchStats()
     models = list(find_models(4, Profile.KAT, "phi-fails", stats=stats))
+    assert list(stats.stages) == ["plus", "times", "star", "tests"]
     assert stats.models == len(models) < stats.candidates
     assert stats == SearchStats({"plus": [2, 0], "times": [64, 41],
                                  "star": [144, 108], "tests": [45, 35]},
@@ -183,7 +184,8 @@ def test_stats_are_pinned(size, profile, constraint, stages, duplicates,
 # 111 searches, 1,417 models.
 _SEARCHES = ([(size, profile, constraint) for profile in Profile
               for size in range(1, 6)
-              for constraint in (None,) + (CONSTRAINTS if profile in _PHI_CAPABLE else ())]
+              for constraint in ((None, *CONSTRAINTS)
+                                 if profile in _PHI_CAPABLE else (None,))]
              + [(6, Profile.KAD, None)])
 # SHA-256 over each search and the name and model file of every model it
 # yields, as the search gave them when it dropped relabellings only among
