@@ -16,6 +16,10 @@ the quartiles:
 - ``star``, ``box`` (R and a half-size test), ``aran``;
 - ``parse_rel_literal``: the printed form of such a relation (3n pairs).
 
+The Hoare layer (workload ``hoare``) times ``denote`` (layer ``denote``) at
+the same state counts, on seeded if/while programs of nesting depth 2 over
+two such relations and two such tests, each input with its own bindings.
+
 The law layer (workload ``laws``, size 16, the carrier of ``rel2``) times
 ``check_axioms(rel2, profile)`` for every profile (``rel2`` has all their
 operations), as layer ``check_axioms_<profile>``, and ``check_phi(rel2)``; its
@@ -34,11 +38,12 @@ the ``SearchStats`` of the call under ``stats``.
 Each record holds workload, layer, size, instances (operations per run),
 seconds (median per run), seconds_q1 and seconds_q3 (the quartiles of the
 runs), rate (instances / seconds), the Python version, and the commit and
-a hash of the ``kadlab`` sources it timed.  ``probe_s`` is the mean of the
-median speed probe (``perfbench/speed.py``) taken just before and just
-after the layer's runs, and ``seconds_ref`` the median rescaled by it to
-the probe's reference speed, so that host drift between two files can be
-told from a change to the layer.
+a hash of the ``kadlab`` sources it timed.  Just before each timed run the
+median of nine speed probes (``perfbench/speed.py``) is taken, and the run
+is rescaled by it to the probe's reference speed.  ``probe_s`` is the
+median of those probes and ``seconds_ref`` the median of the rescaled
+runs, so that host drift between two files, and within one layer's runs,
+can be told from a change to the layer.
 """
 
 from __future__ import annotations
@@ -72,21 +77,25 @@ IDEMPOTENT = ("dioid", "kleene", "ts", "kat", "as", "kad", "ars", "kadr")
 PHI_CAPABLE = ("ts", "kat", "as", "kad", "kadr")
 
 
+def _rel(Rel, space, rng: random.Random):
+    """A random relation with ``DEGREE`` successors per state."""
+    n, names = space.size, space.names
+    return Rel.from_pairs(space, [(names[i], names[j]) for i in range(n)
+                                  for j in rng.sample(range(n), min(DEGREE, n))])
+
+
+def _test(Rel, space, rng: random.Random):
+    """A random test on half the states."""
+    return Rel.test_from_states(space, rng.sample(space.names, space.size // 2))
+
+
 def _cases(kadlab_relations, n: int, rng: random.Random) -> dict:
     """Per layer, the zero-argument calls of one loop over the inputs."""
     Rel, StateSpace = kadlab_relations.Rel, kadlab_relations.StateSpace
     parse, fmt = kadlab_relations.parse_rel_literal, kadlab_relations.format_rel
     space = StateSpace.of_size(n)
-    names = space.names
-
-    def rel():
-        return Rel.from_pairs(space, [(names[i], names[j]) for i in range(n)
-                                      for j in rng.sample(range(n), min(DEGREE, n))])
-
-    def test():
-        return Rel.test_from_states(space, rng.sample(names, n // 2))
-
-    rels = [(rel(), rel(), test()) for _ in range(INPUTS)]
+    rels = [(_rel(Rel, space, rng), _rel(Rel, space, rng),
+             _test(Rel, space, rng)) for _ in range(INPUTS)]
     texts = [fmt(r) for r, _, _ in rels]
     return {
         "compose": [lambda r=r, s=s: r.compose(s) for r, s, _ in rels],
@@ -97,6 +106,31 @@ def _cases(kadlab_relations, n: int, rng: random.Random) -> dict:
         "aran": [r.aran for r, _, _ in rels],
         "parse_rel_literal": [lambda text=text: parse(space, text) for text in texts],
     }
+
+
+def _program(rng: random.Random, depth: int) -> str:
+    """A seeded program text over atoms x, y and tests p, q."""
+    if depth == 0:
+        return rng.choice(("x", "y", "skip"))
+    guard = rng.choice(("p", "q", "!p", "p ; !q", "p + q"))
+    first, second = _program(rng, depth - 1), _program(rng, depth - 1)
+    return rng.choice((f"if {guard} then {first} else {second} fi",
+                       f"while {guard} do {first} ; {second} od",
+                       f"{first} ; {second}"))
+
+
+def _denote_cases(relations, hoare, n: int, rng: random.Random) -> list:
+    """The zero-argument ``denote`` calls of one loop over the inputs."""
+    Rel, space = relations.Rel, relations.StateSpace.of_size(n)
+    calls = []
+    for _ in range(INPUTS):
+        bindings = hoare.Bindings(
+            space, {"x": _rel(Rel, space, rng), "y": _rel(Rel, space, rng)},
+            {"p": _test(Rel, space, rng), "q": _test(Rel, space, rng)})
+        prog = hoare.parse_program(_program(rng, 2), bindings.atoms,
+                                   bindings.tests)
+        calls.append(functools.partial(hoare.denote, prog, bindings))
+    return calls
 
 
 def _law_cases(algebra, relations) -> dict:
@@ -142,20 +176,21 @@ def _probe() -> float:
     return sorted(probe() for _ in range(9))[4]
 
 
-def _time(calls, loops: int) -> tuple[float, float, float]:
-    """Quartiles (q1, median, q3) of the seconds of ``RUNS`` runs of
-    ``loops`` passes over the calls, after one untimed pass."""
+def _time(calls, loops: int) -> tuple[list, list]:
+    """The seconds of ``RUNS`` runs of ``loops`` passes over the calls,
+    after one untimed pass, and the probe (``_probe``) taken just before
+    each run."""
     for call in calls:
         call()
-    seconds = []
+    seconds, probes = [], []
     for _ in range(RUNS):
+        probes.append(_probe())
         t0 = time.perf_counter()
         for _ in range(loops):
             for call in calls:
                 call()
         seconds.append(time.perf_counter() - t0)
-    q1, median, q3 = statistics.quantiles(seconds, n=4)
-    return q1, median, q3
+    return seconds, probes
 
 
 def _commit(src: Path) -> str:
@@ -183,28 +218,31 @@ def main(argv=None) -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from kadlab import algebra, relations, search
+    from kadlab import algebra, hoare, relations, search
 
     common = {"python": platform.python_version(), "commit": _commit(src),
               "source_sha1": _source_hash(src / "kadlab")}
     records = []
 
     def record(workload, layer, size, instances, calls, loops, **extra):
-        before = _probe()
-        q1, seconds, q3 = _time(calls, loops)
-        probe_s = (before + _probe()) / 2
+        runs, probes = _time(calls, loops)
+        q1, seconds, q3 = statistics.quantiles(runs, n=4)
+        rescaled = list(map(rescale, runs, probes))
         records.append({"workload": workload, **common, "layer": layer,
                         "size": size, "instances": instances,
                         "seconds": seconds, "seconds_q1": q1,
                         "seconds_q3": q3, "rate": instances / seconds,
-                        "probe_s": probe_s,
-                        "seconds_ref": rescale(seconds, probe_s), **extra})
+                        "probe_s": statistics.median(probes),
+                        "seconds_ref": statistics.median(rescaled), **extra})
         print(f"{layer:30} n={size:<4} {seconds / instances * 1e6:12.3f} us/op")
 
     for n in SIZES:
         cases = _cases(relations, n, random.Random(f"layers:{n}"))
         for layer, calls in cases.items():
             record("relations", layer, n, LOOPS[n] * len(calls), calls, LOOPS[n])
+    for n in SIZES:
+        calls = _denote_cases(relations, hoare, n, random.Random(f"denote:{n}"))
+        record("hoare", "denote", n, LOOPS[n] * len(calls), calls, LOOPS[n])
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, loops * count, [call], loops)

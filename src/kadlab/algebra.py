@@ -991,7 +991,7 @@ def near_as_model() -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (used for duplicate detection in searches and in tests)
+# isomorphism (a library check; the tests compare searched models with it)
 
 def _relabel(tb: _Tables, pi: Sequence[int]) -> _Tables:
     """The same tables with every element i renamed pi[i]."""

@@ -4,7 +4,7 @@ Programs are read in the KAT encoding: ``skip`` is 1, ``if t then x else
 y fi`` is t;X + !t;Y and ``while t do x od`` is (t;X)* ; !t.  Guards,
 assertions and invariants are test-sorted terms of ``kadlab.terms`` over
 the declared tests, so ``denote`` and ``eval_test`` are term evaluation in
-the relation model of the state space.  A triple {p} x {q} holds iff
+the relation algebra of the state space.  A triple {p} x {q} holds iff
 p ; X ; !q is empty, equivalently iff p <= [X]q = a(X ; a(q)), the weakest
 liberal precondition; it is decided in the second form, which needs no
 relation product (the box is a mask over X's rows).  ``while`` loops may
@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 from . import terms as tm
 from .algebra import _eval_idx
 from .errors import EvalError, KadlabError, ModelError, ParseError, SortError
-from .relations import Rel, RelModel, StateSpace
+from .relations import Rel, StateSpace
 
 __all__ = [
     "Program", "Skip", "Atom", "Seq", "If", "While",
@@ -117,10 +117,11 @@ class Bindings:
                 raise ModelError(f"test {name!r} lives on a different space")
             if not rel.is_subidentity():
                 raise ModelError(f"test {name!r} is not a subidentity")
-        # built once, not per evaluation: the relation model and the bit
-        # patterns that atoms (element variables) and tests denote in it
+        # built once, not per evaluation: the relation algebra (the space)
+        # and the bit patterns that atoms (element variables) and tests
+        # denote in it
         object.__setattr__(self, "_eval_args", (
-            RelModel(self.space), {k: r.bits for k, r in self.atoms.items()},
+            self.space, {k: r.bits for k, r in self.atoms.items()},
             {k: r.bits for k, r in self.tests.items()}))
 
 
@@ -251,10 +252,10 @@ def _encode(prog: Program) -> tm.Term:
 
 
 def eval_test(expr: tm.Term, bindings: Bindings) -> Rel:
-    """Evaluate a term in the relation model of the bindings."""
-    model, venv, tenv = bindings._eval_args
+    """Evaluate a term in the relation algebra of the bindings' space."""
+    space, venv, tenv = bindings._eval_args
     try:
-        return Rel(bindings.space, _eval_idx(model, expr, venv, tenv))
+        return Rel(space, _eval_idx(space, expr, venv, tenv))
     except EvalError as e:
         raise ModelError(str(e)) from None
 

@@ -10,10 +10,11 @@ rows of the first that reach it, and closes transitively the same way,
 one row at a time.  Tests are subidentities, and a composition with a test
 is a mask, not a product: t ; R keeps the rows of R at t's states and
 R ; t keeps its columns there.  Relation literals are split into pairs by
-one regular-expression pass.  ``RelModel`` is the relation algebra on
-bit patterns, computed on demand for term evaluation at any state count;
-``rel_algebra_model`` tabulates it into a ``FiniteAlgebra`` for checks,
-up to 3 states (512 elements).
+one regular-expression pass.  A ``StateSpace`` is the relation algebra on
+its bit patterns: term evaluation runs on its operations at any state
+count, ``Rel`` wraps them with a space check, and ``rel_algebra_model``
+tabulates them into a ``FiniteAlgebra`` for checks, up to 3 states (512
+elements).
 """
 
 from __future__ import annotations
@@ -26,13 +27,21 @@ from typing import Iterable, Iterator
 from .algebra import FiniteAlgebra
 from .errors import BoundError, EvalError, ModelError, ParseError
 
-__all__ = ["StateSpace", "Rel", "RelModel", "parse_rel_literal",
-           "rel_algebra_model", "all_relations"]
+__all__ = ["StateSpace", "Rel", "parse_rel_literal", "rel_algebra_model",
+           "all_relations"]
 
 
 @dataclass(frozen=True)
 class StateSpace:
+    """Named states, and the full relation algebra on their bit patterns.
+
+    Element i is the relation with bit pattern i, and the operations are
+    those that term evaluation calls, so terms evaluate here at any state
+    count.
+    """
+
     names: tuple[str, ...]
+    zero_i = 0
 
     def __init__(self, names: Iterable[str]):
         names = tuple(str(n) for n in names)
@@ -59,6 +68,40 @@ class StateSpace:
             return self._positions[name]
         except KeyError:
             raise ModelError(f"unknown state {name!r}") from None
+
+    # -- the relation algebra on bit patterns ---------------------------------
+    @cached_property
+    def one_i(self) -> int:
+        return _spaced(self.size, self.size + 1)
+
+    def element_name(self, i: int) -> str:
+        names = self.names
+        return "{" + ",".join(f"({names[a]},{names[b]})"
+                              for a, b in _edges(i, self.size)) + "}"
+
+    def plus(self, i: int, j: int) -> int:
+        return i | j
+
+    def times(self, i: int, j: int) -> int:
+        return _compose(i, j, self.size)
+
+    def star(self, i: int) -> int:
+        return _closure(i | self.one_i, self.size)
+
+    def adom(self, i: int) -> int:
+        """Subidentity on the states with no outgoing edge."""
+        return _within(i, self.size, 0)
+
+    def aran(self, i: int) -> int:
+        """Subidentity on the states with no incoming edge."""
+        n = self.size
+        return _diagonal(_reached(i, n) ^ (1 << n) - 1, n)
+
+    def complement(self, i: int) -> int:
+        if i & ~self.one_i:
+            raise EvalError(
+                f"complement of non-test element {self.element_name(i)!r}")
+        return self.one_i & ~i
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +208,7 @@ class Rel:
         rows, positions = [0] * space.size, space._positions
         try:
             for a, b in pairs:
-                rows[positions[str(a)]] |= 1 << positions[str(b)]
+                rows[positions[a]] |= 1 << positions[b]
         except KeyError as e:
             raise ModelError(f"unknown state {e.args[0]!r}") from None
         return cls(space, _pack(rows, space.size))
@@ -176,7 +219,7 @@ class Rel:
 
     @classmethod
     def identity(cls, space: StateSpace) -> "Rel":
-        return cls(space, _spaced(space.size, space.size + 1))
+        return cls(space, space.one_i)
 
     @classmethod
     def full(cls, space: StateSpace) -> "Rel":
@@ -196,7 +239,7 @@ class Rel:
         return self.bits == 0
 
     def is_subidentity(self) -> bool:
-        return self.bits & ~_spaced(self.space.size, self.space.size + 1) == 0
+        return self.bits & ~self.space.one_i == 0
 
     def __str__(self):
         return format_rel(self)
@@ -220,7 +263,7 @@ class Rel:
 
     def compose(self, other: "Rel") -> "Rel":
         self._same_space(other)
-        return Rel(self.space, _compose(self.bits, other.bits, self.space.size))
+        return Rel(self.space, self.space.times(self.bits, other.bits))
 
     def leq(self, other: "Rel") -> bool:
         self._same_space(other)
@@ -235,13 +278,11 @@ class Rel:
 
     def adom(self) -> "Rel":
         """Subidentity on the states with no outgoing edge."""
-        return Rel(self.space, _within(self.bits, self.space.size, 0))
+        return Rel(self.space, self.space.adom(self.bits))
 
     def aran(self) -> "Rel":
         """Subidentity on the states with no incoming edge."""
-        n = self.space.size
-        unreached = _reached(self.bits, n) ^ (1 << n) - 1
-        return Rel(self.space, _diagonal(unreached, n))
+        return Rel(self.space, self.space.aran(self.bits))
 
     def dom(self) -> "Rel":
         return self.adom().adom()
@@ -250,16 +291,13 @@ class Rel:
         return self.aran().aran()
 
     def star(self) -> "Rel":
-        n = self.space.size
-        reflexive = self.bits | _spaced(n, n + 1)
-        return Rel(self.space, _closure(reflexive, n))
+        return Rel(self.space, self.space.star(self.bits))
 
     def complement_test(self) -> "Rel":
         """Complement within the test algebra; defined on subidentities."""
         if not self.is_subidentity():
             raise ModelError("test complement of a non-subidentity relation")
-        n = self.space.size
-        return Rel(self.space, _spaced(n, n + 1) & ~self.bits)
+        return Rel(self.space, self.space.complement(self.bits))
 
     def box(self, post: "Rel") -> "Rel":
         """Weakest liberal precondition a(R ; a(post)) as a subidentity: the
@@ -305,49 +343,7 @@ def parse_rel_literal(space: StateSpace, text: str) -> Rel:
 
 
 def format_rel(r: Rel) -> str:
-    names = r.space.names
-    return "{" + ",".join(f"({names[i]},{names[j]})"
-                          for i, j in _edges(r.bits, r.space.size)) + "}"
-
-
-# ---------------------------------------------------------------------------
-# the relation model
-
-class RelModel:
-    """The full relation algebra on a space, computed on demand.
-
-    Element index == bit pattern, and the operations are those that term
-    evaluation calls, so terms evaluate in it at any state count.
-    """
-
-    def __init__(self, space: StateSpace):
-        self.space = space
-        self.zero_i = 0
-        self.one_i = Rel.identity(space).bits
-
-    def element_name(self, i: int) -> str:
-        return format_rel(Rel(self.space, i))
-
-    def plus(self, i: int, j: int) -> int:
-        return i | j
-
-    def times(self, i: int, j: int) -> int:
-        return Rel(self.space, i).compose(Rel(self.space, j)).bits
-
-    def star(self, i: int) -> int:
-        return Rel(self.space, i).star().bits
-
-    def adom(self, i: int) -> int:
-        return Rel(self.space, i).adom().bits
-
-    def aran(self, i: int) -> int:
-        return Rel(self.space, i).aran().bits
-
-    def complement(self, i: int) -> int:
-        if i & ~self.one_i:
-            raise EvalError(
-                f"complement of non-test element {self.element_name(i)!r}")
-        return self.one_i & ~i
+    return r.space.element_name(r.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +363,15 @@ def rel_algebra_model(size: int) -> FiniteAlgebra:
         raise BoundError(
             f"relation algebra over {size} states has 2^{size * size} "
             f"elements; the export bound is {_MAX_STATES} states")
-    model = RelModel(StateSpace.of_size(size))
+    space = StateSpace.of_size(size)
     r = range(1 << size * size)
     # table entries share one int object per element: at 3 states, fresh
     # ints in the 512 x 512 tables would hold about 13 MB more
     element = tuple(r)
-    carrier = tuple(map(model.element_name, r))
+    carrier = tuple(map(space.element_name, r))
     return FiniteAlgebra(
-        carrier, carrier[0], carrier[model.one_i],
+        carrier, carrier[0], carrier[space.one_i],
         [[element[i | j] for j in r] for i in r],
         [[element[_compose(i, j, size)] for j in r] for i in r],
-        star=list(map(model.star, r)), adom=list(map(model.adom, r)),
-        aran=list(map(model.aran, r)), name=f"rel{size}")
+        star=list(map(space.star, r)), adom=list(map(space.adom, r)),
+        aran=list(map(space.aran, r)), name=f"rel{size}")

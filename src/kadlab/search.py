@@ -55,10 +55,9 @@ _IDEMPOTENT = frozenset({
     Profile.AS, Profile.KAD, Profile.ARS, Profile.KA_DR,
 })
 
-_PHI_CAPABLE = frozenset({
-    Profile.TS, Profile.KAT, Profile.AS, Profile.NEAR_AS,
-    Profile.KAD, Profile.KA_DR,
-})
+# phi quantifies over tests: the profiles with a test algebra or an antidomain
+_PHI_CAPABLE = frozenset(p for p in Profile
+                         if required_ops(p) & {"tests", "adom"})
 
 _MIDDLE_NAMES = "abcdefgh"
 

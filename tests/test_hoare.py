@@ -11,7 +11,7 @@ from kadlab.hoare import (Atom, Bindings, HoareTriple, If, PremiseError, Seq,
                           Skip, While, denote, eval_test, holds,
                           parse_program, parse_test_expr, synth_mid, vcgen,
                           wlp)
-from kadlab.relations import Rel, RelModel, StateSpace, rel_algebra_model
+from kadlab.relations import Rel, StateSpace, rel_algebra_model
 from kadlab.terms import (MAX_DEPTH, ONE, ZERO, Not, Plus, Times, desugar,
                           parse_term)
 from kadlab.terms import TestVar as TV
@@ -239,12 +239,12 @@ def _rule(name):
 
 def _at(law, space, **binds):
     """(all premises hold, conclusion holds) of the law in the relation
-    model of the space, its variables bound to the given relations."""
-    model, env = RelModel(space), {k: rel.bits for k, rel in binds.items()}
+    algebra of the space, its variables bound to the given relations."""
+    env = {k: rel.bits for k, rel in binds.items()}
 
     def leq(s, t):
-        s, t = (_eval_idx(model, u, env, env) for u in (s, t))
-        return model.plus(s, t) == t
+        s, t = (_eval_idx(space, u, env, env) for u in (s, t))
+        return space.plus(s, t) == t
 
     return all(leq(*pair) for pair in law.premises), leq(*law.conclusion)
 

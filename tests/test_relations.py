@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,8 @@ from kadlab.errors import (BoundError, EvalError, KadlabError, ModelError,
                            ParseError)
 from kadlab.evsets import parse_evset
 from kadlab.hoare import _triple_holds
-from kadlab.relations import (Rel, RelModel, StateSpace, all_relations,
-                              format_rel, parse_rel_literal,
-                              rel_algebra_model)
+from kadlab.relations import (Rel, StateSpace, all_relations, format_rel,
+                              parse_rel_literal, rel_algebra_model)
 from kadlab.terms import (ADom, ARan, Box, Dom, Env, Not, ONE, Plus, Star,
                           Times, Var, ZERO, desugar, parse_term)
 from kadlab.terms import TestVar as TV  # alias keeps pytest collection quiet
@@ -111,6 +112,35 @@ def test_box_requires_subidentity():
 def test_space_mismatch():
     with pytest.raises(ModelError):
         Rel.empty(S2).compose(Rel.empty(S3))
+
+
+def test_state_names_are_looked_up_as_given():
+    # the int 1 is not the state named "1"
+    for pairs in ([(1, "2")], [("1", 2)], [("1", "9")]):
+        with pytest.raises(ModelError, match="unknown state"):
+            Rel.from_pairs(S2, pairs)
+    with pytest.raises(ModelError, match="unknown state 1"):
+        Rel.test_from_states(S2, [1])
+
+
+def test_trace_recorder_wraps_the_rel_methods():
+    # perfbench's span recorder wraps Rel's operations by name from the
+    # class body; a method defined elsewhere would make install() fail
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = dict(vars(Rel))
+    rec = tracing.Recorder()
+    rec.install()
+    try:
+        r = Rel.from_pairs(S2, [("1", "2")])
+        assert r.compose(r).star() == Rel.identity(S2)
+        assert rec.calls["relations.compose"] == 1
+        assert rec.calls["relations.star"] == 1
+    finally:
+        rec.uninstall()
+    assert dict(vars(Rel)) == before
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +382,7 @@ def test_row_view_matches_pair_set_oracles(rels):
             == o_compose(o_compose(q_pairs, pairs), u_pairs))
     assert (q.compose(u).pairs() == o_compose(q_pairs, u_pairs)
             == q_pairs & u_pairs)
-    assert RelModel(r.space).times(q.bits, u.bits) == (q & u).bits
+    assert r.space.times(q.bits, u.bits) == (q & u).bits
 
 
 @settings(deadline=None)
@@ -482,7 +512,7 @@ def test_evaluate_in_rel3(rel3):
 
 
 REL2 = rel_algebra_model(2)
-REL2_MODEL = RelModel(StateSpace.of_size(2))
+REL2_SPACE = StateSpace.of_size(2)
 
 _rel2_terms = st.recursive(
     st.one_of(st.just(ZERO), st.just(ONE),
@@ -503,10 +533,10 @@ _rel2_tests = st.sampled_from(REL2.tests_i)
 @given(_rel2_terms, st.integers(0, 15), st.integers(0, 15),
        _rel2_tests, _rel2_tests)
 def test_tabulated_rel2_agrees_with_relation_model(t, x, y, p, q):
-    # element i is bit pattern i in both models
+    # element i is bit pattern i in the table and in the space's operations
     venv, tenv = {"x": x, "y": y}, {"p": p, "q": q}
     results = []
-    for model in (REL2, REL2_MODEL):
+    for model in (REL2, REL2_SPACE):
         try:
             results.append(model.element_name(_eval_idx(model, t, venv, tenv)))
         except EvalError as e:   # complement of a non-test, on both sides
