@@ -1,4 +1,4 @@
-"""Per-layer timings of the relation and law layers, into BENCH_<label>.json.
+"""Per-layer timings of kadlab's layers, into BENCH_<label>.json.
 
 Usage, from the repository root:
 
@@ -34,6 +34,13 @@ run for each of the 40 (size, profile, constraint) jobs of perfbench's
 ``search`` workload and for near-as at size 5, as layer
 ``find_models_<profile>[_<constraint>]`` at the carrier size, and records
 the ``SearchStats`` of the call under ``stats``.
+
+The evsets layer (workload ``nonexpressivity``) times
+``refute_wlp_candidate`` then ``verify_refutation`` on each of the first
+500 candidates of the evens and of a seeded period-12 target (layers
+``refute_verify_evens`` and ``refute_verify_p12``, size 500), and
+``union``, ``intersect``, ``difference`` and ``leq`` on 64 seeded pairs of
+sets with thresholds up to 8 and periods up to 12 (size 12).
 
 Each record holds workload, layer, size, instances (operations per run),
 seconds (median per run), seconds_q1 and seconds_q3 (the quartiles of the
@@ -72,6 +79,8 @@ RUNS = 7
 DEGREE = 3
 # loops per run of each law-layer call (a few milliseconds each on rel2)
 LAW_LOOPS = 10
+# loops per run over the set-operation pairs
+SETOP_LOOPS = 50
 # the search workload's profiles with + idempotent, and those with tests
 IDEMPOTENT = ("dioid", "kleene", "ts", "kat", "as", "kad", "ars", "kadr")
 PHI_CAPABLE = ("ts", "kat", "as", "kad", "kadr")
@@ -171,6 +180,36 @@ def _search_cases(algebra, search) -> dict:
     return cases
 
 
+def _evset(evsets, rng: random.Random, period: int, residues: int):
+    """A seeded set: threshold up to 8, a random head, ``residues`` residues."""
+    threshold = rng.randint(0, 8)
+    head = [k for k in range(threshold) if rng.random() < 0.5]
+    return evsets.EvPeriodicSet(threshold, head, period,
+                                rng.sample(range(period), residues))
+
+
+def _evset_cases(evsets) -> dict:
+    """Per evsets layer, (size, loops per run, the zero-argument calls of
+    one loop)."""
+    rng = random.Random("evsets")
+    cases = {}
+    for name, target in (("evens", evsets.evens()),
+                         ("p12", _evset(evsets, rng, 12, 5))):
+        cases[f"refute_verify_{name}"] = 500, 1, [
+            lambda c=c, t=target: evsets.verify_refutation(
+                t, c, evsets.refute_wlp_candidate(t, c))
+            for c in evsets.enumerate_candidates(target, 500)]
+    pairs = []
+    for _ in range(INPUTS * 4):
+        p, q = rng.randint(1, 12), rng.randint(1, 12)
+        pairs.append((_evset(evsets, rng, p, rng.randint(0, p)),
+                      _evset(evsets, rng, q, rng.randint(0, q))))
+    for op in ("union", "intersect", "difference", "leq"):
+        cases[op] = 12, SETOP_LOOPS, [functools.partial(getattr(a, op), b)
+                                      for a, b in pairs]
+    return cases
+
+
 def _probe() -> float:
     """The median of nine speed probes."""
     return sorted(probe() for _ in range(9))[4]
@@ -218,7 +257,7 @@ def main(argv=None) -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from kadlab import algebra, hoare, relations, search
+    from kadlab import algebra, evsets, hoare, relations, search
 
     common = {"python": platform.python_version(), "commit": _commit(src),
               "source_sha1": _source_hash(src / "kadlab")}
@@ -248,6 +287,8 @@ def main(argv=None) -> int:
         record("laws", layer, size, loops * count, [call], loops)
     for (layer, size), (call, stats) in _search_cases(algebra, search).items():
         record("search", layer, size, 1, [call], 1, stats=stats)
+    for layer, (size, loops, calls) in _evset_cases(evsets).items():
+        record("nonexpressivity", layer, size, loops * len(calls), calls, loops)
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {out}")

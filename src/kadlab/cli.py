@@ -293,9 +293,9 @@ def _demo_nonexpressivity(args):
             desc = (f"not maximal, add {verdict.missing} -> "
                     f"{evsets.format_evset(verdict.extension)}")
         refuted += ok
-        entries.append({"candidate": evsets.format_evset(cand),
-                        "verdict": desc, "verified": ok})
-        lines.append(f"  {i}. {evsets.format_evset(cand)} : {desc}"
+        shown = evsets.format_evset(cand)
+        entries.append({"candidate": shown, "verdict": desc, "verified": ok})
+        lines.append(f"  {i}. {shown} : {desc}"
                      + ("" if ok else " [verification FAILED]"))
     all_ok = refuted == count
     lines.append(f"refuted and verified: {refuted}/{count}")

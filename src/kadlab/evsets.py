@@ -2,17 +2,21 @@
 
 A set is a threshold n, a period p and two bit patterns held in ints: bit
 k < n of the head says whether k is a member, bit c < p of the residues
-whether every k >= n with k % p == c is.  Values are canonical (minimal
-period by rotating the residues, then minimal threshold: the bit length
-of the head XOR the repeated residues), so equality is structural.
-Operations lift both sets to the lcm period (a repunit product) and the
-larger threshold, then apply one int operation each.  The sets form a
-countable algebra closed under union, intersection and complement, with
-sets neither finite nor cofinite (the evens) and the trivial star sending
-every set to the full one: the environment needed to refute proposed
-weakest liberal preconditions from the finite-or-cofinite test algebra,
-as any candidate disjoint from an infinite, co-infinite target is finite
-and grows by one fresh element while staying disjoint.
+whether every k >= n with k % p == c is.  Values are canonical, so
+equality is structural: the least period is the first offset at which the
+p-bit residue word recurs in the word written twice, and the least
+threshold is the bit length of the head XOR the repeated residues.
+Operations lift both sets to the larger threshold and the lcm period,
+then apply one int operation each; a residue pattern is repeated (a
+repunit product) only where the lift asks for more than one period, and
+a period of 1 is all or nothing.  Order tests use the lifted bits and
+build no set.  The sets form a countable algebra closed under union,
+intersection and complement, with sets neither finite nor cofinite (the
+evens) and the trivial star sending every set to the full one: the
+environment needed to refute proposed weakest liberal preconditions from
+the finite-or-cofinite test algebra, as any candidate disjoint from an
+infinite, co-infinite target is finite and grows by one fresh element
+while staying disjoint.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import isqrt, lcm
+from math import lcm
+from operator import and_, or_
 from typing import Iterator, Optional
 
 from .errors import ModelError, ParseError
@@ -39,16 +44,23 @@ def _mask(width: int) -> int:
 
 def _tail(res: int, period: int, below: int) -> int:
     """The residue bits repeated from 0 (times a repunit), cut at ``below``."""
+    if below <= period:
+        return res & _mask(below)
+    if period == 1:
+        return res * _mask(below)
     return res * (_mask(-(-below // period) * period) // _mask(period)) & _mask(below)
 
 
-def _rotate(bits: int, by: int, width: int) -> int:
-    """Bit c of the result is bit (c + by) % width of ``bits``."""
-    return (bits >> by | bits << (width - by)) & _mask(width)
+def _without(a: int, b: int) -> int:
+    return a & ~b
+
+
+_ONE = re.compile("1")
 
 
 def _members(bits: int) -> list:
-    return [m.start() for m in re.finditer("1", bin(bits)[:1:-1])]
+    """The positions of the set bits, lowest first, in one C-level scan."""
+    return list(map(re.Match.start, _ONE.finditer(bin(bits)[:1:-1])))
 
 
 def _bits(elements, bound: int, message: str) -> int:
@@ -63,9 +75,9 @@ def _bits(elements, bound: int, message: str) -> int:
 
 def _canonical(n: int, head: int, p: int, res: int, s=None) -> "EvPeriodicSet":
     """Store the canonical form of (n, head, p, res) in ``s`` or a new set."""
-    d = min(d for i in range(1, isqrt(p) + 1) if p % i == 0 for d in (i, p // i)
-            if _rotate(res, d, p) == res)
-    res, p = res & _mask(d), d
+    word = format(res, f"0{p}b")
+    p = (word + word).find(word, 1)     # the least rotation fixing it divides p
+    res &= _mask(p)
     n = (head ^ _tail(res, p, n)).bit_length()
     s = object.__new__(EvPeriodicSet) if s is None else s
     s.__dict__.update(threshold=n, _head=head & _mask(n), period=p, _res=res)
@@ -112,13 +124,14 @@ class EvPeriodicSet:
         return not self._head and not self._res
 
     def least(self) -> Optional[int]:
-        n, p = self.threshold, self.period
-        bits = self._head or _rotate(self._res, n % p, p) << n
+        bits = self._head or self._prefix(self.threshold + self.period)
         return (bits & -bits).bit_length() - 1 if bits else None
 
     def _prefix(self, below: int) -> int:
         """The membership bits of 0 .. below - 1: the head, then the tail."""
         n = self.threshold
+        if below <= n:
+            return self._head & _mask(below)
         tail = _tail(self._res, self.period, below) >> n << n
         return (self._head | tail) & _mask(below)
 
@@ -129,28 +142,31 @@ class EvPeriodicSet:
         return format_evset(self)
 
     # -- boolean algebra --------------------------------------------------------
-    def _combine(self, other: "EvPeriodicSet", op) -> "EvPeriodicSet":
-        p = lcm(self.period, other.period)
+    def _lift(self, other: "EvPeriodicSet", op) -> tuple:
+        """``op`` on both sets lifted to the larger threshold and the lcm
+        period, as an uncanonical (threshold, head, period, residues)."""
         n = max(self.threshold, other.threshold)
-        return _canonical(n, op(self._prefix(n), other._prefix(n)), p,
-                          op(_tail(self._res, self.period, p),
-                             _tail(other._res, other.period, p)))
+        p = lcm(self.period, other.period)
+        return (n, op(self._prefix(n), other._prefix(n)), p,
+                op(_tail(self._res, self.period, p),
+                   _tail(other._res, other.period, p)))
 
     def union(self, other):
-        return self._combine(other, lambda a, b: a | b)
+        return _canonical(*self._lift(other, or_))
 
     def intersect(self, other):
-        return self._combine(other, lambda a, b: a & b)
+        return _canonical(*self._lift(other, and_))
 
     def difference(self, other):
-        return self._combine(other, lambda a, b: a & ~b)
+        return _canonical(*self._lift(other, _without))
 
     def complement(self) -> "EvPeriodicSet":
         return _canonical(self.threshold, self._head ^ _mask(self.threshold),
                           self.period, self._res ^ _mask(self.period))
 
     def leq(self, other) -> bool:
-        return self.difference(other).is_empty
+        _, head, _, res = self._lift(other, _without)
+        return not head | res
 
     __or__ = union
     __and__ = intersect
@@ -245,16 +261,18 @@ def enumerate_candidates(target: EvPeriodicSet, count: int) -> Iterator[EvPeriod
     These are the finite sets of the target's non-members below a universe
     sized off the target's period, by size then lexicographically.  Every
     period past the threshold holds a non-member, so the universe holds at
-    least 4 * count: the empty set and the singletons already suffice.
+    least ``count`` of them: the empty set and the singletons suffice.
     """
     if in_test_algebra(target):
         raise ModelError("target must be neither finite nor cofinite")
     if count < 0:
         raise ModelError("candidate count must be nonnegative")
-    universe = max(64, target.threshold + 4 * count * target.period)
+    universe = max(64, target.threshold + count * target.period)
     free = _members(~target._prefix(universe) & _mask(universe))
-    yield from islice((finite_set(combo) for size in range(len(free) + 1)
-                       for combo in combinations(free, size)), count)
+    heads = (sum(map((1).__lshift__, combo)) for size in range(len(free) + 1)
+             for combo in combinations(free, size))
+    for head in islice(heads, count):
+        yield _canonical(head.bit_length(), head, 1, 0)
 
 
 # ---------------------------------------------------------------------------

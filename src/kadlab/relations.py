@@ -22,10 +22,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .algebra import FiniteAlgebra
 from .errors import BoundError, EvalError, ModelError, ParseError
+from .evsets import _members
 
 __all__ = ["StateSpace", "Rel", "parse_rel_literal", "rel_algebra_model",
            "all_relations"]
@@ -190,11 +192,7 @@ def _within(bits: int, n: int, allowed: int) -> int:
 
 def _edges(bits: int, n: int) -> Iterator[tuple[int, int]]:
     """The index pairs (i, j) with i -> j, in row-major order."""
-    for i, row in enumerate(_rows(bits, n)):
-        while row:
-            low = row & -row
-            yield i, low.bit_length() - 1
-            row ^= low
+    return map(divmod, _members(bits), repeat(n))
 
 
 @dataclass(frozen=True)

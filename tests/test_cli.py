@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -161,6 +162,28 @@ def test_demo_nonexpressivity_verifies_not_a_precondition(capsys, monkeypatch):
     assert "1. cofinite{1} : intersects target at 0\n" in out
     assert "FAILED" not in out
     assert "refuted and verified: 2/2" in out
+
+
+# evens, odds and seeded periodic targets like perfbench's p12/5, p7/3 and
+# p10/3 (thresholds up to 8, with heads), plus one written with period 12
+# whose least period is 4
+PINNED_TARGETS = ("evens", "odds", "periodic(5; 0,1,2,3; 12; 0,2,7,9,11)",
+                  "periodic(8; 2,3; 7; 3,5,6)", "periodic(7; 0,3,4; 10; 2,3,9)",
+                  "periodic(2; 1; 10; 1,2,5)", "periodic(3; 0,2; 12; 1,5,9)")
+PINNED_DEMO_SHA256 = ("57ea457dd3d533bebfc434c1fa465c24"
+                      "ea28667ebd05907956c08178c874e8a5")
+
+
+def test_demo_nonexpressivity_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for target in PINNED_TARGETS:
+        for count in ("1", "100", "500"):
+            for fmt in ("text", "structured"):
+                code, out, _ = run(capsys, "--format", fmt, "demo",
+                                   "nonexpressivity", "--set", target,
+                                   "--candidates", count)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == PINNED_DEMO_SHA256
 
 
 def test_demo_nonexpressivity_rejects_test_algebra_target(capsys):

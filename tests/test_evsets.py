@@ -314,6 +314,20 @@ def test_unary_views_match_the_oracle(raw):
         (naive.is_finite, naive.is_cofinite, naive.is_empty)
 
 
+def test_canonical_form_matches_the_oracle_on_every_word():
+    # every residue word of every period up to 12 (8,190 words), with no
+    # head and with a 5-element head that follows the tail, at every element
+    # or all but the last
+    for p in range(1, 13):
+        for word in range(1 << p):
+            res = frozenset(c for c in range(p) if word >> c & 1)
+            follows = frozenset(k for k in range(5) if k % p in res)
+            for raw in ((0, (), p, res), (5, follows, p, res),
+                        (5, follows ^ {4}, p, res)):
+                assert _canon(EvPeriodicSet(*raw)) == \
+                    _canon(NaiveEvPeriodicSet(*raw)), raw
+
+
 @given(_raw_sets(), _raw_sets())
 def test_binary_ops_match_the_oracle(raw_a, raw_b):
     (a, naive_a), (b, naive_b) = _both(raw_a), _both(raw_b)

@@ -11,8 +11,8 @@ from kadlab.errors import (BoundError, EvalError, KadlabError, ModelError,
                            ParseError)
 from kadlab.evsets import parse_evset
 from kadlab.hoare import _triple_holds
-from kadlab.relations import (Rel, StateSpace, all_relations, format_rel,
-                              parse_rel_literal, rel_algebra_model)
+from kadlab.relations import (Rel, StateSpace, _edges, _rows, all_relations,
+                              format_rel, parse_rel_literal, rel_algebra_model)
 from kadlab.terms import (ADom, ARan, Box, Dom, Env, Not, ONE, Plus, Star,
                           Times, Var, ZERO, desugar, parse_term)
 from kadlab.terms import TestVar as TV  # alias keeps pytest collection quiet
@@ -408,6 +408,25 @@ def test_format_then_parse_is_the_identity(rels):
         listed = [tuple(p.split(",")) for p in text[2:-2].split("),(") if p]
         assert listed == sorted(listed, key=lambda e: (idx[e[0]], idx[e[1]]))
         assert set(listed) == rel.pairs()
+
+
+def _row_walk(bits, n):
+    """The edges row by row, off the successor masks."""
+    return [(i, j) for i, row in enumerate(_rows(bits, n))
+            for j in range(n) if row >> j & 1]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 32, 128])
+def test_edges_match_the_row_walk(n):
+    rng = random.Random(f"edges:{n}")
+    full = (1 << n * n) - 1
+    cases = [0, full, StateSpace.of_size(n).one_i]
+    for density in (0.02, 0.3, 0.9):
+        cases.append(sum(1 << k for k in range(n * n) if rng.random() < density))
+        cases.append(sum(1 << i * (n + 1) for i in range(n)
+                         if rng.random() < density))      # a subidentity
+    for bits in cases:
+        assert list(_edges(bits, n)) == _row_walk(bits, n)
 
 
 @settings(max_examples=40, deadline=None)
