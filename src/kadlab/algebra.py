@@ -184,18 +184,9 @@ _PROFILE_AXIOMS = {
     Profile.KA_DR: _SEMIRING + _IDEM + _STAR + _ADOM + _ARAN + _COMPAT,
 }
 
-_PROFILE_OPS = {
-    Profile.SEMIRING: frozenset(),
-    Profile.DIOID: frozenset(),
-    Profile.KLEENE: frozenset({"star"}),
-    Profile.TS: frozenset({"tests"}),
-    Profile.KAT: frozenset({"star", "tests"}),
-    Profile.AS: frozenset({"adom"}),
-    Profile.NEAR_AS: frozenset({"adom"}),
-    Profile.KAD: frozenset({"star", "adom"}),
-    Profile.ARS: frozenset({"aran"}),
-    Profile.KA_DR: frozenset({"star", "adom", "aran"}),
-}
+# the optional operation a term type reads
+_OP_OF = {tm.Star: "star", tm.ADom: "adom", tm.ARan: "aran",
+          tm.Not: "tests", tm.TestVar: "tests"}
 
 
 def profile_axioms(profile: Profile):
@@ -203,9 +194,11 @@ def profile_axioms(profile: Profile):
     return _PROFILE_AXIOMS[profile]
 
 
+@functools.cache
 def required_ops(profile: Profile) -> frozenset:
-    """Optional operations the profile needs beyond + and ;."""
-    return _PROFILE_OPS[profile]
+    """Optional operations the profile's laws read beyond + and ;."""
+    return frozenset(_OP_OF[type(t)] for law in profile_axioms(profile)
+                     for t in _subterms(law) if type(t) in _OP_OF)
 
 
 # Hoare rules as quasi-laws (Kozen, ACM TOCL 2000): {p} x {q} is p;x;!q <= 0.
@@ -882,8 +875,9 @@ def check_phi(algebra: FiniteAlgebra) -> PhiResult:
     (x, y, p, q) in carrier order is the witness.  Sets of tests are
     bitmasks over the test list: ``zeroes[e]`` holds the tests t with
     e;!t = 0, so the r that suit p;x are ``zeroes[p;x]`` and the q that
-    p;x;y admits are ``zeroes[p;x;y]``; ``after[y][q]`` holds the r with
-    r;y;!q = 0, so whether some suitable r serves q is one AND.
+    p;x;y admits are ``zeroes[p;x;y]``; ``after[y][r]`` is ``zeroes[r;y]``,
+    the q with r;y;!q = 0, so the q that some suitable r serves are the OR
+    of ``after[y]`` at the suitable r.
     """
     if algebra.tests_i is None or not algebra.has_op("complement"):
         raise ModelError(f"{algebra.name}: phi needs tests and a complement "
@@ -894,11 +888,7 @@ def check_phi(algebra: FiniteAlgebra) -> PhiResult:
     nots = [tb.complement[t] for t in tests]
     zeroes = [sum(1 << i for i, c in enumerate(nots) if row[c] == zero)
               for row in times]
-    after = []
-    for y in range(n):
-        masks = [zeroes[times[r][y]] for r in tests]
-        after.append([sum(1 << i for i, m in enumerate(masks) if m >> j & 1)
-                      for j in range(k)])
+    after = [[zeroes[times[r][y]] for r in tests] for y in range(n)]
     # served[y][suits]: the q for which some r in ``suits`` has r;y;!q = 0
     served = [{} for _ in range(n)]
     for x in range(n):
@@ -909,8 +899,9 @@ def check_phi(algebra: FiniteAlgebra) -> PhiResult:
             for pi, (suits, px_row) in enumerate(prefixes):
                 ok = served_y.get(suits)
                 if ok is None:
-                    ok = served_y[suits] = sum(
-                        1 << j for j, rs in enumerate(after_y) if suits & rs)
+                    ok = served_y[suits] = functools.reduce(
+                        int.__or__, (qs for ri, qs in enumerate(after_y)
+                                     if suits >> ri & 1), 0)
                 unserved = zeroes[px_row[y]] & ~ok
                 if unserved:
                     qi = (unserved & -unserved).bit_length() - 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 from math import lcm
 from operator import and_, or_
 from typing import Iterator, Optional
@@ -135,9 +135,6 @@ class EvPeriodicSet:
         tail = _tail(self._res, self.period, below) >> n << n
         return (self._head | tail) & _mask(below)
 
-    def elements(self, below: int) -> list:
-        return _members(self._prefix(below))
-
     def __str__(self):
         return format_evset(self)
 
@@ -240,8 +237,7 @@ def refute_wlp_candidate(target: EvPeriodicSet, candidate: EvPeriodicSet):
     meet = target.intersect(candidate)
     if not meet.is_empty:
         return NotAPrecondition(meet.least())
-    gap = target.complement().difference(candidate)
-    x = gap.least()
+    x = next(k for k in count() if k not in target and k not in candidate)
     return NotMaximal(x, candidate.union(finite_set({x})))
 
 

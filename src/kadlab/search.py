@@ -7,17 +7,18 @@ test set with its complement.  Cells that a law of the profile fixes
 outright (x + 0 = x, 0 ; x = 0, 1 ; x = x, ...) are set before the search,
 and + is filled as a symmetric table when the profile makes it commutative.
 
-Pruning is read from ``profile_axioms(profile)``: a law belongs to the
-last stage whose table it reads, and is compiled by the law checker's code
-generator to run on tables whose unfilled cells hold an absorbing
-"unknown" index, so an instance that reads one is skipped.  At the first
-cell of a stage the search runs every instance of the stage's laws; after
-each later cell it runs only the instances that read that cell (or its
-mirror), because every other instance reads what it read at the parent
-node, where it passed.  The pruning is therefore the same as running every
-instance after every cell.  On star, antidomain and antirange only the
-one-variable laws run after each cell, and the others in full once the
-table is full.  Every candidate is re-validated with ``check_axioms``.
+Each law of ``profile_axioms(profile)`` belongs to the last stage whose
+table it reads and is compiled by the law checker's code generator to run
+on tables whose unfilled cells hold an absorbing "unknown" index, so an
+instance that reads one is skipped.  Each instance is decided once, where
+the last cell it reads is filled (SEM: Zhang & Zhang, IJCAI 1995).  The
+laws of + and ; run in full as the search enters their table, with the
+last cell of the table before it or before the first cell, which decides
+the instances that read only fixed cells; after a cell only the instances
+that read it (or its mirror) run, since any other reads what it read at
+the parent node.  The test laws run on each test set, and the star,
+antidomain and antirange laws of more than one variable once their table
+is full, so every fill that comes out satisfies the profile.
 
 Of the fills that differ by a relabelling of the middle elements only the
 least is kept (tables compared in fill order, each row-major).  A fill is
@@ -41,8 +42,7 @@ from typing import Iterator, Optional
 
 from . import terms as tm
 from .algebra import (Equation, FiniteAlgebra, Profile, _compile, _law_vars,
-                      _subterms, check_axioms, check_phi, profile_axioms,
-                      required_ops)
+                      _subterms, check_phi, profile_axioms, required_ops)
 from .errors import BoundError, ModelError
 
 __all__ = ["find_models", "CONSTRAINTS", "SearchStats"]
@@ -75,10 +75,11 @@ class SearchStats:
 
     ``stages`` maps each stage the profile needs to ``[tried, pruned]``:
     the cell values tried (for ``tests``, the test sets with a complement)
-    and those a law refuted.  ``duplicates`` counts the fills dropped as
-    relabellings of a smaller one, at whichever table's end (or at the test
-    set) that showed, ``candidates`` the fills re-validated with
-    ``check_axioms`` and ``models`` the models yielded.
+    and those a law refuted, the laws run as the search enters the next
+    stage included.  ``duplicates`` counts the fills dropped as relabellings
+    of a smaller one, at whichever table's end (or at the test set) that
+    showed, ``candidates`` the fills that passed every law and ``models``
+    the models yielded.
     """
 
     stages: dict = field(default_factory=dict)
@@ -104,12 +105,12 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
     profile that provides tests.  Enumeration order is deterministic.
     The search is complete up to isomorphism except that, for the profiles
     where + is idempotent, it visits only algebras whose unit is the
-    additive top (see the module docstring).  After each cell the search
-    checks the law instances that read it, so a partial fill is dropped as
-    soon as a law fails on the cells filled so far, and once a table is
-    complete, as soon as a relabelling makes the tables so far smaller; of
-    each isomorphism class the least member is yielded.  A ``SearchStats``
-    passed as ``stats`` is filled in as the search runs.
+    additive top (see the module docstring).  The search decides every law
+    instance as soon as the cells it reads are known, and once a table is
+    complete drops a fill that a relabelling makes smaller, so what it
+    yields satisfies the profile, and of each isomorphism class only the
+    least member.  A ``SearchStats`` passed as ``stats`` is filled in as
+    the search runs.
     """
     if isinstance(profile, str):
         profile = Profile.parse(profile)
@@ -130,9 +131,6 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
     stats = SearchStats() if stats is None else stats
     found = 0
     for model in _enumerate_models(size, profile, stats):
-        report = check_axioms(model, profile)
-        if not report.passed:
-            continue
         if constraint is not None:
             holds = check_phi(model).holds
             if constraint == "phi-fails" and holds:
@@ -175,43 +173,44 @@ def _commutes(law) -> bool:
 
 class _Stage:
     """The laws of one stage: those that set cells, whether its table is
-    symmetric, and the compiled tests run after each cell (``each`` in
-    full, ``each_at`` pinned to the cell) and once the stage is complete."""
+    symmetric, and three compiled tests: ``full`` (every law, run once as
+    the search enters a + or ; stage, and on each test set), ``at`` (pinned
+    to the cell just filled) and ``end`` (run once the table is full)."""
 
     def __init__(self, name, laws):
         self.name = name
+        self.laws = laws
         self.fixing = [law for law in laws if _fixes_cells(law)]
         self.symmetric = any(map(_commutes, laws))
         rest = [law for law in laws
                 if law not in self.fixing and not _commutes(law)]
         if name in ("star", "adom", "aran"):
-            each = [law for law in rest if len(sum(_law_vars(law), ())) <= 1]
-            end = [law for law in rest if law not in each]
+            # no fixed cell: no instance is known as the search enters
+            self.full = None
+            pinned = [law for law in rest if len(sum(_law_vars(law), ())) <= 1]
+            end = [law for law in rest if law not in pinned]
         else:
-            each, end = rest, []
-        self.laws = each
-        self.each = _compile(each, partial=True)
+            self.full = _compile(laws, partial=True)
+            pinned, end = rest, []
+        self.pinned = pinned
         k = _STAGES.index(name)
-        self.each_at = (_compile(each, partial=True, pin=_TABLE[k])
-                        if k < len(_TABLE) else None)
+        self.at = (_compile(pinned, partial=True, pin=_TABLE[k])
+                   if k < len(_TABLE) else None)
         self.end = _compile(end, partial=True)
 
-    def check(self, cell, first, last):
+    def check(self, cell, last):
         """The test run after filling ``cell``, a pair (i, j), or (k, k) in
         a unary table, and its mirror in a symmetric one: it takes the
         compiled laws' arguments and is true when a law fails.
 
-        The stage's first cell runs ``each`` in full, which also covers the
-        instances that read no free cell.  A later cell runs only the
-        instances that read it: any other reads what it read at the parent
-        node, where it passed.  The last cell also runs ``end``.
+        It runs only the instances that read the cell: ``full`` decided
+        those that read no free cell when the search entered the stage, and
+        any other instance reads what it read at the parent node, where it
+        passed.  The last cell also runs ``end``.
         """
         i, j = cell
-        each, at, end = self.each, self.each_at, self.end
-        if first:
-            def refuted(args):
-                return each(*args) is not None
-        elif self.symmetric and i != j:
+        at, end = self.at, self.end
+        if self.symmetric and i != j:
             def refuted(args):
                 return (at(*args, i, j) is not None
                         or at(*args, j, i) is not None)
@@ -259,8 +258,8 @@ def _enumerate_models(n: int, profile: Profile,
 
     # one step per free cell, in fill order: the cell as (row, column), its
     # mirror (the cell itself unless the table is symmetric), its values and
-    # the test run after it
-    steps = []
+    # the test run after it, which runs the ``full`` of the stages it enters
+    steps, entering = [], {}
     tests_stage = None
     for stage in _plan(profile):
         counts = stats.stages.setdefault(stage.name, [0, 0])
@@ -271,6 +270,7 @@ def _enumerate_models(n: int, profile: Profile,
         if stage.name in unary:
             cells = [(table, k, table, k, (k, k)) for k in range(n)]
         else:
+            entering.setdefault(len(steps), []).append(stage.full)
             for law in stage.fixing:
                 _fix_cells(table, law, n, stage.symmetric)
             sym = stage.symmetric
@@ -282,9 +282,14 @@ def _enumerate_models(n: int, profile: Profile,
             # the search bound: a + b is at or above a and b in carrier order
             lo = max(col, mcol) if stage.name == "plus" and idem else 0
             last = k == len(cells) - 1
-            steps.append((row, col, mrow, mcol, range(lo, n),
-                          stage.check(cell, k == 0, last), counts,
-                          last and (table, stage.name == "plus" and idem)))
+            steps.append([row, col, mrow, mcol, range(lo, n),
+                          stage.check(cell, last), counts,
+                          last and (table, stage.name == "plus" and idem)])
+    for k, fulls in entering.items():
+        if k:
+            steps[k - 1][5] = _entering(steps[k - 1][5], fulls)
+        elif any(full(*args) is not None for full in fulls):
+            return
     choices = _test_choices(n) if tests_stage else (((), None),)
     ops = required_ops(profile)
     # the relabellings of the middle elements but the identity, with inverses
@@ -302,7 +307,7 @@ def _enumerate_models(n: int, profile: Profile,
                 stage, counts = tests_stage
                 counts[0] += 1
                 args[1], args[7], args[8] = tests_i, comp_i, is_test
-                if stage.each(*args) is not None:
+                if stage.full(*args) is not None:
                     counts[1] += 1
                     continue
 
@@ -340,6 +345,12 @@ def _enumerate_models(n: int, profile: Profile,
         row[col] = mrow[mcol] = unknown
 
     yield from fill(0, perms)
+
+
+def _entering(check, fulls):
+    """The check of a cell, then the ``full`` of each stage it enters."""
+    return lambda args: check(args) or any(full(*args) is not None
+                                           for full in fulls)
 
 
 def _fix_cells(table, law, n, symmetric):

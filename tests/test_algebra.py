@@ -5,7 +5,7 @@ import pytest
 from kadlab.algebra import (FiniteAlgebra, Profile, bool2_model, check_axioms,
                             check_phi, evaluate,
                             is_isomorphic, lemma4_model, near_as_model,
-                            profile_axioms, trivial_model)
+                            profile_axioms, required_ops, trivial_model)
 from kadlab.errors import EvalError, MissingTableError, ModelError
 from kadlab.relations import rel_algebra_model
 from kadlab.terms import Env, parse_term
@@ -203,6 +203,14 @@ def test_kadr_compatibility_laws():
             assert m.adom(m.adom(ar)) == ar
             a = m.adom(x)
             assert m.aran(m.aran(a)) == a
+
+
+def test_required_ops_are_the_operations_the_laws_read():
+    assert {p.value: set(required_ops(p)) for p in Profile} == {
+        "semiring": set(), "dioid": set(), "kleene": {"star"},
+        "ts": {"tests"}, "kat": {"star", "tests"}, "as": {"adom"},
+        "near-as": {"adom"}, "kad": {"star", "adom"}, "ars": {"aran"},
+        "kadr": {"star", "adom", "aran"}}
 
 
 # ---------------------------------------------------------------------------

@@ -258,11 +258,12 @@ def test_partial_nests_skip_unknown_cells(model, rnd):
 @settings(max_examples=80, deadline=None)
 @given(random_algebras(), st.randoms(use_true_random=False))
 def test_pinned_checks_read_the_filled_cell(model, rnd):
-    # model search runs a stage's whole nest at the stage's first cell, and
-    # after any later cell only the instances that read it (or its mirror
-    # in a symmetric table); both must fail exactly when a law does.  The
-    # tables here need not be symmetric, so an instance that reads only the
-    # mirror need not have a mirror image that reads the cell.
+    # model search runs every law of a stage once, when it enters the
+    # stage, and after each cell only the instances of the pinned laws that
+    # read it (or its mirror in a symmetric table); both must fail exactly
+    # when a law does.  The tables here need not be symmetric, so an
+    # instance that reads only the mirror need not have a mirror image that
+    # reads the cell.
     tb = _tables(model)
     n = tb.n
     for profile in Profile:
@@ -271,7 +272,7 @@ def test_pinned_checks_read_the_filled_cell(model, rnd):
         except KadlabError:
             continue
         for stage in _plan(profile):
-            if stage.each_at is None:
+            if stage.at is None:
                 continue
             padded = padded_tables(tb, rnd)
             table, full = getattr(padded, stage.name), getattr(tb, stage.name)
@@ -289,13 +290,14 @@ def test_pinned_checks_read_the_filled_cell(model, rnd):
                 else:
                     table[i][j] = v
 
-            def fails():
+            def fails(laws):
                 return any(naive_partial_violations(padded, law)
-                           for law in stage.laws)
+                           for law in laws)
 
-            # a first cell is checked on whatever the tables hold
-            check = stage.check(rnd.choice(cells), True, False)
-            assert check(padded) == fails(), (profile, stage.name)
+            # the stage's entry check runs on whatever the tables hold
+            if stage.full:
+                assert ((stage.full(*padded) is not None)
+                        == fails(stage.laws)), (profile, stage.name)
             # later cells: fill the table in a random order, leaving blank
             # the cells skipped and those a law refuted, then fill each blank
             for cell in cells:
@@ -304,7 +306,7 @@ def test_pinned_checks_read_the_filled_cell(model, rnd):
             for cell in cells:
                 if rnd.random() < 0.7:
                     put(cell, at(full, cell))
-                    if stage.each(*padded) is not None:
+                    if fails(stage.laws):
                         put(cell, n)
             for cell in [c for c in cells if at(table, c) == n]:
                 v = rnd.choice((at(full, cell), rnd.randrange(n)))
@@ -312,8 +314,9 @@ def test_pinned_checks_read_the_filled_cell(model, rnd):
                 before = at(table, mirror)
                 put(cell, v)
                 put(mirror, v)
-                check = stage.check(cell, False, False)
-                assert check(padded) == fails(), (profile, stage.name, cell)
+                check = stage.check(cell, False)
+                assert check(padded) == fails(stage.pinned), (
+                    profile, stage.name, cell)
                 put(mirror, before)
                 put(cell, n)
 
