@@ -734,9 +734,9 @@ def _law_vars(law):
 
 
 def _pinned_nest(law, occurrence, partial):
-    """A nest over the instances of the law in which the occurrence reads
-    cell (ci, cj) of its table (cell ci of a unary table): a variable
-    argument is bound to its coordinate, any other is guarded."""
+    """A nest over the instances of the law in which the occurrence, of +
+    or ;, reads cell (ci, cj) of its table: a variable argument is bound to
+    its coordinate, any other is guarded."""
     args = tuple(c for c in vars(occurrence).values() if isinstance(c, tm.Term))
     coords = tuple(zip(args, ("ci", "cj")))
     pins = {}
@@ -755,11 +755,11 @@ def _pinned_nest(law, occurrence, partial):
 def _compile(laws, partial=False, pin=None):
     """One function testing the laws, in order, in one loop nest.
 
-    With ``pin``, the term type of a table, the function takes two more
+    With ``pin``, ``tm.Plus`` or ``tm.Times``, the function takes two more
     arguments ``ci, cj`` and tests only the instances in which the table is
-    read at cell (ci, cj), or at ci if it is unary: one nest for each
-    distinct occurrence of the table in each law, in which the occurrence's
-    variable arguments are bound to ci and cj instead of looped over.
+    read at cell (ci, cj): one nest for each distinct occurrence of the
+    table in each law, in which the occurrence's variable arguments are
+    bound to ci and cj instead of looped over.
     """
     if pin is None:
         vs, ts = set(), set()

@@ -1,30 +1,31 @@
 """Exhaustive search for small algebras satisfying an axiom profile.
 
 The carrier is 0, the middle elements a, b, ... and then 1.  One
-backtracking fills the operation tables cell by cell in stages: the free
-cells of +, then of ;, then star, antidomain and antirange, and last the
-test set with its complement.  Cells that a law of the profile fixes
-outright (x + 0 = x, 0 ; x = 0, 1 ; x = x, ...) are set before the search,
-and + is filled as a symmetric table when the profile makes it commutative.
+backtracking fills the cells of + and then of ; that no law fixes outright
+(as x + 0 = x, 0 ; x = 0, 1 ; x = x do), + as a symmetric table when the
+profile makes it commutative.  Each law of ``profile_axioms(profile)``
+belongs to the last stage whose table it reads and is compiled by the law
+checker's code generator to run on tables whose unfilled cells hold an
+absorbing "unknown" index, so an instance that reads one is skipped.  The
+laws of + and ; run in full as the search enters their table, and after a
+cell only the instances that read it (or its mirror) run: each instance
+is decided where the last cell it reads is filled (SEM: Zhang & Zhang,
+IJCAI 1995).
 
-Each law of ``profile_axioms(profile)`` belongs to the last stage whose
-table it reads and is compiled by the law checker's code generator to run
-on tables whose unfilled cells hold an absorbing "unknown" index, so an
-instance that reads one is skipped.  Each instance is decided once, where
-the last cell it reads is filled (SEM: Zhang & Zhang, IJCAI 1995).  The
-laws of + and ; run in full as the search enters their table, with the
-last cell of the table before it or before the first cell, which decides
-the instances that read only fixed cells; after a cell only the instances
-that read it (or its mirror) run, since any other reads what it read at
-the parent node.  The test laws run on each test set, and the star,
-antidomain and antirange laws of more than one variable once their table
-is full, so every fill that comes out satisfies the profile.
+The rest is derived from + and ;.  The star is the sum of the powers x^k
+for k < n, the only star of a finite dioid (Kozen, 1994).  On each test
+set in turn (with each complement, for ts and kat) the antidomain of x is
+the join of the tests t with t ; x = 0 and its antirange that of the tests
+with x ; t = 0 (Desharnais, Möller & Struth, ACM TOCL 2006); a test set
+that is not their image is dropped.  The laws of these stages run once on
+the derived tables, so every fill that comes out satisfies the profile.
 
 Of the fills that differ by a relabelling of the middle elements only the
-least is kept (tables compared in fill order, each row-major).  A fill is
-dropped once a table is complete and a relabelling that kept the earlier
-tables unchanged makes it smaller, since every completion then has a
-smaller relabelling too; those that keep it unchanged are passed on.
+least is kept: + and ; compared row-major, then the derived antidomain
+and antirange, then the test set and its complement.  A fill is dropped
+once + or ; is complete and a relabelling that kept the earlier table
+unchanged makes it smaller (every completion then has a smaller
+relabelling too), and a derived fill once one that keeps + and ; does.
 
 Search bound: for the profiles where x + x = x is an axiom or derivable,
 the search also assumes that the unit is the additive top and that a + b
@@ -63,9 +64,9 @@ _MIDDLE_NAMES = "abcdefgh"
 
 # the stages in fill order; a law belongs to the last stage whose table it reads
 _STAGES = ("plus", "times", "star", "adom", "aran", "tests")
-# the term type of each stage's table; the tests stage fills no cells
-_TABLE = (tm.Plus, tm.Times, tm.Star, tm.ADom, tm.ARan)
-_STAGE_OF = {**{t: k for k, t in enumerate(_TABLE)}, tm.Not: 5, tm.TestVar: 5}
+# the stage of each term type: of its table, or the tests stage
+_STAGE_OF = {tm.Plus: 0, tm.Times: 1, tm.Star: 2, tm.ADom: 3, tm.ARan: 4,
+             tm.Not: 5, tm.TestVar: 5}
 _ATOMS = (tm.Zero, tm.One, tm.Var)
 
 
@@ -74,24 +75,19 @@ class SearchStats:
     """What one search did, counted as it runs.
 
     ``stages`` maps each stage the profile needs to ``[tried, pruned]``:
-    the cell values tried (for ``tests``, the test sets with a complement)
-    and those a law refuted, the laws run as the search enters the next
-    stage included.  ``duplicates`` counts the fills dropped as relabellings
-    of a smaller one, at whichever table's end (or at the test set) that
-    showed, ``candidates`` the fills that passed every law and ``models``
-    the models yielded.
+    the + and ; cell values tried (the laws of ; that run as the search
+    enters it count for the last + cell), the star, adom and aran tables
+    derived, or the test sets with a complement, and those a law refuted
+    or, for adom and aran, whose image is not the test set.  ``duplicates``
+    counts the fills dropped as relabellings of a smaller one,
+    ``candidates`` the fills that passed every law and ``models`` the
+    models yielded.
     """
 
     stages: dict = field(default_factory=dict)
     duplicates: int = 0
     candidates: int = 0
     models: int = 0
-
-
-def _carrier_names(n: int) -> tuple[str, ...]:
-    if n == 1:
-        return ("0",)
-    return ("0",) + tuple(_MIDDLE_NAMES[: n - 2]) + ("1",)
 
 
 def find_models(size: int, profile, constraint: Optional[str] = None,
@@ -105,12 +101,9 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
     profile that provides tests.  Enumeration order is deterministic.
     The search is complete up to isomorphism except that, for the profiles
     where + is idempotent, it visits only algebras whose unit is the
-    additive top (see the module docstring).  The search decides every law
-    instance as soon as the cells it reads are known, and once a table is
-    complete drops a fill that a relabelling makes smaller, so what it
-    yields satisfies the profile, and of each isomorphism class only the
-    least member.  A ``SearchStats`` passed as ``stats`` is filled in as
-    the search runs.
+    additive top (see the module docstring).  Each model yielded is the
+    least of its isomorphism class and satisfies the profile without a
+    further check.  A ``SearchStats`` passed as ``stats`` is filled in.
     """
     if isinstance(profile, str):
         profile = Profile.parse(profile)
@@ -131,12 +124,9 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
     stats = SearchStats() if stats is None else stats
     found = 0
     for model in _enumerate_models(size, profile, stats):
-        if constraint is not None:
-            holds = check_phi(model).holds
-            if constraint == "phi-fails" and holds:
-                continue
-            if constraint == "phi-holds" and not holds:
-                continue
+        if (constraint is not None
+                and check_phi(model).holds != (constraint == "phi-holds")):
+            continue
         found += 1
         stats.models += 1
         model.name = f"search-{profile.value}-{size}-{found}"
@@ -147,10 +137,6 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
 
 # ---------------------------------------------------------------------------
 # the laws of each stage
-
-def _stage(law) -> int:
-    return max(_STAGE_OF.get(type(t), 0) for t in _subterms(law))
-
 
 def _fixes_cells(law) -> bool:
     """x op y = z over constants and variables: it sets cells outright."""
@@ -173,64 +159,41 @@ def _commutes(law) -> bool:
 
 class _Stage:
     """The laws of one stage: those that set cells, whether its table is
-    symmetric, and three compiled tests: ``full`` (every law, run once as
-    the search enters a + or ; stage, and on each test set), ``at`` (pinned
-    to the cell just filled) and ``end`` (run once the table is full)."""
+    symmetric, and two compiled tests: ``full`` (every law, run once as the
+    search enters a + or ; stage, and on each derived table or test set)
+    and, for + and ;, ``at`` (pinned to the cell just filled)."""
 
     def __init__(self, name, laws):
         self.name = name
         self.laws = laws
         self.fixing = [law for law in laws if _fixes_cells(law)]
         self.symmetric = any(map(_commutes, laws))
-        rest = [law for law in laws
-                if law not in self.fixing and not _commutes(law)]
-        if name in ("star", "adom", "aran"):
-            # no fixed cell: no instance is known as the search enters
-            self.full = None
-            pinned = [law for law in rest if len(sum(_law_vars(law), ())) <= 1]
-            end = [law for law in rest if law not in pinned]
-        else:
-            self.full = _compile(laws, partial=True)
-            pinned, end = rest, []
-        self.pinned = pinned
-        k = _STAGES.index(name)
-        self.at = (_compile(pinned, partial=True, pin=_TABLE[k])
-                   if k < len(_TABLE) else None)
-        self.end = _compile(end, partial=True)
+        self.full = _compile(laws, partial=True)
+        self.pinned = [law for law in laws
+                       if law not in self.fixing and not _commutes(law)]
+        filled = {"plus": tm.Plus, "times": tm.Times}.get(name)
+        self.at = filled and _compile(self.pinned, partial=True, pin=filled)
 
-    def check(self, cell, last):
-        """The test run after filling ``cell``, a pair (i, j), or (k, k) in
-        a unary table, and its mirror in a symmetric one: it takes the
-        compiled laws' arguments and is true when a law fails.
-
-        It runs only the instances that read the cell: ``full`` decided
-        those that read no free cell when the search entered the stage, and
-        any other instance reads what it read at the parent node, where it
-        passed.  The last cell also runs ``end``.
-        """
-        i, j = cell
-        at, end = self.at, self.end
+    def check(self, i, j):
+        """The test run after filling cell (i, j), and its mirror in a
+        symmetric table: true when a law instance that reads the cell
+        fails, given the compiled laws' arguments."""
+        at = self.at
         if self.symmetric and i != j:
-            def refuted(args):
-                return (at(*args, i, j) is not None
-                        or at(*args, j, i) is not None)
-        else:
-            def refuted(args):
-                return at(*args, i, j) is not None
-        if not last:
-            return refuted
-        return lambda args: refuted(args) or end(*args) is not None
+            return lambda args: (at(*args, i, j) is not None
+                                 or at(*args, j, i) is not None)
+        return lambda args: at(*args, i, j) is not None
 
 
 @functools.cache
 def _plan(profile: Profile) -> tuple[_Stage, ...]:
     """The stages the profile needs, in fill order."""
-    ops = required_ops(profile)
     laws = [[] for _ in _STAGES]
     for law in profile_axioms(profile):
-        laws[_stage(law)].append(law)
+        k = max(_STAGE_OF.get(type(t), 0) for t in _subterms(law))
+        laws[k].append(law)
     return tuple(_Stage(name, laws[k]) for k, name in enumerate(_STAGES)
-                 if k < 2 or name in ops)
+                 if k < 2 or name in required_ops(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -241,87 +204,96 @@ def _enumerate_models(n: int, profile: Profile,
                       ) -> Iterator[FiniteAlgebra]:
     """Every candidate the pruned search reaches, in search order."""
     stats = SearchStats() if stats is None else stats
-    names = _carrier_names(n)
+    names = ("0", *_MIDDLE_NAMES[:max(n - 2, 0)], "1")[:n]
     idem = profile in _IDEMPOTENT
     one, unknown = n - 1, n
     # row and column n are the absorbing "unknown" index
     P, T = ([[unknown] * (n + 1) for _ in range(n + 1)] for _ in range(2))
-    unary = {op: [unknown] * (n + 1) for op in ("star", "adom", "aran")}
-    tables = {"plus": P, "times": T, **unary}
-    args = [n, (), P, T, unary["star"], unary["adom"], unary["aran"],
-            None, None, 0, one]
+    args = [n, (), P, T, None, None, None, None, None, 0, one]
     if idem:
         # the search bound: x + x = x, and 1 is the additive top
         for i in range(n):
             P[i][i] = i
             P[i][one] = P[one][i] = one
 
-    # one step per free cell, in fill order: the cell as (row, column), its
-    # mirror (the cell itself unless the table is symmetric), its values and
-    # the test run after it, which runs the ``full`` of the stages it enters
-    steps, entering = [], {}
-    tests_stage = None
-    for stage in _plan(profile):
-        counts = stats.stages.setdefault(stage.name, [0, 0])
-        if stage.name == "tests":
-            tests_stage = stage, counts
-            continue
-        table = tables[stage.name]
-        if stage.name in unary:
-            cells = [(table, k, table, k, (k, k)) for k in range(n)]
-        else:
-            entering.setdefault(len(steps), []).append(stage.full)
-            for law in stage.fixing:
-                _fix_cells(table, law, n, stage.symmetric)
-            sym = stage.symmetric
-            cells = [(table[i], j) + ((table[j], i) if sym else (table[i], j))
-                     + ((i, j),)
-                     for i in range(n) for j in range(i if sym else 0, n)
-                     if table[i][j] == unknown]
-        for k, (row, col, mrow, mcol, cell) in enumerate(cells):
-            # the search bound: a + b is at or above a and b in carrier order
-            lo = max(col, mcol) if stage.name == "plus" and idem else 0
-            last = k == len(cells) - 1
-            steps.append([row, col, mrow, mcol, range(lo, n),
-                          stage.check(cell, last), counts,
-                          last and (table, stage.name == "plus" and idem)])
-    for k, fulls in entering.items():
-        if k:
-            steps[k - 1][5] = _entering(steps[k - 1][5], fulls)
-        elif any(full(*args) is not None for full in fulls):
+    # one step per free cell of + and ;, in fill order: the cell as (row,
+    # column), its mirror (the cell itself unless the table is symmetric),
+    # its values and the test run after it, which runs the ``full`` of the
+    # stage it enters; the later stages derive their tables
+    plan = [(stage, stats.stages.setdefault(stage.name, [0, 0]))
+            for stage in _plan(profile)]
+    steps = []
+    for (stage, counts), table in zip(plan, (P, T)):
+        for law in stage.fixing:
+            _fix_cells(table, law, n, stage.symmetric)
+        if steps:
+            steps[-1][5] = _entering(steps[-1][5], stage.full)
+        elif stage.full(*args) is not None:
             return
-    choices = _test_choices(n) if tests_stage else (((), None),)
-    ops = required_ops(profile)
+        # the search bound: a + b is at or above a and b in carrier order
+        sym, bounded = stage.symmetric, table is P and idem
+        cells = [(i, j) for i in range(n) for j in range(i if sym else 0, n)
+                 if table[i][j] == unknown]
+        for k, (i, j) in enumerate(cells):
+            lo = max(i, j) if bounded else 0
+            steps.append([table[i], j, table[j] if sym else table[i],
+                          i if sym else j, range(lo, n),
+                          stage.check(i, j), counts,
+                          k == len(cells) - 1 and (table, bounded)])
+    derived = dict((stage.name, (stage, counts)) for stage, counts in plan[2:])
+    star = derived.pop("star", None)
+    # the test sets, with each complement when the tests stage reads it
+    choices = (_test_choices(n) if "tests" in derived else
+               [(t, None) for t in _test_sets(n)] if derived else [((), None)])
+    choices = [(t, c, [i in t for i in range(n)]) for t, c in choices]
     # the relabellings of the middle elements but the identity, with inverses
     perms = [(pi, tuple(sorted(range(n), key=pi.__getitem__)))
              for pi in ((0, *p, one) for p in permutations(range(1, one)))][1:]
 
-    def candidates(perms):
-        plus = tuple(tuple(row[:n]) for row in P[:n])
-        times = tuple(tuple(row[:n]) for row in T[:n])
-        star, adom, aran = (tuple(t[:n]) if op in ops else None
-                            for op, t in unary.items())
-        for tests_i, comp_i in choices:
-            is_test = [i in tests_i for i in range(n)]
-            if tests_stage:
-                stage, counts = tests_stage
-                counts[0] += 1
-                args[1], args[7], args[8] = tests_i, comp_i, is_test
-                if stage.full(*args) is not None:
-                    counts[1] += 1
-                    continue
+    def key(pi, inv, tables, tests_i, comp_i):
+        """The derived tables, test set and complement relabelled by pi."""
+        ts = sorted(tests_i, key=pi.__getitem__)
+        return ([[pi[t[j]] for j in inv] for t in tables],
+                [pi[t] for t in ts], comp_i and [pi[comp_i[t]] for t in ts])
 
-                def key(pi):
-                    ts = sorted(tests_i, key=pi.__getitem__)
-                    return [pi[t] for t in ts], [pi[comp_i[t]] for t in ts]
-                mine = key(range(n))
-                if any(key(pi) < mine for pi, _ in perms):
+    def candidates(perms):
+        """The fills that + and ; force, by their derived tables."""
+        if star:
+            star[1][0] += 1
+            args[4] = _sum_of_powers(P, T, n)
+            if star[0].full(*args) is not None:
+                star[1][1] += 1
+                return
+        # the antidomain of x reads column x of ;, its antirange row x
+        derive = {"adom": (5, list(zip(*T))[:n]), "aran": (6, T[:n])}
+        kept = []
+        for tests_i, comp_i, is_test in choices:
+            args[1], args[7], args[8] = tests_i, comp_i, is_test
+            tables = {}
+            for stage, counts in derived.values():
+                counts[0] += 1
+                if stage.name in derive:
+                    k, rows = derive[stage.name]
+                    tables[stage.name] = args[k] = _annihilators(
+                        P, rows, tests_i, is_test)
+                if None in tables.values() or stage.full(*args) is not None:
+                    counts[1] += 1
+                    break
+            else:
+                own = list(tables.values())
+                mine = key(range(n), range(n), own, tests_i, comp_i)
+                if derived and any(key(*pi, own, tests_i, comp_i) < mine
+                                   for pi in perms):
                     stats.duplicates += 1
-                    continue
+                else:
+                    kept.append((own, tests_i, comp_i, tables))
+        # a stable sort: test-set order among equal derived tables
+        for _, tests_i, comp_i, tables in sorted(kept, key=lambda f: f[0]):
             stats.candidates += 1
             yield FiniteAlgebra(
-                names, names[0], names[one], plus, times,
-                star=star, adom=adom, aran=aran, name="candidate",
+                names, names[0], names[one],
+                *(tuple(tuple(row[:n]) for row in t[:n]) for t in (P, T)),
+                star=star and tuple(args[4]), **tables, name="candidate",
                 tests=[names[t] for t in tests_i] if comp_i else None,
                 complement=comp_i and {names[k]: names[v]
                                        for k, v in comp_i.items()})
@@ -347,10 +319,9 @@ def _enumerate_models(n: int, profile: Profile,
     yield from fill(0, perms)
 
 
-def _entering(check, fulls):
-    """The check of a cell, then the ``full`` of each stage it enters."""
-    return lambda args: check(args) or any(full(*args) is not None
-                                           for full in fulls)
+def _entering(check, full):
+    """The check of a cell, then the ``full`` of the stage it enters."""
+    return lambda args: check(args) or full(*args) is not None
 
 
 def _fix_cells(table, law, n, symmetric):
@@ -366,19 +337,49 @@ def _fix_cells(table, law, n, symmetric):
             table[b][a] = v
 
 
+def _sum_of_powers(P, T, n):
+    """x* as the sum of x^k for k < n, the only star a finite dioid has."""
+    star = []
+    for x in range(n):
+        total = power = n - 1
+        for _ in range(1, n):
+            power = T[power][x]
+            total = P[total][power]
+        star.append(total)
+    return star
+
+
+def _annihilators(P, rows, tests, is_test):
+    """For each x the join of the tests t with rows[x][t] = 0: with the
+    columns of ; its antidomain, with the rows its antirange, as the tests
+    force them; None if the image is not the test set."""
+    table = []
+    for row in rows:
+        join = 0
+        for t in tests:
+            if row[t] == 0:
+                join = P[join][t]
+        if not is_test[join]:
+            return None
+        table.append(join)
+    return table if len(set(table)) == len(tests) else None
+
+
+def _test_sets(n):
+    """The subsets of the carrier that contain zero and one."""
+    return [tuple(sorted({0, n - 1, *(m for m in range(1, n - 1)
+                                       if mask >> m - 1 & 1)}))
+            for mask in range(1 << max(n - 2, 0))]
+
+
+@functools.cache
 def _test_choices(n):
-    """Test subsets (always containing zero and one) with an involution
-    as complement that swaps zero and one."""
-    one = n - 1
-    middles = list(range(1, n - 1))
+    """The test sets, each with every involution as complement that swaps
+    zero and one."""
     found = []
-    for mask in range(1 << len(middles)):
-        tests = tuple(sorted({0, one} | {m for b, m in enumerate(middles)
-                                         if mask >> b & 1}))
-        mids = [t for t in tests if t not in (0, one)]
-        for values in product(tests, repeat=len(mids)):
-            comp = {0: one, one: 0}
-            comp.update(zip(mids, values))
+    for tests in _test_sets(n):
+        for values in product(tests, repeat=len(tests[1:-1])):
+            comp = {0: n - 1, n - 1: 0, **dict(zip(tests[1:-1], values))}
             if all(comp[comp[t]] == t for t in tests):
                 found.append((tests, comp))
     return found
@@ -391,16 +392,14 @@ def _stabiliser(table, bounded, perms, n):
     """The relabellings that leave the table just completed unchanged, or
     None if one makes it smaller, row-major as the tables are compared.
     ``bounded`` first drops those that break the search's order on +."""
-    unary = not isinstance(table[0], list)
     if bounded:
         perms = [(pi, inv) for pi, inv in perms
                  if all(pi[table[i][j]] >= max(pi[i], pi[j])
                         for i in range(n) for j in range(n))]
     kept = []
     for pi, inv in perms:
-        for i in range(1 if unary else n):
-            mine, src = ((table[:n], table) if unary
-                         else (table[i][:n], table[inv[i]]))
+        for i in range(n):
+            mine, src = table[i][:n], table[inv[i]]
             new = [pi[src[j]] for j in inv]
             if new != mine:
                 if new < mine:

@@ -258,12 +258,12 @@ def test_partial_nests_skip_unknown_cells(model, rnd):
 @settings(max_examples=80, deadline=None)
 @given(random_algebras(), st.randoms(use_true_random=False))
 def test_pinned_checks_read_the_filled_cell(model, rnd):
-    # model search runs every law of a stage once, when it enters the
-    # stage, and after each cell only the instances of the pinned laws that
-    # read it (or its mirror in a symmetric table); both must fail exactly
-    # when a law does.  The tables here need not be symmetric, so an
-    # instance that reads only the mirror need not have a mirror image that
-    # reads the cell.
+    # model search fills + and ; cell by cell: it runs every law of the
+    # stage once, when it enters the stage, and after each cell only the
+    # instances of the pinned laws that read it (or its mirror in a
+    # symmetric table); both must fail exactly when a law does.  The tables
+    # here need not be symmetric, so an instance that reads only the mirror
+    # need not have a mirror image that reads the cell.
     tb = _tables(model)
     n = tb.n
     for profile in Profile:
@@ -276,28 +276,21 @@ def test_pinned_checks_read_the_filled_cell(model, rnd):
                 continue
             padded = padded_tables(tb, rnd)
             table, full = getattr(padded, stage.name), getattr(tb, stage.name)
-            unary = stage.name not in ("plus", "times")
-            cells = ([(k, k) for k in range(n)] if unary else
-                     list(product(range(n), repeat=2)))
+            cells = list(product(range(n), repeat=2))
 
             def at(t, cell):
-                return t[cell[0]] if unary else t[cell[0]][cell[1]]
+                return t[cell[0]][cell[1]]
 
             def put(cell, v):
-                i, j = cell
-                if unary:
-                    table[i] = v
-                else:
-                    table[i][j] = v
+                table[cell[0]][cell[1]] = v
 
             def fails(laws):
                 return any(naive_partial_violations(padded, law)
                            for law in laws)
 
             # the stage's entry check runs on whatever the tables hold
-            if stage.full:
-                assert ((stage.full(*padded) is not None)
-                        == fails(stage.laws)), (profile, stage.name)
+            assert ((stage.full(*padded) is not None)
+                    == fails(stage.laws)), (profile, stage.name)
             # later cells: fill the table in a random order, leaving blank
             # the cells skipped and those a law refuted, then fill each blank
             for cell in cells:
@@ -314,7 +307,7 @@ def test_pinned_checks_read_the_filled_cell(model, rnd):
                 before = at(table, mirror)
                 put(cell, v)
                 put(mirror, v)
-                check = stage.check(cell, False)
+                check = stage.check(*cell)
                 assert check(padded) == fails(stage.pinned), (
                     profile, stage.name, cell)
                 put(mirror, before)
