@@ -29,11 +29,13 @@ one call per run of ``rel_algebra_model(3)`` (layer ``rel3_build``, one
 instance) and of ``check_phi`` on a ``rel3`` built beforehand (layer
 ``check_phi_rel3``).
 
-The search layer (workload ``search``) times one ``find_models`` call per
-run for each of the 40 (size, profile, constraint) jobs of perfbench's
-``search`` workload and for near-as at size 5, as layer
+The search layer (workload ``search``) times ``find_models`` for each of
+the 40 (size, profile, constraint) jobs of perfbench's ``search`` workload,
+for near-as at size 5 and for ts and kat at size 6, as layer
 ``find_models_<profile>[_<constraint>]`` at the carrier size, and records
-the ``SearchStats`` of the call under ``stats``.
+the ``SearchStats`` of one call under ``stats``.  A run makes as many calls
+(``instances``) as took ``SEARCH_RUN_S`` by the untimed pass, at least one,
+so that sub-millisecond searches are not timed one call at a time.
 
 The evsets layer (workload ``nonexpressivity``) times
 ``refute_wlp_candidate`` then ``verify_refutation`` on each of the first
@@ -66,6 +68,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -81,6 +84,8 @@ DEGREE = 3
 LAW_LOOPS = 10
 # loops per run over the set-operation pairs
 SETOP_LOOPS = 50
+# seconds a run of one search layer should take, by its untimed pass
+SEARCH_RUN_S = 0.005
 # the search workload's profiles with + idempotent, and those with tests
 IDEMPOTENT = ("dioid", "kleene", "ts", "kat", "as", "kad", "ars", "kadr")
 PHI_CAPABLE = ("ts", "kat", "as", "kad", "kadr")
@@ -168,7 +173,8 @@ def _search_cases(algebra, search) -> dict:
         specs.append((5, p, None))
         if p in PHI_CAPABLE:
             specs += [(5, p, "phi-fails"), (5, p, "phi-holds")]
-    specs += [(5, "semiring", None), (6, "kad", None), (5, "near-as", None)]
+    specs += [(5, "semiring", None), (6, "kad", None), (5, "near-as", None),
+              (6, "ts", None), (6, "kat", None)]
     cases = {}
     for size, profile, constraint in specs:
         def call(stats=None, spec=(size, profile, constraint)):
@@ -215,12 +221,16 @@ def _probe() -> float:
     return sorted(probe() for _ in range(9))[4]
 
 
-def _time(calls, loops: int) -> tuple[list, list]:
+def _time(calls, loops: Optional[int]) -> tuple[list, list, int]:
     """The seconds of ``RUNS`` runs of ``loops`` passes over the calls,
-    after one untimed pass, and the probe (``_probe``) taken just before
-    each run."""
+    after one untimed pass, the probe (``_probe``) taken just before each
+    run, and ``loops``.  With ``loops`` None a run makes as many passes as
+    the untimed pass says take ``SEARCH_RUN_S``, at least one."""
+    t0 = time.perf_counter()
     for call in calls:
         call()
+    if loops is None:
+        loops = max(1, round(SEARCH_RUN_S / (time.perf_counter() - t0)))
     seconds, probes = [], []
     for _ in range(RUNS):
         probes.append(_probe())
@@ -229,7 +239,7 @@ def _time(calls, loops: int) -> tuple[list, list]:
             for call in calls:
                 call()
         seconds.append(time.perf_counter() - t0)
-    return seconds, probes
+    return seconds, probes, loops
 
 
 def _commit(src: Path) -> str:
@@ -263,8 +273,11 @@ def main(argv=None) -> int:
               "source_sha1": _source_hash(src / "kadlab")}
     records = []
 
-    def record(workload, layer, size, instances, calls, loops, **extra):
-        runs, probes = _time(calls, loops)
+    def record(workload, layer, size, per_loop, calls, loops, **extra):
+        """Time ``loops`` passes over the calls per run, ``per_loop``
+        instances each (see ``_time`` for ``loops`` None)."""
+        runs, probes, loops = _time(calls, loops)
+        instances = loops * per_loop
         q1, seconds, q3 = statistics.quantiles(runs, n=4)
         rescaled = list(map(rescale, runs, probes))
         records.append({"workload": workload, **common, "layer": layer,
@@ -278,17 +291,17 @@ def main(argv=None) -> int:
     for n in SIZES:
         cases = _cases(relations, n, random.Random(f"layers:{n}"))
         for layer, calls in cases.items():
-            record("relations", layer, n, LOOPS[n] * len(calls), calls, LOOPS[n])
+            record("relations", layer, n, len(calls), calls, LOOPS[n])
     for n in SIZES:
         calls = _denote_cases(relations, hoare, n, random.Random(f"denote:{n}"))
-        record("hoare", "denote", n, LOOPS[n] * len(calls), calls, LOOPS[n])
+        record("hoare", "denote", n, len(calls), calls, LOOPS[n])
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
-        record("laws", layer, size, loops * count, [call], loops)
+        record("laws", layer, size, count, [call], loops)
     for (layer, size), (call, stats) in _search_cases(algebra, search).items():
-        record("search", layer, size, 1, [call], 1, stats=stats)
+        record("search", layer, size, 1, [call], None, stats=stats)
     for layer, (size, loops, calls) in _evset_cases(evsets).items():
-        record("nonexpressivity", layer, size, loops * len(calls), calls, loops)
+        record("nonexpressivity", layer, size, len(calls), calls, loops)
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {out}")

@@ -14,17 +14,18 @@ IJCAI 1995).
 
 The rest is derived from + and ;.  The star is the sum of the powers x^k
 for k < n, the only star of a finite dioid (Kozen, 1994).  On each test
-set in turn (with each complement, for ts and kat) the antidomain of x is
-the join of the tests t with t ; x = 0 and its antirange that of the tests
-with x ; t = 0 (Desharnais, Möller & Struth, ACM TOCL 2006); a test set
-that is not their image is dropped.  The laws of these stages run once on
-the derived tables, so every fill that comes out satisfies the profile.
+set in turn the antidomain of x is the join of the tests r with r ; x = 0,
+its antirange that of the tests with x ; r = 0, and for ts and kat the
+complement of a test t that of the tests with r ; t = 0 (Desharnais,
+Möller & Struth, ACM TOCL 2006); a test set such a table leaves or misses
+is dropped.  The laws of these stages run once on the derived tables, so
+every fill that comes out satisfies the profile.
 
 Of the fills that differ by a relabelling of the middle elements only the
 least is kept: + and ; compared row-major, then the derived antidomain
-and antirange, then the test set and its complement.  A fill is dropped
-once + or ; is complete and a relabelling that kept the earlier table
-unchanged makes it smaller (every completion then has a smaller
+and antirange, then the test set, which fixes the complement.  A fill is
+dropped once + or ; is complete and a relabelling that kept the earlier
+table unchanged makes it smaller (every completion then has a smaller
 relabelling too), and a derived fill once one that keeps + and ; does.
 
 Search bound: for the profiles where x + x = x is an axiom or derivable,
@@ -77,9 +78,9 @@ class SearchStats:
     ``stages`` maps each stage the profile needs to ``[tried, pruned]``:
     the + and ; cell values tried (the laws of ; that run as the search
     enters it count for the last + cell), the star, adom and aran tables
-    derived, or the test sets with a complement, and those a law refuted
-    or, for adom and aran, whose image is not the test set.  ``duplicates``
-    counts the fills dropped as relabellings of a smaller one,
+    derived, or the test sets whose complement is derived, and those a law
+    refuted or whose derived table leaves or misses the test set.
+    ``duplicates`` counts the fills dropped as relabellings of a smaller one,
     ``candidates`` the fills that passed every law and ``models`` the
     models yielded.
     """
@@ -242,19 +243,16 @@ def _enumerate_models(n: int, profile: Profile,
                           k == len(cells) - 1 and (table, bounded)])
     derived = dict((stage.name, (stage, counts)) for stage, counts in plan[2:])
     star = derived.pop("star", None)
-    # the test sets, with each complement when the tests stage reads it
-    choices = (_test_choices(n) if "tests" in derived else
-               [(t, None) for t in _test_sets(n)] if derived else [((), None)])
-    choices = [(t, c, [i in t for i in range(n)]) for t, c in choices]
+    test_sets = [(t, [i in t for i in range(n)])
+                 for t in (_test_sets(n) if derived else [()])]
     # the relabellings of the middle elements but the identity, with inverses
     perms = [(pi, tuple(sorted(range(n), key=pi.__getitem__)))
              for pi in ((0, *p, one) for p in permutations(range(1, one)))][1:]
 
-    def key(pi, inv, tables, tests_i, comp_i):
-        """The derived tables, test set and complement relabelled by pi."""
-        ts = sorted(tests_i, key=pi.__getitem__)
+    def key(pi, inv, tables, tests_i):
+        """The derived tables and test set relabelled by pi."""
         return ([[pi[t[j]] for j in inv] for t in tables],
-                [pi[t] for t in ts], comp_i and [pi[comp_i[t]] for t in ts])
+                sorted(pi[t] for t in tests_i))
 
     def candidates(perms):
         """The fills that + and ; force, by their derived tables."""
@@ -264,25 +262,31 @@ def _enumerate_models(n: int, profile: Profile,
             if star[0].full(*args) is not None:
                 star[1][1] += 1
                 return
-        # the antidomain of x reads column x of ;, its antirange row x
-        derive = {"adom": (5, list(zip(*T))[:n]), "aran": (6, T[:n])}
+        # the antidomain of x reads column x of ;, its antirange row x and
+        # the complement of a test t column t, on the tests alone
+        cols = list(zip(*T))[:n]
+        derive = {"adom": (5, cols), "aran": (6, T[:n]), "tests": (7, cols)}
         kept = []
-        for tests_i, comp_i, is_test in choices:
-            args[1], args[7], args[8] = tests_i, comp_i, is_test
+        for tests_i, is_test in test_sets:
+            args[1], args[8] = tests_i, is_test
             tables = {}
             for stage, counts in derived.values():
                 counts[0] += 1
-                if stage.name in derive:
-                    k, rows = derive[stage.name]
-                    tables[stage.name] = args[k] = _annihilators(
-                        P, rows, tests_i, is_test)
-                if None in tables.values() or stage.full(*args) is not None:
+                k, rows = derive[stage.name]
+                if k == 7:  # the complement: the tests' columns, by test
+                    rows = [rows[t] for t in tests_i]
+                table = _annihilators(P, rows, tests_i, is_test)
+                if k == 7 and table:
+                    table = dict(zip(tests_i, table))
+                tables[stage.name] = args[k] = table
+                if table is None or stage.full(*args) is not None:
                     counts[1] += 1
                     break
             else:
+                comp_i = tables.pop("tests", None)
                 own = list(tables.values())
-                mine = key(range(n), range(n), own, tests_i, comp_i)
-                if derived and any(key(*pi, own, tests_i, comp_i) < mine
+                mine = key(range(n), range(n), own, tests_i)
+                if derived and any(key(*pi, own, tests_i) < mine
                                    for pi in perms):
                     stats.duplicates += 1
                 else:
@@ -350,9 +354,9 @@ def _sum_of_powers(P, T, n):
 
 
 def _annihilators(P, rows, tests, is_test):
-    """For each x the join of the tests t with rows[x][t] = 0: with the
-    columns of ; its antidomain, with the rows its antirange, as the tests
-    force them; None if the image is not the test set."""
+    """For each row the join of the tests t with row[t] = 0: on the columns
+    of ; the antidomain, on its rows the antirange, on the tests' columns
+    the complement; None if a join is no test or the joins miss a test."""
     table = []
     for row in rows:
         join = 0
@@ -370,19 +374,6 @@ def _test_sets(n):
     return [tuple(sorted({0, n - 1, *(m for m in range(1, n - 1)
                                        if mask >> m - 1 & 1)}))
             for mask in range(1 << max(n - 2, 0))]
-
-
-@functools.cache
-def _test_choices(n):
-    """The test sets, each with every involution as complement that swaps
-    zero and one."""
-    found = []
-    for tests in _test_sets(n):
-        for values in product(tests, repeat=len(tests[1:-1])):
-            comp = {0: n - 1, n - 1: 0, **dict(zip(tests[1:-1], values))}
-            if all(comp[comp[t]] == t for t in tests):
-                found.append((tests, comp))
-    return found
 
 
 # ---------------------------------------------------------------------------
