@@ -16,9 +16,13 @@ the quartiles:
 - ``star``, ``box`` (R and a half-size test), ``aran``;
 - ``parse_rel_literal``: the printed form of such a relation (3n pairs).
 
-The Hoare layer (workload ``hoare``) times ``denote`` (layer ``denote``) at
-the same state counts, on seeded if/while programs of nesting depth 2 over
-two such relations and two such tests, each input with its own bindings.
+The Hoare layer (workload ``hoare``) times ``denote``, ``wlp`` (post q),
+``vcgen`` (pre p, post q) and ``synth_mid`` for each method (layers
+``denote``, ``wlp``, ``vcgen`` and ``synth_mid_<method>``) at the same
+state counts, on seeded if/while programs of nesting depth 2 over two such
+relations x, y and two such tests p, q, each input with its own bindings;
+``synth_mid`` splits each program from the next one, under a precondition
+for which the premise holds.
 
 The law layer (workload ``laws``, size 16, the carrier of ``rel2``) times
 ``check_axioms(rel2, profile)`` for every profile (``rel2`` has all their
@@ -133,18 +137,35 @@ def _program(rng: random.Random, depth: int) -> str:
                        f"{first} ; {second}"))
 
 
-def _denote_cases(relations, hoare, n: int, rng: random.Random) -> list:
-    """The zero-argument ``denote`` calls of one loop over the inputs."""
+def _hoare_cases(relations, hoare, n: int, rng: random.Random) -> dict:
+    """Per Hoare layer, the zero-argument calls of one loop over the inputs.
+
+    Input i is a program over its own bindings; synthesis splits it from
+    the program of input i + 1 (mod ``INPUTS``), with q as postcondition and
+    p meet the wlp of the pair as precondition, so that the premise holds."""
     Rel, space = relations.Rel, relations.StateSpace.of_size(n)
-    calls = []
+    inputs = []
     for _ in range(INPUTS):
         bindings = hoare.Bindings(
             space, {"x": _rel(Rel, space, rng), "y": _rel(Rel, space, rng)},
             {"p": _test(Rel, space, rng), "q": _test(Rel, space, rng)})
         prog = hoare.parse_program(_program(rng, 2), bindings.atoms,
                                    bindings.tests)
-        calls.append(functools.partial(hoare.denote, prog, bindings))
-    return calls
+        inputs.append((bindings, prog))
+    cases = {"denote": [functools.partial(hoare.denote, prog, b)
+                        for b, prog in inputs]}
+    cases["wlp"] = [functools.partial(hoare.wlp, prog, b.tests["q"], b)
+                    for b, prog in inputs]
+    cases["vcgen"] = [functools.partial(hoare.vcgen, b.tests["p"], prog,
+                                        b.tests["q"], b) for b, prog in inputs]
+    for method in hoare.SYNTH_METHODS:
+        cases[f"synth_mid_{method}"] = calls = []
+        for i, (b, x) in enumerate(inputs):
+            y, q = inputs[(i + 1) % INPUTS][1], b.tests["q"]
+            pre = b.tests["p"] & hoare.wlp(hoare.Seq(x, y), q, b)
+            calls.append(functools.partial(hoare.synth_mid, x, y, pre, q,
+                                           method, b))
+    return cases
 
 
 def _law_cases(algebra, relations) -> dict:
@@ -293,8 +314,9 @@ def main(argv=None) -> int:
         for layer, calls in cases.items():
             record("relations", layer, n, len(calls), calls, LOOPS[n])
     for n in SIZES:
-        calls = _denote_cases(relations, hoare, n, random.Random(f"denote:{n}"))
-        record("hoare", "denote", n, len(calls), calls, LOOPS[n])
+        cases = _hoare_cases(relations, hoare, n, random.Random(f"denote:{n}"))
+        for layer, calls in cases.items():
+            record("hoare", layer, n, len(calls), calls, LOOPS[n])
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, count, [call], loops)

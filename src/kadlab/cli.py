@@ -197,19 +197,20 @@ def _cmd_vcgen(args):
         raise ModelError("both a precondition and a postcondition are needed "
                          "(pre:/post: lines or --pre/--post)")
     report = vcgen(pre, pf.program, post, pf.bindings)
+    # each test rendered once, for both the text and the payload
+    precondition = format_rel(report.precondition)
+    conditions = [{"name": c.name, "lhs": format_rel(c.lhs),
+                   "rhs": format_rel(c.rhs), "holds": c.holds}
+                  for c in report.conditions]
     lines = [f"program file: {args.program}",
-             f"precondition computed: {format_rel(report.precondition)}"]
-    for c in report.conditions:
-        status = "ok" if c.holds else "VIOLATED"
-        lines.append(f"vc {c.name}: {format_rel(c.lhs)} <= {format_rel(c.rhs)} : {status}")
+             f"precondition computed: {precondition}"]
+    for c in conditions:
+        status = "ok" if c["holds"] else "VIOLATED"
+        lines.append(f"vc {c['name']}: {c['lhs']} <= {c['rhs']} : {status}")
     lines.append(f"result: {'VALID' if report.valid else 'INVALID'}")
     payload = {"command": "vcgen", "program": args.program,
-               "precondition": format_rel(report.precondition),
-               "valid": report.valid,
-               "conditions": [
-                   {"name": c.name, "lhs": format_rel(c.lhs),
-                    "rhs": format_rel(c.rhs), "holds": c.holds}
-                   for c in report.conditions]}
+               "precondition": precondition, "valid": report.valid,
+               "conditions": conditions}
     return (0 if report.valid else 1), lines, payload
 
 
@@ -223,12 +224,13 @@ def _cmd_synth_mid(args):
     r = synth_mid(x, y, p, q, args.method, b)
     first = holds(HoareTriple(p, x, r), b)
     second = holds(HoareTriple(r, y, q), b)
+    shown = format_rel(r)
     lines = [f"method: {args.method}",
-             f"r = {format_rel(r)}",
+             f"r = {shown}",
              f"{{p}} x {{r}}: {'ok' if first else 'VIOLATED'}",
              f"{{r}} y {{q}}: {'ok' if second else 'VIOLATED'}"]
     payload = {"command": "synth-mid", "method": args.method,
-               "r": format_rel(r), "first_triple": first,
+               "r": shown, "first_triple": first,
                "second_triple": second}
     return (0 if first and second else 1), lines, payload
 

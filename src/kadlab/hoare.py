@@ -4,16 +4,24 @@ Programs are read in the KAT encoding: ``skip`` is 1, ``if t then x else
 y fi`` is t;X + !t;Y and ``while t do x od`` is (t;X)* ; !t.  Guards,
 assertions and invariants are test-sorted terms of ``kadlab.terms`` over
 the declared tests, so ``denote`` and ``eval_test`` are term evaluation in
-the relation algebra of the state space.  A triple {p} x {q} holds iff
-p ; X ; !q is empty, equivalently iff p <= [X]q = a(X ; a(q)), the weakest
-liberal precondition; it is decided in the second form, which needs no
-relation product (the box is a mask over X's rows).  ``while`` loops may
-carry an invariant annotation (``while t invariant j do ... od``);
-``vcgen`` recurses over the program to use it when present and otherwise
-falls back to the exact loop wlp, which finite models make available.
-The inference rules are quasi-laws of the algebra, which
-``algebra.check_rules`` checks on any finite model (``rel_algebra_model``
-tabulates the relation algebras of up to 3 states for it).
+the relation algebra of the state space; ``denote`` is the relational
+semantics.  A triple {p} x {q} holds iff p ; X ; !q is empty, equivalently
+iff p <= [X]q = a(X ; a(q)), the weakest liberal precondition.  It is
+decided in the second form, and [x]q is a predicate transformer on tests,
+computed by structure without forming X: an atom's box keeps the states
+whose row lies in q, [x;y]q = [x][y]q, [if t then x else y fi]q is
+t;[x]q + !t;[y]q, and [while t do B od]q is the greatest fixpoint
+nu s. (t + q)(!t + [B]s), iterated down from t + q.  The image ran(p ; X)
+that synthesis needs is carried forward the same way; for a loop it is
+!t ; (mu s. p + ran(s ; t ; B)), iterated up from p.  Each fixpoint walks
+a monotone chain of state sets, so it stops within n + 1 rounds.
+``while`` loops may carry an invariant annotation (``while t invariant j
+do ... od``); ``vcgen`` runs the same backward transformer and uses the
+invariant where there is one, emitting its conditions, and the loop's
+fixpoint where there is none.  The inference rules are quasi-laws of the
+algebra, which ``algebra.check_rules`` checks on any finite model
+(``rel_algebra_model`` tabulates the relation algebras of up to 3 states
+for it).
 """
 
 from __future__ import annotations
@@ -251,41 +259,129 @@ def _encode(prog: Program) -> tm.Term:
     raise TypeError(f"not a program: {prog!r}")
 
 
-def eval_test(expr: tm.Term, bindings: Bindings) -> Rel:
-    """Evaluate a term in the relation algebra of the bindings' space."""
+def _bits(expr: tm.Term, bindings: Bindings) -> int:
+    """The bit pattern of a term in the relation algebra of the bindings'
+    space."""
     space, venv, tenv = bindings._eval_args
     try:
-        return Rel(space, _eval_idx(space, expr, venv, tenv))
+        return _eval_idx(space, expr, venv, tenv)
     except EvalError as e:
         raise ModelError(str(e)) from None
 
 
+def eval_test(expr: tm.Term, bindings: Bindings) -> Rel:
+    """Evaluate a term in the relation algebra of the bindings' space."""
+    return Rel(bindings.space, _bits(expr, bindings))
+
+
 def denote(prog: Program, bindings: Bindings) -> Rel:
+    """The relation of a program: its KAT encoding, evaluated.  This is the
+    relational semantics that the predicate transformers below are tested
+    against; they never form it."""
     return eval_test(_encode(prog), bindings)
 
 
-def _check_test(rel: Rel, what: str):
+def _check_test(rel: Rel, what: str, space: StateSpace):
     if not rel.is_subidentity():
         raise ModelError(f"{what} must be a subidentity test")
+    if rel.space != space:
+        raise ModelError("relations live on different state spaces")
 
 
-def _triple_holds(pre: Rel, rel: Rel, post: Rel) -> bool:
-    """{p} X {q} for tests p and q, which the callers check, decided as
-    p <= [X]q, which holds iff p ; X ; !q is empty."""
-    return pre.leq(rel.box(post))
+# ---------------------------------------------------------------------------
+# predicate transformers on test bit patterns
+
+def _guard(guard: tm.Term, bindings: Bindings) -> tuple[int, int]:
+    """A guard's test and its complement (a guard that is no test is
+    refused, as ``denote`` refuses it)."""
+    untaken = _bits(tm.Not(guard), bindings)
+    return bindings.space.one_i ^ untaken, untaken
+
+
+def _wp(prog: Program, q: int, bindings: Bindings,
+        loops: Optional[list[int]] = None):
+    """[prog]q on test bit patterns, and the conditions of its annotated
+    loops.  With ``loops`` None the wlp is exact and invariants are
+    ignored; otherwise ``loops`` counts the annotated loops met so far, and
+    the k-th yields whilek-preserve, whilek-exit and its invariant."""
+    space = bindings.space
+    match prog:
+        case Skip():
+            return q, []
+        case Atom(name):
+            return space.box(_bits(tm.Var(name), bindings), q), []
+        case Seq():
+            vcs = []    # last statement first: loops count from the back
+            for statement in reversed(_spine(prog)):
+                q, v = _wp(statement, q, bindings, loops)
+                vcs[:0] = v
+            return q, vcs
+        case If(guard, then, orelse):
+            t, untaken = _guard(guard, bindings)
+            wt, vt = _wp(then, q, bindings, loops)
+            we, ve = _wp(orelse, q, bindings, loops)
+            return t & wt | untaken & we, vt + ve
+        case While(guard, body, invariant) if loops is None or invariant is None:
+            t, untaken = _guard(guard, bindings)
+            top = s = t | q
+            while True:     # a falling chain of state sets: at most n + 1 rounds
+                below = top & (untaken | _wp(body, s, bindings)[0])
+                if below == s:
+                    return s, []
+                s = below
+        case While(guard, body, invariant):
+            loops[0] += 1
+            k = loops[0]
+            inv = _bits(invariant, bindings)
+            t, untaken = _guard(guard, bindings)
+            wbody, vbody = _wp(body, inv, bindings, loops)
+            return inv, [
+                VerificationCondition(f"while{k}-preserve",
+                                      Rel(space, inv & t), Rel(space, wbody)),
+                VerificationCondition(f"while{k}-exit",
+                                      Rel(space, inv & untaken), Rel(space, q)),
+            ] + vbody
+    raise TypeError(f"not a program: {prog!r}")
+
+
+def _image(prog: Program, p: int, bindings: Bindings) -> int:
+    """ran(p ; X) for a test p, carried forward through the program; a loop
+    is !t ; (mu s. p + ran(s ; t ; B)), iterated up from p."""
+    space = bindings.space
+    match prog:
+        case Skip():
+            return p
+        case Atom(name):
+            return space.image(p, _bits(tm.Var(name), bindings))
+        case Seq():
+            for statement in _spine(prog):
+                p = _image(statement, p, bindings)
+            return p
+        case If(guard, then, orelse):
+            t, untaken = _guard(guard, bindings)
+            return (_image(then, p & t, bindings)
+                    | _image(orelse, p & untaken, bindings))
+        case While(guard, body, _):
+            t, untaken = _guard(guard, bindings)
+            s = p
+            while True:     # a rising chain of state sets: at most n + 1 rounds
+                above = p | _image(body, s & t, bindings)
+                if above == s:
+                    return s & untaken
+                s = above
+    raise TypeError(f"not a program: {prog!r}")
 
 
 def holds(triple: HoareTriple, bindings: Bindings) -> bool:
-    """{p} x {q} iff p ; X ; !q is empty, decided as p <= [X]q."""
-    _check_test(triple.pre, "precondition")
-    _check_test(triple.post, "postcondition")
-    return _triple_holds(triple.pre, denote(triple.prog, bindings), triple.post)
+    """{p} x {q} iff p ; X ; !q is empty, decided as p <= [x]q."""
+    _check_test(triple.pre, "precondition", bindings.space)
+    return triple.pre.leq(wlp(triple.prog, triple.post, bindings))
 
 
 def wlp(prog: Program, post: Rel, bindings: Bindings) -> Rel:
-    """Weakest liberal precondition [X]post of the program's denotation."""
-    _check_test(post, "postcondition")
-    return denote(prog, bindings).box(post)
+    """Weakest liberal precondition [x]post, by the exact transformer."""
+    _check_test(post, "postcondition", bindings.space)
+    return Rel(bindings.space, _wp(prog, post.bits, bindings)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -319,46 +415,11 @@ def vcgen(pre: Rel, prog: Program, post: Rel, bindings: Bindings) -> VcReport:
     conditions and their invariant becomes the computed precondition;
     unannotated loops use the exact loop wlp.
     """
-    _check_test(pre, "precondition")
-    _check_test(post, "postcondition")
-    counter = [0]
-
-    def wp(p: Program, q: Rel):
-        match p:
-            case Skip():
-                return q, []
-            case Atom(_):
-                return denote(p, bindings).box(q), []
-            case Seq():
-                vcs = []    # last statement first: loops count from the back
-                for statement in reversed(_spine(p)):
-                    q, v = wp(statement, q)
-                    vcs[:0] = v
-                return q, vcs
-            case If(guard, then, orelse):
-                t = eval_test(guard, bindings)
-                wt, vt = wp(then, q)
-                we, ve = wp(orelse, q)
-                pre_if = t.intersect(wt).union(t.complement_test().intersect(we))
-                return pre_if, vt + ve
-            case While(guard, body, invariant):
-                if invariant is None:
-                    return denote(p, bindings).box(q), []
-                counter[0] += 1
-                k = counter[0]
-                inv = eval_test(invariant, bindings)
-                t = eval_test(guard, bindings)
-                wbody, vbody = wp(body, inv)
-                vcs = [
-                    VerificationCondition(f"while{k}-preserve",
-                                          inv.intersect(t), wbody),
-                    VerificationCondition(f"while{k}-exit",
-                                          inv.intersect(t.complement_test()), q),
-                ]
-                return inv, vcs + vbody
-        raise TypeError(f"not a program: {p!r}")
-
-    precondition, vcs = wp(prog, post)
+    space = bindings.space
+    _check_test(pre, "precondition", space)
+    _check_test(post, "postcondition", space)
+    bits, vcs = _wp(prog, post.bits, bindings, [0])
+    precondition = Rel(space, bits)
     head = VerificationCondition("precondition", pre, precondition)
     return VcReport(precondition, tuple([head] + vcs))
 
@@ -373,25 +434,20 @@ def synth_mid(x: Program, y: Program, p: Rel, q: Rel, method: str,
               bindings: Bindings) -> Rel:
     """An intermediate test r with {p} x {r} and {r} y {q}.
 
-    Requires the premise triple {p} x;y {q}, decided as p <= [X][Y]q, so
-    X ; Y is never formed; the three methods are the box of the second
-    factor, the range of p through the first factor (via a double
-    antirange), and their meet.
+    Requires the premise triple {p} x;y {q}, decided as p <= [x][y]q; the
+    three methods are [y]q, the image ran(p ; X) of p through x, and their
+    meet.  Both are predicate transformers, so no relation is formed.
     """
     if method not in SYNTH_METHODS:
         raise ModelError(f"unknown synthesis method {method!r} "
                          f"(one of {', '.join(SYNTH_METHODS)})")
-    _check_test(p, "precondition")
-    _check_test(q, "postcondition")
-    X = denote(x, bindings)
-    Y = denote(y, bindings)
-    box = Y.box(q)
-    if not _triple_holds(p, X, box):
+    _check_test(p, "precondition", bindings.space)
+    box = wlp(y, q, bindings)
+    if not p.leq(wlp(x, box, bindings)):
         raise PremiseError("premise triple {p} x;y {q} does not hold")
     if method == "wlp":
         return box
-    reach = p.compose(X).aran().aran()
+    reach = Rel(bindings.space, _image(x, p.bits, bindings))
     if method == "range":
         return reach
     return box.intersect(reach)
-

@@ -105,6 +105,16 @@ class StateSpace:
                 f"complement of non-test element {self.element_name(i)!r}")
         return self.one_i & ~i
 
+    def box(self, i: int, post: int) -> int:
+        """[i]post for a test post: the subidentity on the states all of
+        whose successors lie in post."""
+        return _within(i, self.size, _reached(post, self.size))
+
+    def image(self, pre: int, i: int) -> int:
+        """ran(pre ; i) for a test pre: the subidentity on the states that
+        i reaches from pre's, with pre ; i a mask on i's rows."""
+        return _diagonal(_reached(self.times(pre, i), self.size), self.size)
+
 
 # ---------------------------------------------------------------------------
 # the row view, the only code that knows the layout; mask bit i is state i
@@ -303,8 +313,7 @@ class Rel:
         self._same_space(post)
         if not post.is_subidentity():
             raise ModelError("box postcondition must be a subidentity")
-        n = self.space.size
-        return Rel(self.space, _within(self.bits, n, _reached(post.bits, n)))
+        return Rel(self.space, self.space.box(self.bits, post.bits))
 
 
 def all_relations(space: StateSpace) -> Iterator[Rel]:

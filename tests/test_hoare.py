@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 from kadlab.algebra import (Profile, Quasi, _check_laws, _compile_law,
                             _eval_idx, check_phi, check_rules, hoare_rules,
                             lemma4_model)
+from kadlab import hoare
 from kadlab.errors import ModelError, ParseError
 from kadlab.hoare import (Atom, Bindings, HoareTriple, If, PremiseError, Seq,
                           Skip, While, denote, eval_test, holds,
@@ -16,7 +18,7 @@ from kadlab.terms import (MAX_DEPTH, ONE, ZERO, Not, Plus, Times, desugar,
                           parse_term)
 from kadlab.terms import TestVar as TV
 
-from naive_oracle import naive_check_axioms
+from naive_oracle import naive_check_axioms, naive_triple_holds
 
 S2 = StateSpace(["1", "2"])
 S3 = StateSpace(["1", "2", "3"])
@@ -449,3 +451,156 @@ def test_long_sequences_compare_hash_and_print_without_recursion():
     assert repr(left) == "Seq(" + ", ".join(
         [f"Atom(name={n!r})" for n in ["x", "y"] * 1500]) + ")"
     assert repr(If(TV("p"), left, Skip())).count("Atom(name='x')") == 1500
+
+
+# ---------------------------------------------------------------------------
+# the predicate transformers against the relational semantics
+
+_GUARDS = (ZERO, ONE, TV("p"), Not(TV("q")), Times(TV("p"), Not(TV("q"))),
+           Plus(TV("p"), TV("q")))
+
+
+def _random_program(rng, depth):
+    """A seeded program over atoms x and y with if/while nested at most
+    ``depth`` levels, skip statements and bodies, guards from ``_GUARDS``
+    (0 and 1 among them) and an invariant on about half of the loops."""
+    kind = rng.choice(("leaf", "seq", "if", "while", "while") if depth else
+                      ("leaf",))
+    if kind == "leaf":
+        return rng.choice((Atom("x"), Atom("y"), Skip()))
+    first = _random_program(rng, depth - 1)
+    if kind == "seq":
+        return Seq(first, _random_program(rng, depth - 1))
+    guard = rng.choice(_GUARDS)
+    if kind == "if":
+        return If(guard, first, _random_program(rng, depth - 1))
+    return While(guard, first, rng.choice((None, rng.choice(_GUARDS))))
+
+
+def _unannotated(prog):
+    match prog:
+        case Seq(first, second):
+            return Seq(_unannotated(first), _unannotated(second))
+        case If(guard, then, orelse):
+            return If(guard, _unannotated(then), _unannotated(orelse))
+        case While(guard, body, _):
+            return While(guard, _unannotated(body))
+    return prog
+
+
+def _transformer_cases():
+    """Seeded (bindings, x, y, p, q) over 1-32 states: x and y are
+    ``_random_program``s of depth 3, the atoms have up to 3 successors per
+    state and the tests are random state sets."""
+    cases = []
+    for k in range(150):
+        rng = random.Random(f"transformers:{k}")
+        space = StateSpace.of_size(rng.randint(1, 32))
+        names = space.names
+
+        def rel():
+            return Rel.from_pairs(space, [
+                (a, b) for a in names
+                for b in rng.sample(names, rng.randint(0, min(3, len(names))))])
+
+        def test():
+            return Rel.test_from_states(
+                space, [a for a in names if rng.random() < 0.5])
+
+        bindings = Bindings(space, {"x": rel(), "y": rel()},
+                            {"p": test(), "q": test()})
+        cases.append((bindings, _random_program(rng, 3),
+                      _random_program(rng, 3), test(), test()))
+    return cases
+
+
+def _loops(prog, outer=0):
+    """(loops, loops inside loops, annotated loops, skip loop bodies)."""
+    match prog:
+        case Seq(first, second):
+            return tuple(map(sum, zip(_loops(first, outer),
+                                      _loops(second, outer))))
+        case If(_, then, orelse):
+            return tuple(map(sum, zip(_loops(then, outer),
+                                      _loops(orelse, outer))))
+        case While(_, body, invariant):
+            inner = _loops(body, outer + 1)
+            return (inner[0] + 1, inner[1] + (outer > 0),
+                    inner[2] + (invariant is not None),
+                    inner[3] + (body == Skip()))
+    return 0, 0, 0, 0
+
+
+def test_transformer_cases_cover_the_shapes():
+    cases = _transformer_cases()
+    loops, nested, annotated, skips = map(sum, zip(*(
+        _loops(prog) for _, x, y, _, _ in cases for prog in (x, y))))
+    assert nested and skips and 0 < annotated < loops
+    guards = {repr(prog.guard) for _, x, _, _, _ in cases
+              for prog in [x] if isinstance(prog, (If, While))}
+    assert {repr(ZERO), repr(ONE)} <= guards
+    sizes = {b.space.size for b, *_ in cases}
+    assert min(sizes) == 1 and max(sizes) == 32
+    assert sum(size <= 8 for size in sizes) >= 5
+
+
+def _transformers_agree(case) -> bool:
+    """wlp, vcgen without invariants, synth_mid's range and holds against
+    ``denote`` (holds also against the pair-set oracle, up to 8 states)."""
+    bindings, x, y, p, q = case
+    relation = denote(x, bindings)
+    box = relation.box(q)
+    verdict = holds(HoareTriple(p, x, q), bindings)
+    return (wlp(x, q, bindings) == box
+            and vcgen(p, _unannotated(x), q, bindings).precondition == box
+            and synth_mid(x, y, p, Rel.identity(bindings.space), "range",
+                          bindings) == p.compose(relation).aran().aran()
+            and verdict == p.leq(box)
+            and (bindings.space.size > 8
+                 or verdict == naive_triple_holds(p, relation, q)))
+
+
+def test_transformers_match_the_relational_semantics():
+    for case in _transformer_cases():
+        assert _transformers_agree(case), case
+
+
+@pytest.mark.parametrize("function, old, new", [
+    (hoare._wp, "if below == s:\n                    return s, []",
+     "if True:\n                    return below, []"),
+    (hoare._image, "if above == s:\n                    return s & untaken",
+     "if True:\n                    return above & untaken"),
+], ids=["wlp", "image"])
+def test_loops_stopped_after_one_round_break_the_property(monkeypatch, function,
+                                                          old, new):
+    # the function rebuilt from its source with the fixpoint cut to one
+    # round, so a loop that needs more rounds comes out wrong
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(vars(hoare))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(hoare, function.__name__, namespace[function.__name__])
+    assert not all(map(_transformers_agree, _transformer_cases()))
+
+
+def test_transformers_refuse_what_denote_refuses():
+    b = b2()
+    p, q, step = b.tests["p"], b.tests["q"], b.atoms["x"]
+    nosuch = Seq(Atom("x"), While(TV("p"), If(ONE, Atom("nosuch"), Skip())))
+    unbound = "^unbound variable 'nosuch'$"
+    with pytest.raises(ModelError, match=unbound):
+        denote(nosuch, b)
+    for call in (lambda: wlp(nosuch, q, b),
+                 lambda: holds(HoareTriple(p, nosuch, q), b),
+                 lambda: vcgen(p, nosuch, q, b),
+                 lambda: synth_mid(nosuch, Skip(), p, q, "range", b),
+                 lambda: synth_mid(Skip(), nosuch, p, q, "wlp", b)):
+        with pytest.raises(ModelError, match=unbound):
+            call()
+    with pytest.raises(ModelError, match="^precondition must be"):
+        vcgen(step, nosuch, q, b)
+    with pytest.raises(ModelError, match="^postcondition must be"):
+        vcgen(p, nosuch, step, b)
+    loop = While(TV("p"), Atom("x"))
+    with pytest.raises(PremiseError):
+        synth_mid(loop, Skip(), Rel.identity(S2), b.tests["p"], "range", b)

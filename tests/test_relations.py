@@ -10,7 +10,7 @@ from kadlab.algebra import (FiniteAlgebra, PhiResult, Profile, _eval_idx,
 from kadlab.errors import (BoundError, EvalError, KadlabError, ModelError,
                            ParseError)
 from kadlab.evsets import parse_evset
-from kadlab.hoare import _triple_holds
+from kadlab.hoare import Atom, Bindings, HoareTriple, holds
 from kadlab.relations import (Rel, StateSpace, _edges, _rows, all_relations,
                               format_rel, parse_rel_literal, rel_algebra_model)
 from kadlab.terms import (ADom, ARan, Box, Dom, Env, Not, ONE, Plus, Star,
@@ -389,13 +389,22 @@ def test_row_view_matches_pair_set_oracles(rels):
 @given(_sparse_rels(1, 128))
 def test_triple_holds_matches_compose_form(rels):
     (r, _), _, (p, _), (q, _) = rels
-    assert _triple_holds(p, r, q) == naive_triple_holds(p, r, q)
+    bindings = Bindings(r.space, {"r": r}, {})
+
+    def triple(pre):
+        return holds(HoareTriple(pre, Atom("r"), q), bindings)
+
+    assert triple(p) == naive_triple_holds(p, r, q)
     # the states of p whose successors all lie in q: there the triple holds
     q_states = {a for a, _ in q.pairs()}
     safe = Rel.test_from_states(p.space, [
         a for a, _ in p.pairs()
         if all(c in q_states for b, c in r.pairs() if b == a)])
-    assert _triple_holds(safe, r, q) and naive_triple_holds(safe, r, q)
+    assert triple(safe) and naive_triple_holds(safe, r, q)
+    # the image of p through r is the range of p ; r
+    reached = {c for a, _ in p.pairs() for b, c in r.pairs() if b == a}
+    assert (r.space.image(p.bits, r.bits)
+            == Rel.test_from_states(r.space, reached).bits)
 
 
 @given(_sparse_rels())
