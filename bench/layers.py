@@ -39,7 +39,11 @@ for near-as at size 5 and for ts and kat at size 6, as layer
 ``find_models_<profile>[_<constraint>]`` at the carrier size, and records
 the ``SearchStats`` of one call under ``stats``.  A run makes as many calls
 (``instances``) as took ``SEARCH_RUN_S`` by the untimed pass, at least one,
-so that sub-millisecond searches are not timed one call at a time.
+so that sub-millisecond searches are not timed one call at a time.  A
+layer left at one call per run gets ``SLOW_RUNS`` runs, or more if they
+take less than ``SLOW_RUNS_S`` by the untimed pass: seven single-call runs
+of a 5-200 ms search spread by 17-36% of their median on a shared host,
+too widely to show a change of 10-20%.
 
 The evsets layer (workload ``nonexpressivity``) times
 ``refute_wlp_candidate`` then ``verify_refutation`` on each of the first
@@ -50,13 +54,14 @@ sets with thresholds up to 8 and periods up to 12 (size 12).
 
 Each record holds workload, layer, size, instances (operations per run),
 seconds (median per run), seconds_q1 and seconds_q3 (the quartiles of the
-runs), rate (instances / seconds), the Python version, and the commit and
-a hash of the ``kadlab`` sources it timed.  Just before each timed run the
-median of nine speed probes (``perfbench/speed.py``) is taken, and the run
-is rescaled by it to the probe's reference speed.  ``probe_s`` is the
-median of those probes and ``seconds_ref`` the median of the rescaled
-runs, so that host drift between two files, and within one layer's runs,
-can be told from a change to the layer.
+runs), runs (their number), rate (instances / seconds), the Python
+version, and the commit and a hash of the ``kadlab`` sources it timed.
+Just before each timed run the median of nine speed probes
+(``perfbench/speed.py``) is taken, and the run is rescaled by it to the
+probe's reference speed.  ``probe_s`` is the median of those probes and
+``seconds_ref`` the median of the rescaled runs, so that host drift
+between two files, and within one layer's runs, can be told from a change
+to the layer.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import platform
 import random
 import statistics
@@ -90,6 +96,10 @@ LAW_LOOPS = 10
 SETOP_LOOPS = 50
 # seconds a run of one search layer should take, by its untimed pass
 SEARCH_RUN_S = 0.005
+# runs of a search layer at one call per run: at least SLOW_RUNS, and as
+# many as take SLOW_RUNS_S by the untimed pass
+SLOW_RUNS = 15
+SLOW_RUNS_S = 1.0
 # the search workload's profiles with + idempotent, and those with tests
 IDEMPOTENT = ("dioid", "kleene", "ts", "kat", "as", "kad", "ars", "kadr")
 PHI_CAPABLE = ("ts", "kat", "as", "kad", "kadr")
@@ -246,14 +256,19 @@ def _time(calls, loops: Optional[int]) -> tuple[list, list, int]:
     """The seconds of ``RUNS`` runs of ``loops`` passes over the calls,
     after one untimed pass, the probe (``_probe``) taken just before each
     run, and ``loops``.  With ``loops`` None a run makes as many passes as
-    the untimed pass says take ``SEARCH_RUN_S``, at least one."""
+    the untimed pass says take ``SEARCH_RUN_S``, at least one, and a run of
+    one pass is repeated as the ``SLOW_RUNS`` constants say."""
     t0 = time.perf_counter()
     for call in calls:
         call()
+    runs = RUNS
     if loops is None:
-        loops = max(1, round(SEARCH_RUN_S / (time.perf_counter() - t0)))
+        elapsed = time.perf_counter() - t0
+        loops = max(1, round(SEARCH_RUN_S / elapsed))
+        if loops == 1:
+            runs = max(SLOW_RUNS, math.ceil(SLOW_RUNS_S / elapsed))
     seconds, probes = [], []
-    for _ in range(RUNS):
+    for _ in range(runs):
         probes.append(_probe())
         t0 = time.perf_counter()
         for _ in range(loops):
@@ -304,7 +319,8 @@ def main(argv=None) -> int:
         records.append({"workload": workload, **common, "layer": layer,
                         "size": size, "instances": instances,
                         "seconds": seconds, "seconds_q1": q1,
-                        "seconds_q3": q3, "rate": instances / seconds,
+                        "seconds_q3": q3, "runs": len(runs),
+                        "rate": instances / seconds,
                         "probe_s": statistics.median(probes),
                         "seconds_ref": statistics.median(rescaled), **extra})
         print(f"{layer:30} n={size:<4} {seconds / instances * 1e6:12.3f} us/op")

@@ -15,8 +15,11 @@ and computes every subterm at the outermost loop binding its variables.
 is no law, is scanned with sets of tests kept as bitmasks, so the search
 for an intermediate test is one AND.
 
-Tables are index-based (positions into the carrier tuple); the public
-entry points speak element names.
+Tables are index-based (positions into the carrier tuple) and are built
+once, as the constructor validates them, into one record (``_Tables``):
+the loop nests take its fields as their parameters, and the phi scan and
+the isomorphism test read it too.  The public entry points speak element
+names.
 """
 
 from __future__ import annotations
@@ -255,6 +258,25 @@ def _indices_below(n, values) -> bool:
         return False
 
 
+class _Tables(NamedTuple):
+    """A model's raw tables, in the parameter order of a compiled law.
+
+    ``tests`` is empty and ``complement`` None when no tests are declared;
+    otherwise ``complement`` maps each test to its complement."""
+
+    n: int
+    tests: tuple[int, ...]
+    plus: Sequence[Sequence[int]]
+    times: Sequence[Sequence[int]]
+    star: Optional[Sequence[int]]
+    adom: Optional[Sequence[int]]
+    aran: Optional[Sequence[int]]
+    complement: Optional[Mapping[int, int]]
+    is_test: Sequence[bool]
+    zero: int
+    one: int
+
+
 class FiniteAlgebra:
     """Immutable-by-convention algebra over an explicitly tabled carrier.
 
@@ -263,6 +285,8 @@ class FiniteAlgebra:
     ``complement`` maps test names to test names.  When an antidomain table
     is present the test subset is its image (and is derived automatically
     if not supplied); complement on tests then defaults to antidomain.
+    The validated tables are kept in one record, ``tables``, which the law
+    checks, phi and the isomorphism test read as they are.
     """
 
     def __init__(self, carrier: Sequence[str], zero: str, one: str,
@@ -284,14 +308,14 @@ class FiniteAlgebra:
         self.zero_i = self._require_element(zero)
         self.one_i = self._require_element(one)
 
-        self._plus = self._check_binary("plus", plus, n)
-        self._times = self._check_binary("times", times, n)
-        self._star = self._check_unary("star", star, n)
-        self._adom = self._check_unary("adom", adom, n)
-        self._aran = self._check_unary("aran", aran, n)
+        plus = self._check_binary("plus", plus, n)
+        times = self._check_binary("times", times, n)
+        star = self._check_unary("star", star, n)
+        adom = self._check_unary("adom", adom, n)
+        aran = self._check_unary("aran", aran, n)
 
-        if self._adom is not None:
-            derived = tuple(sorted(set(self._adom)))
+        if adom is not None:
+            derived = tuple(sorted(set(adom)))
             if tests is None:
                 tests_i = derived
             else:
@@ -306,9 +330,8 @@ class FiniteAlgebra:
         if tests_i is not None:
             if self.zero_i not in tests_i or self.one_i not in tests_i:
                 raise ModelError("tests must contain zero and one")
-        self.tests_i = tests_i
 
-        self._complement = None
+        comp = None
         if complement is not None:
             if tests_i is None:
                 raise ModelError("complement table given without tests")
@@ -323,12 +346,16 @@ class FiniteAlgebra:
             for t in tests_i:
                 if comp[comp[t]] != t:
                     raise ModelError("complement table is not an involution")
-                if self._adom is not None and comp[t] != self._adom[t]:
+                if adom is not None and comp[t] != adom[t]:
                     raise ModelError(
                         "complement table disagrees with antidomain on tests")
-            self._complement = comp
-        elif tests_i is not None and self._adom is None:
-            raise ModelError("tests without a complement table or antidomain")
+        elif tests_i is not None:
+            if adom is None:
+                raise ModelError("tests without a complement table or antidomain")
+            comp = {t: adom[t] for t in tests_i}
+        self.tables = _Tables(
+            n, tests_i or (), plus, times, star, adom, aran, comp,
+            tuple(i in (comp or ()) for i in range(n)), self.zero_i, self.one_i)
 
     # -- construction helpers ------------------------------------------------
     def _require_element(self, name: str) -> int:
@@ -361,6 +388,10 @@ class FiniteAlgebra:
     def size(self) -> int:
         return len(self.carrier)
 
+    @property
+    def tests_i(self) -> Optional[tuple[int, ...]]:
+        return self.tables.tests or None
+
     def element_name(self, i: int) -> str:
         return self.carrier[i]
 
@@ -368,52 +399,45 @@ class FiniteAlgebra:
         return self._require_element(name)
 
     def plus(self, i: int, j: int) -> int:
-        return self._plus[i][j]
+        return self.tables.plus[i][j]
 
     def times(self, i: int, j: int) -> int:
-        return self._times[i][j]
+        return self.tables.times[i][j]
 
     def star(self, i: int) -> int:
-        if self._star is None:
+        if self.tables.star is None:
             raise MissingTableError(f"{self.name}: no star table")
-        return self._star[i]
+        return self.tables.star[i]
 
     def adom(self, i: int) -> int:
-        if self._adom is None:
+        if self.tables.adom is None:
             raise MissingTableError(f"{self.name}: no antidomain table")
-        return self._adom[i]
+        return self.tables.adom[i]
 
     def aran(self, i: int) -> int:
-        if self._aran is None:
+        if self.tables.aran is None:
             raise MissingTableError(f"{self.name}: no antirange table")
-        return self._aran[i]
+        return self.tables.aran[i]
 
     def complement(self, i: int) -> int:
-        if self.tests_i is None:
+        comp = self.tables.complement
+        if comp is None:
             raise MissingTableError(f"{self.name}: no tests declared")
-        if i not in self.tests_i:
+        if i not in comp:
             raise EvalError(
                 f"complement of non-test element {self.element_name(i)!r}")
-        if self._complement is not None:
-            return self._complement[i]
-        return self.adom(i)
+        return comp[i]
 
     def leq(self, i: int, j: int) -> bool:
         return self.plus(i, j) == j
 
     def has_op(self, op: str) -> bool:
-        if op == "star":
-            return self._star is not None
-        if op == "adom":
-            return self._adom is not None
-        if op == "aran":
-            return self._aran is not None
-        if op == "tests":
-            return self.tests_i is not None
-        if op == "complement":
-            return self.tests_i is not None and (
-                self._complement is not None or self._adom is not None)
-        raise ValueError(f"unknown op {op!r}")
+        """Whether the algebra has the table; it has a complement exactly
+        when it has tests."""
+        if op not in ("star", "adom", "aran", "tests", "complement"):
+            raise ValueError(f"unknown op {op!r}")
+        field = "complement" if op == "tests" else op
+        return getattr(self.tables, field) is not None
 
     @property
     def zero(self) -> str:
@@ -540,55 +564,26 @@ class CheckReport:
         return not self.violations
 
 
-class _Tables(NamedTuple):
-    """A model's raw tables, in the parameter order of a compiled law."""
-
-    n: int
-    tests: tuple[int, ...]
-    plus: Sequence[Sequence[int]]
-    times: Sequence[Sequence[int]]
-    star: Optional[Sequence[int]]
-    adom: Optional[Sequence[int]]
-    aran: Optional[Sequence[int]]
-    complement: Optional[Mapping[int, int]]
-    is_test: Sequence[bool]
-    zero: int
-    one: int
-
-
-def _tables(algebra: FiniteAlgebra) -> _Tables:
-    """The raw tables of a ``FiniteAlgebra``."""
-    n = algebra.size
-    tests = algebra.tests_i or ()
-    complement = ({t: algebra.complement(t) for t in tests}
-                  if algebra.has_op("complement") else None)
-    is_test = [False] * n
-    for t in tests:
-        is_test[t] = True
-    return _Tables(n, tests, algebra._plus, algebra._times, algebra._star,
-                   algebra._adom, algebra._aran, complement, is_test,
-                   algebra.zero_i, algebra.one_i)
-
-
 # Laws are compiled, on first use, into one Python function: a loop nest over
-# their variables (element variables in sorted order, then test variables: the
-# order of ``itertools.product`` over their domains) running on the raw
-# tables.  Every subterm is computed at the outermost loop level that binds
-# all of its variables, a table row indexed by a value from further out is
-# fetched at that value's level, and each law is tested at the level of its
-# last variable.  The function returns None, or the first violation it meets
-# as the law's assignment with the values of the two sides (None as the right
-# side of a closure law).  ``check_axioms`` compiles each law alone; model
-# search compiles several into one nest and runs it on partial tables (see
-# ``_LoopNest``).  Model search also compiles a stage's laws in pinned form,
-# which tests only the instances that read one given cell of the stage's
-# table: after filling that cell, the instances that do not read it stand as
-# they stood before (see ``_compile``).  Only the fixed law inventory is
-# compiled, never user text.
+# their variables (element variables in sorted order, then test variables:
+# the order of ``itertools.product`` over their domains) running on the raw
+# tables.  Its parameters are the fields of ``_Tables``, by name, so a
+# ``FiniteAlgebra``'s record is passed as it is and model search fills a list
+# in the same layout.  Every subterm is computed at the outermost loop level
+# that binds all of its variables, a table row indexed by a value from
+# further out is fetched at that value's level, and each law is tested at the
+# level of its last variable.  The function returns None, or the first
+# violation it meets as the law's assignment with the values of the two sides
+# (None as the right side of a closure law).  ``check_axioms`` compiles each
+# law alone; model search compiles several into one nest and runs it on
+# partial tables (see ``_LoopNest``).  Model search also compiles a stage's
+# laws in pinned form, which tests only the instances that read one given
+# cell of the stage's table: after filling that cell, the instances that do
+# not read it stand as they stood before (see ``_compile``).  Only the fixed
+# law inventory is compiled, never user text.
 
-_TABLE_OF = {tm.Plus: "P", tm.Times: "T", tm.Star: "S", tm.Not: "C",
-             tm.ADom: "AD", tm.ARan: "AR"}
-_LAW_PARAMS = "n, tests, P, T, S, AD, AR, C, ISTEST, zero, one"
+_TABLE_OF = {tm.Plus: "plus", tm.Times: "times", tm.Star: "star",
+             tm.Not: "complement", tm.ADom: "adom", tm.ARan: "aran"}
 
 
 class _Open(str):
@@ -674,7 +669,7 @@ class _LoopNest:
                       f"    return {found}, {lhs}, {rhs}"]
         elif isinstance(law, ClosureLaw):
             v = self.value(law.term)[0]
-            block += [f"if not ISTEST[{v}]:", f"    return {found}, {v}, None"]
+            block += [f"if not is_test[{v}]:", f"    return {found}, {v}, None"]
         else:
             premises = " and ".join(self.leq(s, t) for s, t in law.premises)
             # the conclusion's values at this level are computed only under
@@ -770,12 +765,12 @@ def _compile(laws, partial=False, pin=None):
         nests = [_LoopNest(tuple(sorted(vs)), tuple(sorted(ts)), partial)]
         for law in laws:
             nests[0].add(law)
-        params = _LAW_PARAMS
+        params = ", ".join(_Tables._fields)
     else:
         nests = [_pinned_nest(law, t, partial) for law in laws
                  for t in dict.fromkeys(t for t in _subterms(law)
                                         if isinstance(t, pin))]
-        params = _LAW_PARAMS + ", ci, cj"
+        params = ", ".join(_Tables._fields + ("ci", "cj"))
     lines = [f"def law({params}):"]
     for nest in nests:
         lines += nest.lines()
@@ -800,16 +795,12 @@ def _compiled(laws_of, profile: Profile) -> tuple[tuple, ...]:
 
 def _require_profile_ops(algebra: FiniteAlgebra, profile: Profile):
     for op in sorted(required_ops(profile)):
+        if algebra.has_op(op):
+            continue
         if op == "tests":
-            if algebra.tests_i is None:
-                raise ModelError(
-                    f"profile {profile.value} needs a declared test set")
-            if not algebra.has_op("complement"):
-                raise MissingTableError(
-                    f"profile {profile.value} needs a test complement")
-        elif not algebra.has_op(op):
-            raise MissingTableError(
-                f"profile {profile.value} needs a {op} table")
+            raise ModelError(
+                f"profile {profile.value} needs a declared test set")
+        raise MissingTableError(f"profile {profile.value} needs a {op} table")
 
 
 def check_axioms(algebra: FiniteAlgebra, profile: Profile) -> CheckReport:
@@ -831,7 +822,7 @@ def check_rules(algebra: FiniteAlgebra, profile: Profile) -> CheckReport:
 
 def _check_laws(algebra, profile, compiled) -> CheckReport:
     _require_profile_ops(algebra, profile)
-    tables = _tables(algebra)
+    tables = algebra.tables
     name = algebra.element_name
     report = CheckReport(profile)
     for law, vs, ts, run in compiled:
@@ -879,10 +870,10 @@ def check_phi(algebra: FiniteAlgebra) -> PhiResult:
     the q with r;y;!q = 0, so the q that some suitable r serves are the OR
     of ``after[y]`` at the suitable r.
     """
-    if algebra.tests_i is None or not algebra.has_op("complement"):
+    if algebra.tests_i is None:
         raise ModelError(f"{algebra.name}: phi needs tests and a complement "
                          "(or an antidomain table)")
-    tb = _tables(algebra)
+    tb = algebra.tables
     n, tests, times, zero = tb.n, tb.tests, tb.times, tb.zero
     k = len(tests)
     nots = [tb.complement[t] for t in tests]
@@ -1002,7 +993,8 @@ def _relabel(tb: _Tables, pi: Sequence[int]) -> _Tables:
                   {pi[k]: pi[v] for k, v in tb.complement.items()})
     return _Tables(tb.n, tests, binary(tb.plus), binary(tb.times),
                    unary(tb.star), unary(tb.adom), unary(tb.aran), complement,
-                   [tb.is_test[inv[i]] for i in r], pi[tb.zero], pi[tb.one])
+                   tuple(tb.is_test[inv[i]] for i in r), pi[tb.zero],
+                   pi[tb.one])
 
 
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
@@ -1013,7 +1005,7 @@ def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
     """
     if a.size != b.size:
         return False
-    ta, tb = _tables(a), _tables(b)
+    ta, tb = a.tables, b.tables
     n = a.size
     movable = [i for i in range(n) if i not in (a.zero_i, a.one_i)]
     targets = [i for i in range(n) if i not in (b.zero_i, b.one_i)]

@@ -49,21 +49,17 @@ def _load_algebra(args) -> FiniteAlgebra:
             raise ModelError(
                 f"unknown builtin {args.builtin!r} "
                 f"(one of {', '.join(sorted(BUILTIN_MODELS))})") from None
-    path = Path(args.model)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ModelError(f"cannot read {path}: {e}") from None
-    return load_model(text, name=path.name)
+    return _load_file(load_model, args.model)
 
 
-def _load_program_file(path_str):
+def _load_file(load, path_str):
+    """``load`` on the file's text, named by the file."""
     path = Path(path_str)
     try:
         text = path.read_text()
     except OSError as e:
         raise ModelError(f"cannot read {path}: {e}") from None
-    return load_program_file(text, name=path.name)
+    return load(text, name=path.name)
 
 
 def _split_bindings(text: str) -> list[str]:
@@ -184,7 +180,7 @@ def _cmd_find_models(args):
 
 
 def _cmd_vcgen(args):
-    pf = _load_program_file(args.program)
+    pf = _load_file(load_program_file, args.program)
     if pf.program is None:
         raise ModelError("program file declares no program")
     pre = pf.pre
@@ -215,7 +211,7 @@ def _cmd_vcgen(args):
 
 
 def _cmd_synth_mid(args):
-    pf = _load_program_file(args.program)
+    pf = _load_file(load_program_file, args.program)
     b = pf.bindings
     x = parse_program(args.x, b.atoms, b.tests)
     y = parse_program(args.y, b.atoms, b.tests)

@@ -166,26 +166,21 @@ def _index_table(key, rows, carrier, index, source):
 
 def dump_model(algebra: FiniteAlgebra) -> str:
     """Serialize an algebra in the model file format (inverse of load_model)."""
-    name = algebra.element_name
-    out = [f"carrier: {' '.join(algebra.carrier)}",
-           f"zero: {name(algebra.zero_i)}",
-           f"one: {name(algebra.one_i)}"]
-    if algebra.tests_i is not None:
-        out.append(f"tests: {' '.join(map(name, algebra.tests_i))}")
-    n = algebra.size
+    tb, names = algebra.tables, algebra.carrier
+    out = [f"carrier: {' '.join(names)}", f"zero: {names[tb.zero]}",
+           f"one: {names[tb.one]}"]
+    if tb.tests:
+        out.append(f"tests: {' '.join(names[t] for t in tb.tests)}")
     for op in ("plus", "times"):
-        fn = getattr(algebra, op)
-        for i in range(n):
-            for j in range(n):
-                out.append(f"{op}: {name(i)} {name(j)} -> {name(fn(i, j))}")
+        for i, row in enumerate(getattr(tb, op)):
+            out += (f"{op}: {names[i]} {names[j]} -> {names[v]}"
+                    for j, v in enumerate(row))
     for op in ("star", "adom", "aran"):
-        if algebra.has_op(op):
-            fn = getattr(algebra, op)
-            for i in range(n):
-                out.append(f"{op}: {name(i)} -> {name(fn(i))}")
-    if algebra.tests_i is not None and not algebra.has_op("adom"):
-        for t in algebra.tests_i:
-            out.append(f"not: {name(t)} -> {name(algebra.complement(t))}")
+        for i, v in enumerate(getattr(tb, op) or ()):
+            out.append(f"{op}: {names[i]} -> {names[v]}")
+    if tb.adom is None:
+        for t in tb.tests:
+            out.append(f"not: {names[t]} -> {names[tb.complement[t]]}")
     return "\n".join(out) + "\n"
 
 
@@ -209,7 +204,8 @@ def load_program_file(text: str, name: str = "program") -> ProgramFile:
     in_program = False
 
     for lineno, line in _lines(text):
-        key = line.split(None, 1)[0].rstrip(":")
+        head, *rest = line.split(None, 1)
+        key = head.rstrip(":")
         is_directive = (line.startswith(("states:", "pre:", "post:", "program:"))
                         or key in ("rel", "test"))
         if in_program and not is_directive:
@@ -221,8 +217,7 @@ def load_program_file(text: str, name: str = "program") -> ProgramFile:
                 raise ParseError("duplicate states line", line=lineno, source=name)
             space = StateSpace(line.partition(":")[2].split())
         elif key in ("rel", "test"):
-            rest = line.split(None, 1)[1] if len(line.split(None, 1)) > 1 else ""
-            decl_name, eq, literal = rest.partition("=")
+            decl_name, eq, literal = "".join(rest).partition("=")
             decl_name = decl_name.strip()
             if not eq or not decl_name:
                 raise ParseError(f"expected '{key} NAME = literal'",

@@ -44,7 +44,8 @@ from typing import Iterator, Optional
 
 from . import terms as tm
 from .algebra import (Equation, FiniteAlgebra, Profile, _compile, _law_vars,
-                      _subterms, check_phi, profile_axioms, required_ops)
+                      _subterms, _Tables, check_phi, profile_axioms,
+                      required_ops)
 from .errors import BoundError, ModelError
 
 __all__ = ["find_models", "CONSTRAINTS", "SearchStats"]
@@ -69,6 +70,8 @@ _STAGES = ("plus", "times", "star", "adom", "aran", "tests")
 _STAGE_OF = {tm.Plus: 0, tm.Times: 1, tm.Star: 2, tm.ADom: 3, tm.ARan: 4,
              tm.Not: 5, tm.TestVar: 5}
 _ATOMS = (tm.Zero, tm.One, tm.Var)
+# the position of each field of ``_Tables`` in the compiled laws' arguments
+_ARG = {name: k for k, name in enumerate(_Tables._fields)}
 
 
 @dataclass
@@ -210,7 +213,9 @@ def _enumerate_models(n: int, profile: Profile,
     one, unknown = n - 1, n
     # row and column n are the absorbing "unknown" index
     P, T = ([[unknown] * (n + 1) for _ in range(n + 1)] for _ in range(2))
-    args = [n, (), P, T, None, None, None, None, None, 0, one]
+    args = list(_Tables(n=n, tests=(), plus=P, times=T, star=None, adom=None,
+                        aran=None, complement=None, is_test=None, zero=0,
+                        one=one))
     if idem:
         # the search bound: x + x = x, and 1 is the additive top
         for i in range(n):
@@ -256,34 +261,37 @@ def _enumerate_models(n: int, profile: Profile,
 
     def candidates(perms):
         """The fills that + and ; force, by their derived tables."""
+        powers = None
         if star:
             star[1][0] += 1
-            args[4] = _sum_of_powers(P, T, n)
+            powers = args[_ARG["star"]] = _sum_of_powers(P, T, n)
             if star[0].full(*args) is not None:
                 star[1][1] += 1
                 return
         # the antidomain of x reads column x of ;, its antirange row x and
         # the complement of a test t column t, on the tests alone
         cols = list(zip(*T))[:n]
-        derive = {"adom": (5, cols), "aran": (6, T[:n]), "tests": (7, cols)}
+        derive = {"adom": ("adom", cols), "aran": ("aran", T[:n]),
+                  "tests": ("complement", cols)}
         kept = []
         for tests_i, is_test in test_sets:
-            args[1], args[8] = tests_i, is_test
+            args[_ARG["tests"]], args[_ARG["is_test"]] = tests_i, is_test
             tables = {}
             for stage, counts in derived.values():
                 counts[0] += 1
-                k, rows = derive[stage.name]
-                if k == 7:  # the complement: the tests' columns, by test
+                field, rows = derive[stage.name]
+                comp = field == "complement"
+                if comp:  # the tests' columns, by test
                     rows = [rows[t] for t in tests_i]
                 table = _annihilators(P, rows, tests_i, is_test)
-                if k == 7 and table:
+                if comp and table:
                     table = dict(zip(tests_i, table))
-                tables[stage.name] = args[k] = table
+                tables[field] = args[_ARG[field]] = table
                 if table is None or stage.full(*args) is not None:
                     counts[1] += 1
                     break
             else:
-                comp_i = tables.pop("tests", None)
+                comp_i = tables.pop("complement", None)
                 own = list(tables.values())
                 mine = key(range(n), range(n), own, tests_i)
                 if derived and any(key(*pi, own, tests_i) < mine
@@ -297,7 +305,7 @@ def _enumerate_models(n: int, profile: Profile,
             yield FiniteAlgebra(
                 names, names[0], names[one],
                 *(tuple(tuple(row[:n]) for row in t[:n]) for t in (P, T)),
-                star=star and tuple(args[4]), **tables, name="candidate",
+                star=powers, **tables, name="candidate",
                 tests=[names[t] for t in tests_i] if comp_i else None,
                 complement=comp_i and {names[k]: names[v]
                                        for k, v in comp_i.items()})

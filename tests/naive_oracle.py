@@ -23,7 +23,7 @@ from math import lcm
 
 from kadlab.algebra import (CheckReport, ClosureLaw, Equation, FiniteAlgebra,
                             PhiResult, Profile, Violation, _eval_idx,
-                            _relabel, _require_profile_ops, _tables,
+                            _relabel, _require_profile_ops,
                             check_axioms, is_isomorphic, profile_axioms,
                             required_ops)
 from kadlab.errors import ModelError, ParseError
@@ -274,7 +274,7 @@ def _model_key(tb):
 def naive_is_least(model, idem):
     """No relabelling of the middle elements gives smaller tables (one that
     breaks the search's order on + aside), comparing complete models only."""
-    tb = _tables(model)
+    tb = model.tables
     mine = _model_key(tb)
     r = range(tb.n)
     for perm in islice(permutations(range(1, tb.n - 1)), 1, None):

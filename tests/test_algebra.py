@@ -6,9 +6,13 @@ from kadlab.algebra import (FiniteAlgebra, Profile, bool2_model, check_axioms,
                             check_phi, evaluate,
                             is_isomorphic, lemma4_model, near_as_model,
                             profile_axioms, required_ops, trivial_model)
-from kadlab.errors import EvalError, MissingTableError, ModelError
+from kadlab.cli import BUILTIN_MODELS
+from kadlab.errors import EvalError, KadlabError, MissingTableError, ModelError
+from kadlab.files import load_model
 from kadlab.relations import rel_algebra_model
+from kadlab.search import find_models
 from kadlab.terms import Env, parse_term
+from test_files import _BASES
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +282,58 @@ def test_isomorphism_checker():
         complement={"0": "1", "1": "0"}, name="relabeled")
     assert is_isomorphic(m, relabeled)
     assert not is_isomorphic(m, bool2_model())
+
+
+# ---------------------------------------------------------------------------
+# the test complement: given, or the antidomain on the tests
+
+def _with_explicit_complement(m):
+    """The model, its complement also given as a table equal to adom."""
+    tb, names = m.tables, m.carrier
+    return FiniteAlgebra(
+        names, m.zero, m.one, tb.plus, tb.times, star=tb.star, adom=tb.adom,
+        aran=tb.aran, tests=m.tests, name=m.name,
+        complement={names[t]: names[tb.adom[t]] for t in tb.tests})
+
+
+def _report(m, profile):
+    try:
+        report = check_axioms(m, profile)
+    except KadlabError as e:
+        return type(e), str(e)
+    return report.violations, report.law_instances
+
+
+ADOM_BUILTINS = ["bool2", "nearas", "rel1", "rel2", "trivial"]
+
+
+@pytest.mark.parametrize("name", ADOM_BUILTINS)
+def test_given_complement_equal_to_adom_changes_no_verdict(name):
+    derived = BUILTIN_MODELS[name]()
+    given = _with_explicit_complement(derived)
+    for profile in Profile:
+        assert _report(given, profile) == _report(derived, profile), profile
+    assert check_phi(given) == check_phi(derived)
+    assert is_isomorphic(given, derived) and is_isomorphic(derived, given)
+    for other in BUILTIN_MODELS.values():
+        other = other()
+        assert is_isomorphic(given, other) == is_isomorphic(derived, other)
+
+
+def _every_model():
+    yield from (factory() for factory in BUILTIN_MODELS.values())
+    yield from (load_model(text) for text in _BASES)
+    for profile in Profile:
+        for size in range(1, 5):
+            yield from find_models(size, profile)
+
+
+def test_a_complement_exactly_when_tests():
+    models = 0
+    for m in _every_model():
+        models += 1
+        tests = m.tests_i or ()
+        assert m.has_op("complement") == m.has_op("tests") == bool(tests)
+        assert m.tables.is_test == tuple(i in tests for i in range(m.size))
+        assert sorted(map(m.complement, tests)) == list(tests), m.name
+    assert models == 6 + len(_BASES) + 154

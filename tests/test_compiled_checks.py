@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kadlab.algebra import (Equation, FiniteAlgebra, Profile, Quasi,
-                            _compile, _require_profile_ops, _tables,
+                            _compile, _require_profile_ops,
                             bool2_model, check_axioms, check_phi, check_rules,
                             hoare_rules, lemma4_model, near_as_model,
                             profile_axioms, trivial_model)
@@ -200,7 +200,7 @@ def test_fused_partial_nest_fails_when_a_law_does(model):
         except KadlabError:
             continue
         run = _compile(profile_axioms(profile), partial=True)
-        assert (run(*_tables(model)) is None) == passed
+        assert (run(*model.tables) is None) == passed
 
 
 def test_fused_nest_recomputes_what_a_premise_guards():
@@ -211,7 +211,7 @@ def test_fused_nest_recomputes_what_a_premise_guards():
     s = induct.conclusion[0]
     reuse = Equation("reuse", s, Times(s.left, Times(s.right, ONE)))
     for model in (lemma4_model(), bool2_model(), rel_algebra_model(2)):
-        assert _compile((induct, reuse))(*_tables(model)) is None
+        assert _compile((induct, reuse))(*model.tables) is None
 
 
 def padded_tables(tb, rnd):
@@ -238,7 +238,7 @@ def padded_tables(tb, rnd):
 def test_partial_nests_skip_unknown_cells(model, rnd):
     # each law compiled for partial tables must report the first instance
     # the naive partial reading finds
-    padded = padded_tables(_tables(model), rnd)
+    padded = padded_tables(model.tables, rnd)
     # a premise whose right side is compound, so that it can be unknown
     x, y = Var("x"), Var("y")
     laws = {0: Quasi("unknown-bound", ((x, Times(x, y)),), (y, x))}
@@ -264,7 +264,7 @@ def test_pinned_checks_read_the_filled_cell(model, rnd):
     # symmetric table); both must fail exactly when a law does.  The tables
     # here need not be symmetric, so an instance that reads only the mirror
     # need not have a mirror image that reads the cell.
-    tb = _tables(model)
+    tb = model.tables
     n = tb.n
     for profile in Profile:
         try:
@@ -320,7 +320,7 @@ def test_pinned_guards_outside_every_loop():
     x = Var("x")
     square = Equation("square", Times(x, x), x)
     unit = Equation("unit", Times(ONE, ONE), ONE)
-    tb = _tables(lemma4_model())
+    tb = lemma4_model().tables
     run = _compile((square, unit), partial=True, pin=Times)
     assert run(*tb, 1, 1) == ((1,), 0, 1)       # a ; a = 0
     assert run(*tb, 1, 2) is None and run(*tb, 2, 2) is None

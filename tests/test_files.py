@@ -190,8 +190,7 @@ def _outcome(load, text):
         m = load(text, name="m")
     except KadlabError as e:
         return "error", type(e), str(e), getattr(e, "line", None)
-    return ("model", m.carrier, m.zero, m.one, m.tests, m._plus, m._times,
-            m._star, m._adom, m._aran, m._complement)
+    return "model", m.carrier, m.tables
 
 
 def _first_repeated_header(text):

@@ -5,9 +5,9 @@ from itertools import permutations
 import pytest
 
 from kadlab import search
-from kadlab.algebra import (Equation, FiniteAlgebra, Profile, _tables,
-                            check_axioms, check_phi, is_isomorphic,
-                            lemma4_model, profile_axioms)
+from kadlab.algebra import (Equation, FiniteAlgebra, Profile, check_axioms,
+                            check_phi, is_isomorphic, lemma4_model,
+                            profile_axioms)
 from kadlab.cli import BUILTIN_MODELS
 from kadlab.errors import BoundError, ModelError
 from kadlab.files import dump_model
@@ -268,7 +268,7 @@ def test_every_other_complement_breaks_a_law(searched):
             continue
         for m in found:
             models += 1
-            tb, names = _tables(m), m.carrier
+            tb, names = m.tables, m.carrier
             for values in permutations(tb.tests):
                 comp = dict(zip(tb.tests, values))
                 if comp == tb.complement or any(comp[v] != t
@@ -289,7 +289,7 @@ def test_builtin_tables_follow_the_derivation_rule(name):
     # and antirange of x as the joins of the tests t with t ; x = 0 and with
     # x ; t = 0, and the complement of a test t as the join of the tests r
     # with r ; t = 0; none of these models came from the search
-    tb = _tables(BUILTIN_MODELS[name]())
+    tb = BUILTIN_MODELS[name]().tables
     P, T = tb.plus, tb.times
     assert tb.star or tb.adom or tb.aran
 
