@@ -2,7 +2,8 @@
 
 Usage, from the repository root:
 
-    python3 bench/layers.py --label NAME [--src DIR] [--out DIR]
+    python3 bench/layers.py --label NAME [--src DIR] [--against DIR]
+        [--out DIR]
 
 ``--src`` is the directory that holds the ``kadlab`` package (default:
 this repository's ``src``), so the same script times any checkout.  For
@@ -45,6 +46,17 @@ take less than ``SLOW_RUNS_S`` by the untimed pass: seven single-call runs
 of a 5-200 ms search spread by 17-36% of their median on a shared host,
 too widely to show a change of 10-20%.
 
+``--against DIR`` names a second directory holding a ``kadlab`` package,
+typically a checkout of the parent commit.  It is imported beside the
+first under the package name ``kadlab_against`` (the package's modules
+import each other relatively), and each search layer left at one call per
+run times the two trees' calls alternately in one process, the first
+call of each pair taking turns.  Host drift over the minutes between two
+separate files then cancels out of the per-pair ratio.  Such a record
+also holds ``seconds_runs``, this tree's runs, ``against`` (the other
+tree's commit, source hash, median, quartiles and ``seconds_runs``) and
+``ratio``, the median over the pairs of this tree's run over the other's.
+
 The evsets layer (workload ``nonexpressivity``) times
 ``refute_wlp_candidate`` then ``verify_refutation`` on each of the first
 500 candidates of the evens and of a seeded period-12 target (layers
@@ -69,8 +81,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
+import operator
 import platform
 import random
 import statistics
@@ -252,30 +267,42 @@ def _probe() -> float:
     return sorted(probe() for _ in range(9))[4]
 
 
-def _time(calls, loops: Optional[int]) -> tuple[list, list, int]:
+def _run(calls, loops: int) -> float:
+    """The seconds of ``loops`` passes over the calls."""
+    t0 = time.perf_counter()
+    for _ in range(loops):
+        for call in calls:
+            call()
+    return time.perf_counter() - t0
+
+
+def _time(calls, loops: Optional[int], against=None):
     """The seconds of ``RUNS`` runs of ``loops`` passes over the calls,
     after one untimed pass, the probe (``_probe``) taken just before each
-    run, and ``loops``.  With ``loops`` None a run makes as many passes as
-    the untimed pass says take ``SEARCH_RUN_S``, at least one, and a run of
-    one pass is repeated as the ``SLOW_RUNS`` constants say."""
-    t0 = time.perf_counter()
-    for call in calls:
-        call()
+    run, ``loops``, and the other tree's seconds or None.  With ``loops``
+    None a run makes as many passes as the untimed pass says take
+    ``SEARCH_RUN_S``, at least one, and a run of one pass is repeated as
+    the ``SLOW_RUNS`` constants say; such a run is paired with one of the
+    other tree's calls ``against``, when given, the two timed in turn."""
+    elapsed = _run(calls, 1)
     runs = RUNS
     if loops is None:
-        elapsed = time.perf_counter() - t0
         loops = max(1, round(SEARCH_RUN_S / elapsed))
         if loops == 1:
             runs = max(SLOW_RUNS, math.ceil(SLOW_RUNS_S / elapsed))
+    theirs = None
+    if against is not None and loops == 1:
+        _run(against, 1)
+        theirs = []
     seconds, probes = [], []
-    for _ in range(runs):
+    for k in range(runs):
         probes.append(_probe())
-        t0 = time.perf_counter()
-        for _ in range(loops):
-            for call in calls:
-                call()
-        seconds.append(time.perf_counter() - t0)
-    return seconds, probes, loops
+        if theirs is not None and k % 2:
+            theirs.append(_run(against, 1))
+        seconds.append(_run(calls, loops))
+        if theirs is not None and not k % 2:
+            theirs.append(_run(against, 1))
+    return seconds, probes, loops, theirs
 
 
 def _commit(src: Path) -> str:
@@ -294,10 +321,22 @@ def _source_hash(package: Path) -> str:
     return digest.hexdigest()[:12]
 
 
+def _import_as(src: Path, name: str):
+    """Import the ``kadlab`` package under ``src`` as package ``name``."""
+    package = src / "kadlab"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="another tree's kadlab directory to pair the "
+                        "single-call search layers with")
     parser.add_argument("--out", type=Path, default=ROOT / "bench")
     args = parser.parse_args(argv)
 
@@ -307,12 +346,28 @@ def main(argv=None) -> int:
 
     common = {"python": platform.python_version(), "commit": _commit(src),
               "source_sha1": _source_hash(src / "kadlab")}
+    theirs, other_tree = {}, None
+    if args.against is not None:
+        other = args.against.resolve()
+        _import_as(other, "kadlab_against")
+        theirs = _search_cases(
+            *(importlib.import_module(f"kadlab_against.{name}")
+              for name in ("algebra", "search")))
+        other_tree = {"commit": _commit(other),
+                      "source_sha1": _source_hash(other / "kadlab")}
     records = []
 
-    def record(workload, layer, size, per_loop, calls, loops, **extra):
+    def record(workload, layer, size, per_loop, calls, loops, against=None,
+               **extra):
         """Time ``loops`` passes over the calls per run, ``per_loop``
-        instances each (see ``_time`` for ``loops`` None)."""
-        runs, probes, loops = _time(calls, loops)
+        instances each (see ``_time`` for ``loops`` None and ``against``)."""
+        runs, probes, loops, other_runs = _time(calls, loops, against)
+        if other_runs:
+            q1, median, q3 = statistics.quantiles(other_runs, n=4)
+            extra.update(seconds_runs=runs, ratio=statistics.median(
+                map(operator.truediv, runs, other_runs)), against={
+                    **other_tree, "seconds": median, "seconds_q1": q1,
+                    "seconds_q3": q3, "seconds_runs": other_runs})
         instances = loops * per_loop
         q1, seconds, q3 = statistics.quantiles(runs, n=4)
         rescaled = list(map(rescale, runs, probes))
@@ -323,7 +378,8 @@ def main(argv=None) -> int:
                         "rate": instances / seconds,
                         "probe_s": statistics.median(probes),
                         "seconds_ref": statistics.median(rescaled), **extra})
-        print(f"{layer:30} n={size:<4} {seconds / instances * 1e6:12.3f} us/op")
+        print(f"{layer:30} n={size:<4} {seconds / instances * 1e6:12.3f} us/op"
+              + (f"  {extra['ratio']:.3f}x against" if other_runs else ""))
 
     for n in SIZES:
         cases = _cases(relations, n, random.Random(f"layers:{n}"))
@@ -337,7 +393,9 @@ def main(argv=None) -> int:
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, count, [call], loops)
     for (layer, size), (call, stats) in _search_cases(algebra, search).items():
-        record("search", layer, size, 1, [call], None, stats=stats)
+        other = theirs.get((layer, size))
+        record("search", layer, size, 1, [call], None,
+               other and [other[0]], stats=stats)
     for layer, (size, loops, calls) in _evset_cases(evsets).items():
         record("nonexpressivity", layer, size, len(calls), calls, loops)
     out = args.out / f"BENCH_{args.label}.json"

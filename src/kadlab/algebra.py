@@ -187,9 +187,11 @@ _PROFILE_AXIOMS = {
     Profile.KA_DR: _SEMIRING + _IDEM + _STAR + _ADOM + _ARAN + _COMPAT,
 }
 
-# the optional operation a term type reads
-_OP_OF = {tm.Star: "star", tm.ADom: "adom", tm.ARan: "aran",
-          tm.Not: "tests", tm.TestVar: "tests"}
+# the operation each term type reads, in the order model search fills them:
+# its field of ``_Tables``, but ``!`` reads the ``complement`` of the tests
+_READS = {tm.Plus: "plus", tm.Times: "times", tm.Star: "star",
+          tm.ADom: "adom", tm.ARan: "aran", tm.Not: "tests",
+          tm.TestVar: "tests"}
 
 
 def profile_axioms(profile: Profile):
@@ -200,8 +202,8 @@ def profile_axioms(profile: Profile):
 @functools.cache
 def required_ops(profile: Profile) -> frozenset:
     """Optional operations the profile's laws read beyond + and ;."""
-    return frozenset(_OP_OF[type(t)] for law in profile_axioms(profile)
-                     for t in _subterms(law) if type(t) in _OP_OF)
+    ops = set().union(*map(_reads, profile_axioms(profile)))
+    return frozenset(ops - {"plus", "times"})
 
 
 # Hoare rules as quasi-laws (Kozen, ACM TOCL 2000): {p} x {q} is p;x;!q <= 0.
@@ -582,10 +584,6 @@ class CheckReport:
 # not read it stand as they stood before (see ``_compile``).  Only the fixed
 # law inventory is compiled, never user text.
 
-_TABLE_OF = {tm.Plus: "plus", tm.Times: "times", tm.Star: "star",
-             tm.Not: "complement", tm.ADom: "adom", tm.ARan: "aran"}
-
-
 class _Open(str):
     """A guard line outside every loop: the rest of the nest runs under it."""
 
@@ -631,7 +629,7 @@ class _LoopNest:
             return "one", -1
         if isinstance(t, (tm.Var, tm.TestVar)):
             return self._var(t.name)
-        table = _TABLE_OF[type(t)]
+        table = "complement" if isinstance(t, tm.Not) else _READS[type(t)]
         if isinstance(t, (tm.Plus, tm.Times)):
             a, la = self.value(t.left)
             b, lb = self.value(t.right)
@@ -712,28 +710,25 @@ def _law_terms(law) -> tuple:
 
 def _subterms(law):
     """Every subterm of the law, repeats included."""
-    stack = list(_law_terms(law))
-    while stack:
-        t = stack.pop()
-        yield t
-        stack += [c for c in vars(t).values() if isinstance(c, tm.Term)]
+    return tm._walk(*_law_terms(law))
+
+
+def _reads(law) -> set:
+    """The operations the law reads (see ``_READS``)."""
+    return {_READS[type(t)] for t in _subterms(law) if type(t) in _READS}
 
 
 def _law_vars(law):
-    vs, ts = set(), set()
-    for t in _law_terms(law):
-        a, b = tm.variables(t)
-        vs |= a
-        ts |= b
-    return tuple(sorted(vs)), tuple(sorted(ts))
+    vs, ts = zip(*map(tm.variables, _law_terms(law)))
+    return (tuple(sorted(frozenset().union(*vs))),
+            tuple(sorted(frozenset().union(*ts))))
 
 
 def _pinned_nest(law, occurrence, partial):
     """A nest over the instances of the law in which the occurrence, of +
     or ;, reads cell (ci, cj) of its table: a variable argument is bound to
     its coordinate, any other is guarded."""
-    args = tuple(c for c in vars(occurrence).values() if isinstance(c, tm.Term))
-    coords = tuple(zip(args, ("ci", "cj")))
+    coords = tuple(zip(tm._children(occurrence), ("ci", "cj")))
     pins = {}
     for a, c in coords:
         if isinstance(a, tm.Var):

@@ -24,9 +24,8 @@ from .algebra import (FiniteAlgebra, Profile, bool2_model, check_axioms,
                       trivial_model)
 from .errors import KadlabError, ModelError
 from .files import dump_model, load_model, load_program_file
-from .hoare import (PremiseError, parse_program, parse_test_expr,
-                    eval_test, holds, synth_mid, vcgen, HoareTriple,
-                    SYNTH_METHODS)
+from .hoare import (PremiseError, parse_program, read_test, holds,
+                    synth_mid, vcgen, HoareTriple, SYNTH_METHODS)
 from .relations import format_rel, rel_algebra_model
 from .search import CONSTRAINTS, SearchStats, find_models
 from .terms import Env, parse_term, print_term, sort_of, variables
@@ -183,12 +182,8 @@ def _cmd_vcgen(args):
     pf = _load_file(load_program_file, args.program)
     if pf.program is None:
         raise ModelError("program file declares no program")
-    pre = pf.pre
-    post = pf.post
-    if args.pre is not None:
-        pre = eval_test(parse_test_expr(args.pre, pf.bindings.tests), pf.bindings)
-    if args.post is not None:
-        post = eval_test(parse_test_expr(args.post, pf.bindings.tests), pf.bindings)
+    pre = pf.pre if args.pre is None else read_test(args.pre, pf.bindings)
+    post = pf.post if args.post is None else read_test(args.post, pf.bindings)
     if pre is None or post is None:
         raise ModelError("both a precondition and a postcondition are needed "
                          "(pre:/post: lines or --pre/--post)")
@@ -215,8 +210,7 @@ def _cmd_synth_mid(args):
     b = pf.bindings
     x = parse_program(args.x, b.atoms, b.tests)
     y = parse_program(args.y, b.atoms, b.tests)
-    p = eval_test(parse_test_expr(args.pre, b.tests), b)
-    q = eval_test(parse_test_expr(args.post, b.tests), b)
+    p, q = read_test(args.pre, b), read_test(args.post, b)
     r = synth_mid(x, y, p, q, args.method, b)
     first = holds(HoareTriple(p, x, r), b)
     second = holds(HoareTriple(r, y, q), b)

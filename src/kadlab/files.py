@@ -42,7 +42,7 @@ from typing import Optional
 
 from .algebra import FiniteAlgebra
 from .errors import ModelError, ParseError
-from .hoare import Bindings, Program, eval_test, parse_program, parse_test_expr
+from .hoare import Bindings, Program, parse_program, read_test
 from .relations import Rel, StateSpace, parse_rel_literal
 
 __all__ = ["load_model", "dump_model", "ProgramFile", "load_program_file"]
@@ -264,9 +264,6 @@ def load_program_file(text: str, name: str = "program") -> ProgramFile:
     program = None
     if program_lines:
         program = parse_program(" ".join(program_lines), atoms, tests)
-    pre = post = None
-    if pre_text is not None:
-        pre = eval_test(parse_test_expr(pre_text, tests), bindings)
-    if post_text is not None:
-        post = eval_test(parse_test_expr(post_text, tests), bindings)
+    pre, post = (None if text is None else read_test(text, bindings)
+                 for text in (pre_text, post_text))
     return ProgramFile(bindings, program, pre, post)

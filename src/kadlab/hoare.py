@@ -37,7 +37,7 @@ from .relations import Rel, StateSpace
 __all__ = [
     "Program", "Skip", "Atom", "Seq", "If", "While",
     "HoareTriple", "Bindings", "parse_test_expr", "parse_program",
-    "eval_test", "denote", "holds", "wlp", "vcgen", "synth_mid",
+    "eval_test", "read_test", "denote", "holds", "wlp", "vcgen", "synth_mid",
     "VerificationCondition", "VcReport", "PremiseError", "SYNTH_METHODS",
 ]
 
@@ -272,6 +272,11 @@ def _bits(expr: tm.Term, bindings: Bindings) -> int:
 def eval_test(expr: tm.Term, bindings: Bindings) -> Rel:
     """Evaluate a term in the relation algebra of the bindings' space."""
     return Rel(bindings.space, _bits(expr, bindings))
+
+
+def read_test(text: str, bindings: Bindings) -> Rel:
+    """Parse a test expression over the bindings' tests and evaluate it."""
+    return eval_test(parse_test_expr(text, bindings.tests), bindings)
 
 
 def denote(prog: Program, bindings: Bindings) -> Rel:

@@ -43,8 +43,8 @@ from itertools import permutations, product
 from typing import Iterator, Optional
 
 from . import terms as tm
-from .algebra import (Equation, FiniteAlgebra, Profile, _compile, _law_vars,
-                      _subterms, _Tables, check_phi, profile_axioms,
+from .algebra import (_READS, Equation, FiniteAlgebra, Profile, _compile,
+                      _law_vars, _reads, _Tables, check_phi, profile_axioms,
                       required_ops)
 from .errors import BoundError, ModelError
 
@@ -64,11 +64,9 @@ _PHI_CAPABLE = frozenset(p for p in Profile
 
 _MIDDLE_NAMES = "abcdefgh"
 
-# the stages in fill order; a law belongs to the last stage whose table it reads
-_STAGES = ("plus", "times", "star", "adom", "aran", "tests")
-# the stage of each term type: of its table, or the tests stage
-_STAGE_OF = {tm.Plus: 0, tm.Times: 1, tm.Star: 2, tm.ADom: 3, tm.ARan: 4,
-             tm.Not: 5, tm.TestVar: 5}
+# a stage per operation, in fill order; a law belongs to the stage of the
+# last operation it reads
+_STAGES = tuple(dict.fromkeys(_READS.values()))
 _ATOMS = (tm.Zero, tm.One, tm.Var)
 # the position of each field of ``_Tables`` in the compiled laws' arguments
 _ARG = {name: k for k, name in enumerate(_Tables._fields)}
@@ -178,23 +176,13 @@ class _Stage:
         filled = {"plus": tm.Plus, "times": tm.Times}.get(name)
         self.at = filled and _compile(self.pinned, partial=True, pin=filled)
 
-    def check(self, i, j):
-        """The test run after filling cell (i, j), and its mirror in a
-        symmetric table: true when a law instance that reads the cell
-        fails, given the compiled laws' arguments."""
-        at = self.at
-        if self.symmetric and i != j:
-            return lambda args: (at(*args, i, j) is not None
-                                 or at(*args, j, i) is not None)
-        return lambda args: at(*args, i, j) is not None
-
 
 @functools.cache
 def _plan(profile: Profile) -> tuple[_Stage, ...]:
     """The stages the profile needs, in fill order."""
     laws = [[] for _ in _STAGES]
     for law in profile_axioms(profile):
-        k = max(_STAGE_OF.get(type(t), 0) for t in _subterms(law))
+        k = max(map(_STAGES.index, _reads(law)), default=0)
         laws[k].append(law)
     return tuple(_Stage(name, laws[k]) for k, name in enumerate(_STAGES)
                  if k < 2 or name in required_ops(profile))
@@ -222,10 +210,10 @@ def _enumerate_models(n: int, profile: Profile,
             P[i][i] = i
             P[i][one] = P[one][i] = one
 
-    # one step per free cell of + and ;, in fill order: the cell as (row,
-    # column), its mirror (the cell itself unless the table is symmetric),
-    # its values and the test run after it, which runs the ``full`` of the
-    # stage it enters; the later stages derive their tables
+    # one step per free cell (i, j) of + and ;, in fill order: its row, its
+    # mirror's row and column (itself unless the table is symmetric), its
+    # values, the stage's pinned test ``at``, whether the mirror is another
+    # cell, and on a table's last cell the ``full`` of the stage it enters
     plan = [(stage, stats.stages.setdefault(stage.name, [0, 0]))
             for stage in _plan(profile)]
     steps = []
@@ -233,7 +221,7 @@ def _enumerate_models(n: int, profile: Profile,
         for law in stage.fixing:
             _fix_cells(table, law, n, stage.symmetric)
         if steps:
-            steps[-1][5] = _entering(steps[-1][5], stage.full)
+            steps[-1][8] = stage.full
         elif stage.full(*args) is not None:
             return
         # the search bound: a + b is at or above a and b in carrier order
@@ -242,9 +230,9 @@ def _enumerate_models(n: int, profile: Profile,
                  if table[i][j] == unknown]
         for k, (i, j) in enumerate(cells):
             lo = max(i, j) if bounded else 0
-            steps.append([table[i], j, table[j] if sym else table[i],
-                          i if sym else j, range(lo, n),
-                          stage.check(i, j), counts,
+            steps.append([i, j, table[i], table[j] if sym else table[i],
+                          i if sym else j, range(lo, n), stage.at,
+                          sym and i != j, None, counts,
                           k == len(cells) - 1 and (table, bounded)])
     derived = dict((stage.name, (stage, counts)) for stage, counts in plan[2:])
     star = derived.pop("star", None)
@@ -314,11 +302,13 @@ def _enumerate_models(n: int, profile: Profile,
         if k == len(steps):
             yield from candidates(perms)
             return
-        row, col, mrow, mcol, values, refuted, counts, done = steps[k]
+        i, j, row, mrow, mcol, values, at, mirror, full, counts, done = steps[k]
         for v in values:
-            row[col] = mrow[mcol] = v
+            row[j] = mrow[mcol] = v
             counts[0] += 1
-            if refuted(args):
+            if (at(*args, i, j) is not None
+                    or mirror and at(*args, j, i) is not None
+                    or full and full(*args) is not None):
                 counts[1] += 1
                 continue
             kept = _stabiliser(*done, perms, n) if done else perms
@@ -326,14 +316,9 @@ def _enumerate_models(n: int, profile: Profile,
                 stats.duplicates += 1
                 continue
             yield from fill(k + 1, kept)
-        row[col] = mrow[mcol] = unknown
+        row[j] = mrow[mcol] = unknown
 
     yield from fill(0, perms)
-
-
-def _entering(check, full):
-    """The check of a cell, then the ``full`` of the stage it enters."""
-    return lambda args: check(args) or full(*args) is not None
 
 
 def _fix_cells(table, law, n, symmetric):

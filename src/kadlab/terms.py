@@ -5,6 +5,10 @@ and the box operator [x]y.  Box, d and r are sugar: ``desugar`` rewrites
 them into the antidomain/antirange primitives, so concrete models only ever
 interpret +, ;, *, !, a and ar.
 
+A node's children are its term-valued fields (``_children``); ``_walk``
+visits them for ``variables`` and the law compiler, ``desugar`` rebuilds
+non-sugar nodes from them, and one table names a, d, r, ar (``_OP_NAMES``).
+
 Concrete syntax (see ``parse_term``): multiplication is written ``;``,
 ``!`` complements tests, ``*`` is postfix star, and ``!``/``*`` bind
 tighter than ``;`` which binds tighter than ``+``.  ``&`` and ``|`` are
@@ -130,22 +134,33 @@ class Env:
         object.__setattr__(self, "tests", dict(self.tests or {}))
 
 
+# the named operators, as the parser reads them and the printer writes them
+_OP_NAMES = {"a": ADom, "d": Dom, "r": Ran, "ar": ARan}
+_NAME_OF = {cls: name for name, cls in _OP_NAMES.items()}
+
+
+def _children(t: Term) -> list:
+    """The node's subterms: its term-valued fields, in field order."""
+    return [c for c in vars(t).values() if isinstance(c, Term)]
+
+
+def _walk(*roots: Term):
+    """Every subterm of the roots, repeats included: preorder, last first."""
+    stack = list(roots)
+    while stack:
+        t = stack.pop()
+        yield t
+        stack += _children(t)
+
+
 def variables(t: Term) -> tuple[frozenset, frozenset]:
     """Return (plain variable names, test variable names) used in ``t``."""
     vs, ts = set(), set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
+    for node in _walk(t):
         if isinstance(node, Var):
             vs.add(node.name)
         elif isinstance(node, TestVar):
             ts.add(node.name)
-        elif isinstance(node, (Plus, Times)):
-            stack += [node.left, node.right]
-        elif isinstance(node, Box):
-            stack += [node.prog, node.post]
-        elif isinstance(node, (Star, Not, ADom, Dom, ARan, Ran)):
-            stack.append(node.arg)
     return frozenset(vs), frozenset(ts)
 
 
@@ -181,12 +196,9 @@ def sort_of(t: Term, declared_tests: Iterable[str] = ()) -> Sort:
                     raise SortError(
                         f"complement applied to non-test subterm: {print_term(arg)}")
                 return Sort.TEST
-            case ADom(arg) | Dom(arg) | ARan(arg) | Ran(arg):
-                go(arg)
-                return Sort.TEST
-            case Box(prog, post):
-                go(prog)
-                go(post)
+            case ADom() | Dom() | ARan() | Ran() | Box():
+                for child in _children(node):
+                    go(child)
                 return Sort.TEST
         raise TypeError(f"not a term: {node!r}")
 
@@ -205,24 +217,14 @@ def desugar(t: Term) -> Term:
     match t:
         case Zero() | One() | Var(_) | TestVar(_):
             return t
-        case Plus(l, r):
-            return Plus(desugar(l), desugar(r))
-        case Times(l, r):
-            return Times(desugar(l), desugar(r))
-        case Star(a):
-            return Star(desugar(a))
-        case Not(a):
-            return Not(desugar(a))
-        case ADom(a):
-            return ADom(desugar(a))
-        case ARan(a):
-            return ARan(desugar(a))
         case Dom(a):
             return ADom(ADom(desugar(a)))
         case Ran(a):
             return ARan(ARan(desugar(a)))
         case Box(x, y):
             return ADom(Times(desugar(x), ADom(desugar(y))))
+        case Term():
+            return type(t)(*map(desugar, _children(t)))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -267,14 +269,8 @@ def print_term(t: Term) -> str:
                 return f"{wrap(a, _PREC_ATOM)}*"
             case Not(a):
                 return f"!{wrap(a, _PREC_ATOM)}"
-            case ADom(a):
-                return f"a({go(a)})"
-            case Dom(a):
-                return f"d({go(a)})"
-            case ARan(a):
-                return f"ar({go(a)})"
-            case Ran(a):
-                return f"r({go(a)})"
+            case ADom(a) | Dom(a) | ARan(a) | Ran(a):
+                return f"{_NAME_OF[type(node)]}({go(a)})"
             case Box(x, y):
                 return f"[{go(x)}]{wrap(y, _PREC_UNARY)}"
         raise TypeError(f"not a term: {node!r}")
@@ -291,8 +287,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<const>[01])"
     r"|(?P<sym>[+;*!()\[\]&|])"
 )
-
-_OP_NAMES = {"a": ADom, "d": Dom, "r": Ran, "ar": ARan}
 
 # The parser rejects terms nested deeper than this, counting both the levels
 # of the tree it builds and the parentheses around them, so that neither it
