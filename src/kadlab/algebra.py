@@ -581,8 +581,12 @@ class CheckReport:
 # partial tables (see ``_LoopNest``).  Model search also compiles a stage's
 # laws in pinned form, which tests only the instances that read one given
 # cell of the stage's table: after filling that cell, the instances that do
-# not read it stand as they stood before (see ``_compile``).  Only the fixed
-# law inventory is compiled, never user text.
+# not read it stand as they stood before (see ``_compile``).  There an
+# argument x op y of the occurrence, over two variables that nothing else
+# binds, is not looped over the n^2 pairs under a guard: one loop runs over
+# the filled cells of op that hold the pinned value, read from the per-value
+# cell lists ``plus_pre`` and ``times_pre`` that the search keeps as it
+# fills.  Only the fixed law inventory is compiled, never user text.
 
 class _Open(str):
     """A guard line outside every loop: the rest of the nest runs under it."""
@@ -596,18 +600,24 @@ class _LoopNest:
     absorbing index ``n`` for the cells not yet filled, and an instance that
     reads one is skipped: an equation fails only when both sides are known
     and differ, and a premise holds only when it is known to.  ``pins`` binds
-    further variables to locals set outside every loop (``ci``, ``cj``).
+    further variables to locals set outside every loop (``ci``, ``cj``), and
+    ``pairs`` holds (x op y, local) for terms whose two variables one loop,
+    outside the others, binds to the filled cells of op holding that local.
     """
 
-    def __init__(self, elements, tests, partial=False, pins=None):
-        self.order = elements + tests
-        self.elements = len(elements)
-        self.level = {name: k for k, name in enumerate(self.order)}
-        # blocks[k + 1] runs inside the loop over order[k], blocks[0] before
-        self.blocks = [[] for _ in range(len(self.order) + 1)]
+    def __init__(self, elements, tests, partial=False, pins=None, pairs=()):
+        # each loop binds its variables to the items of its domain
+        self.loops = ([((t.left.name, t.right.name),
+                        f"{_READS[type(t)]}_pre[{c}]") for t, c in pairs]
+                      + [((v,), "range(n)") for v in elements]
+                      + [((v,), "tests") for v in tests])
+        self.level = {name: k for k, (names, _) in enumerate(self.loops)
+                      for name in names}
+        # blocks[k + 1] runs inside loops[k], blocks[0] before every loop
+        self.blocks = [[] for _ in range(len(self.loops) + 1)]
         self.partial = partial
         self.pins = pins or {}
-        self._memo = {}
+        self._memo = {t: (c, -1) for t, c in pairs}
         self._count = 0
 
     def _bind(self, key, expr, level):
@@ -690,8 +700,9 @@ class _LoopNest:
         out, pad = [], "    "
         for k, block in enumerate(self.blocks):
             if k:
-                domain = "range(n)" if k <= self.elements else "tests"
-                out.append(f"{pad}for v_{self.order[k - 1]} in {domain}:")
+                names, domain = self.loops[k - 1]
+                bound = ", ".join(f"v_{name}" for name in names)
+                out.append(f"{pad}for {bound} in {domain}:")
                 pad += "    "
             for line in block:
                 out.append(pad + line)
@@ -727,16 +738,26 @@ def _law_vars(law):
 def _pinned_nest(law, occurrence, partial):
     """A nest over the instances of the law in which the occurrence, of +
     or ;, reads cell (ci, cj) of its table: a variable argument is bound to
-    its coordinate, any other is guarded."""
+    its coordinate, an argument x op y over two other variables loops over
+    the cells of op that hold it, and any other is guarded."""
     coords = tuple(zip(tm._children(occurrence), ("ci", "cj")))
-    pins = {}
+    pins, pairs = {}, []
     for a, c in coords:
         if isinstance(a, tm.Var):
             pins.setdefault(a.name, c)
-    vs, ts = _law_vars(law)
-    nest = _LoopNest(tuple(v for v in vs if v not in pins), ts, partial, pins)
+    bound = set(pins)
     for a, c in coords:
-        if not (isinstance(a, tm.Var) and pins[a.name] == c):
+        xy = {b.name for b in tm._children(a) if isinstance(b, tm.Var)}
+        if (isinstance(a, (tm.Plus, tm.Times)) and len(xy) == 2
+                and not xy & bound):
+            pairs.append((a, c))
+            bound |= xy
+    vs, ts = _law_vars(law)
+    nest = _LoopNest(tuple(v for v in vs if v not in bound), ts, partial,
+                     pins, pairs)
+    for a, c in coords:
+        if (a, c) not in pairs and not (isinstance(a, tm.Var)
+                                        and pins[a.name] == c):
             nest.guard(a, c)
     nest.add(law)
     return nest
@@ -745,11 +766,13 @@ def _pinned_nest(law, occurrence, partial):
 def _compile(laws, partial=False, pin=None):
     """One function testing the laws, in order, in one loop nest.
 
-    With ``pin``, ``tm.Plus`` or ``tm.Times``, the function takes two more
-    arguments ``ci, cj`` and tests only the instances in which the table is
-    read at cell (ci, cj): one nest for each distinct occurrence of the
-    table in each law, in which the occurrence's variable arguments are
-    bound to ci and cj instead of looped over.
+    With ``pin``, ``tm.Plus`` or ``tm.Times``, the function takes four more
+    arguments ``plus_pre, times_pre, ci, cj`` and tests only the instances
+    in which the table is read at cell (ci, cj): one nest for each distinct
+    occurrence of the table in each law, in which the occurrence's variable
+    arguments are bound to ci and cj instead of looped over.  ``plus_pre[c]``
+    and ``times_pre[c]`` list the filled cells (x, y) of + and ; that hold
+    c, in any order.
     """
     if pin is None:
         vs, ts = set(), set()
@@ -765,7 +788,8 @@ def _compile(laws, partial=False, pin=None):
         nests = [_pinned_nest(law, t, partial) for law in laws
                  for t in dict.fromkeys(t for t in _subterms(law)
                                         if isinstance(t, pin))]
-        params = ", ".join(_Tables._fields + ("ci", "cj"))
+        params = ", ".join(_Tables._fields
+                           + ("plus_pre", "times_pre", "ci", "cj"))
     lines = [f"def law({params}):"]
     for nest in nests:
         lines += nest.lines()

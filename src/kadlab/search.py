@@ -10,7 +10,12 @@ absorbing "unknown" index, so an instance that reads one is skipped.  The
 laws of + and ; run in full as the search enters their table, and after a
 cell only the instances that read it (or its mirror) run: each instance
 is decided where the last cell it reads is filled (SEM: Zhang & Zhang,
-IJCAI 1995).
+IJCAI 1995).  The search keeps, for each table and value v, the list of
+its filled cells that hold v, adding a cell as it writes it and taking it
+off as it backtracks.  Where a law reads the filled cell through an
+argument x op y of two otherwise unbound variables, as (x ; y) ; z does,
+the pinned check loops over the cells (x, y) of op that hold that
+argument's coordinate instead of over all n^2 pairs.
 
 The rest is derived from + and ;.  The star is the sum of the powers x^k
 for k < n, the only star of a finite dioid (Kozen, 1994).  On each test
@@ -204,6 +209,8 @@ def _enumerate_models(n: int, profile: Profile,
     args = list(_Tables(n=n, tests=(), plus=P, times=T, star=None, adom=None,
                         aran=None, complement=None, is_test=None, zero=0,
                         one=one))
+    # pre[v] lists the filled cells (x, y) of each table that hold v
+    P_pre, T_pre = ([[] for _ in range(n)] for _ in range(2))
     if idem:
         # the search bound: x + x = x, and 1 is the additive top
         for i in range(n):
@@ -213,11 +220,12 @@ def _enumerate_models(n: int, profile: Profile,
     # one step per free cell (i, j) of + and ;, in fill order: its row, its
     # mirror's row and column (itself unless the table is symmetric), its
     # values, the stage's pinned test ``at``, whether the mirror is another
-    # cell, and on a table's last cell the ``full`` of the stage it enters
+    # cell, on a table's last cell the ``full`` of the stage it enters, and
+    # the table's cell lists by value
     plan = [(stage, stats.stages.setdefault(stage.name, [0, 0]))
             for stage in _plan(profile)]
     steps = []
-    for (stage, counts), table in zip(plan, (P, T)):
+    for (stage, counts), table, pre in zip(plan, (P, T), (P_pre, T_pre)):
         for law in stage.fixing:
             _fix_cells(table, law, n, stage.symmetric)
         if steps:
@@ -233,7 +241,11 @@ def _enumerate_models(n: int, profile: Profile,
             steps.append([i, j, table[i], table[j] if sym else table[i],
                           i if sym else j, range(lo, n), stage.at,
                           sym and i != j, None, counts,
-                          k == len(cells) - 1 and (table, bounded)])
+                          k == len(cells) - 1 and (table, bounded), pre])
+    for table, pre in ((P, P_pre), (T, T_pre)):
+        for x, y in product(range(n), repeat=2):
+            if table[x][y] != unknown:
+                pre[table[x][y]].append((x, y))
     derived = dict((stage.name, (stage, counts)) for stage, counts in plan[2:])
     star = derived.pop("star", None)
     test_sets = [(t, [i in t for i in range(n)])
@@ -302,20 +314,28 @@ def _enumerate_models(n: int, profile: Profile,
         if k == len(steps):
             yield from candidates(perms)
             return
-        i, j, row, mrow, mcol, values, at, mirror, full, counts, done = steps[k]
+        (i, j, row, mrow, mcol, values, at, mirror, full, counts, done,
+         pre) = steps[k]
         for v in values:
             row[j] = mrow[mcol] = v
+            cells = pre[v]
+            cells.append((i, j))
+            if mirror:
+                cells.append((j, i))
             counts[0] += 1
-            if (at(*args, i, j) is not None
-                    or mirror and at(*args, j, i) is not None
+            if (at(*args, P_pre, T_pre, i, j) is not None
+                    or mirror and at(*args, P_pre, T_pre, j, i) is not None
                     or full and full(*args) is not None):
                 counts[1] += 1
-                continue
-            kept = _stabiliser(*done, perms, n) if done else perms
-            if kept is None:
-                stats.duplicates += 1
-                continue
-            yield from fill(k + 1, kept)
+            else:
+                kept = _stabiliser(*done, perms, n) if done else perms
+                if kept is None:
+                    stats.duplicates += 1
+                else:
+                    yield from fill(k + 1, kept)
+            cells.pop()
+            if mirror:
+                cells.pop()
         row[j] = mrow[mcol] = unknown
 
     yield from fill(0, perms)

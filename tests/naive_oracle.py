@@ -184,6 +184,16 @@ def naive_partial_violations(tables, law):
     return found
 
 
+def naive_preimages(tables):
+    """(plus_pre, times_pre): for each value v, the cells (x, y) of + and of
+    ; that hold v, found by a double loop over the carrier.  A cell of
+    padded tables that holds the unknown index n is in no list."""
+    n = tables.n
+    return tuple([[(x, y) for x in range(n) for y in range(n)
+                   if table[x][y] == v] for v in range(n)]
+                 for table in (tables.plus, tables.times))
+
+
 # profiles in which x + x = x is an axiom or derivable
 IDEMPOTENT = frozenset(Profile) - {Profile.SEMIRING, Profile.NEAR_AS}
 

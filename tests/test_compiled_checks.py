@@ -19,10 +19,10 @@ from kadlab.algebra import (Equation, FiniteAlgebra, Profile, Quasi,
 from kadlab.errors import KadlabError
 from kadlab.relations import rel_algebra_model
 from kadlab.search import _enumerate_models, _plan, find_models
-from kadlab.terms import ONE, Times, Var
+from kadlab.terms import ONE, Plus, Times, Var
 
 from naive_oracle import (naive_check_axioms, naive_check_phi,
-                          naive_partial_violations)
+                          naive_partial_violations, naive_preimages)
 
 BUILTINS = {
     "lemma4": lemma4_model, "bool2": bool2_model, "trivial": trivial_model,
@@ -263,7 +263,8 @@ def test_pinned_checks_read_the_filled_cell(model, rnd):
     # instances of the pinned laws that read it (or its mirror in a
     # symmetric table); both must fail exactly when a law does.  The tables
     # here need not be symmetric, so an instance that reads only the mirror
-    # need not have a mirror image that reads the cell.
+    # need not have a mirror image that reads the cell.  The pinned checks
+    # read the filled cells by value from lists built here naively.
     tb = model.tables
     n = tb.n
     for profile in Profile:
@@ -308,9 +309,10 @@ def test_pinned_checks_read_the_filled_cell(model, rnd):
                 put(cell, v)
                 put(mirror, v)
                 i, j = cell
-                found = (stage.at(*padded, i, j) is not None
+                pre = naive_preimages(padded)
+                found = (stage.at(*padded, *pre, i, j) is not None
                          or stage.symmetric and i != j
-                         and stage.at(*padded, j, i) is not None)
+                         and stage.at(*padded, *pre, j, i) is not None)
                 assert found == fails(stage.pinned), (
                     profile, stage.name, cell)
                 put(mirror, before)
@@ -324,9 +326,35 @@ def test_pinned_guards_outside_every_loop():
     square = Equation("square", Times(x, x), x)
     unit = Equation("unit", Times(ONE, ONE), ONE)
     tb = lemma4_model().tables
+    pre = naive_preimages(tb)
     run = _compile((square, unit), partial=True, pin=Times)
-    assert run(*tb, 1, 1) == ((1,), 0, 1)       # a ; a = 0
-    assert run(*tb, 1, 2) is None and run(*tb, 2, 2) is None
+    assert run(*tb, *pre, 1, 1) == ((1,), 0, 1)       # a ; a = 0
+    assert run(*tb, *pre, 1, 2) is None and run(*tb, *pre, 2, 2) is None
     off = tb._replace(times=((0, 0, 0), (0, 0, 1), (0, 1, 1)))
-    assert _compile((unit,), partial=True, pin=Times)(*off, 2, 2) == ((), 1, 2)
-    assert _compile((unit,), partial=True, pin=Times)(*off, 2, 1) is None
+    pre = naive_preimages(off)
+    assert _compile((unit,), partial=True, pin=Times)(*off, *pre, 2, 2) \
+        == ((), 1, 2)
+    assert _compile((unit,), partial=True, pin=Times)(*off, *pre, 2, 1) is None
+
+
+def test_pinned_pairs_read_the_listed_cells():
+    # (x + y) ; 1 = x + y pinned to ; at (a, 1): x + y loops over the cells
+    # of + that hold a, taken from the list passed in and not from the table
+    x, y = Var("x"), Var("y")
+    law = Equation("sum-unit", Times(Plus(x, y), ONE), Plus(x, y))
+    run = _compile((law,), partial=True, pin=Times)
+    tb = lemma4_model().tables
+    off = tb._replace(times=((0, 0, 0), (0, 0, 0), (0, 1, 2)))  # a ; 1 = 0
+    plus_pre, times_pre = naive_preimages(off)
+    assert plus_pre[1] == [(0, 1), (1, 0), (1, 1)]
+    assert run(*off, plus_pre, times_pre, 1, 2) == ((0, 1), 0, 1)
+    # in padded tables only a + a = a is filled of those three cells
+    n = off.n
+    padded = off._replace(plus=[[0, n, 2, n], [n, 1, 2, n], [2, 2, 2, n],
+                                [n] * (n + 1)])
+    plus_pre, times_pre = naive_preimages(padded)
+    assert plus_pre[1] == [(1, 1)]
+    assert run(*padded, plus_pre, times_pre, 1, 2) == ((1, 1), 0, 1)
+    # mutation: with that cell dropped from its list, nothing reads it
+    plus_pre[1].remove((1, 1))
+    assert run(*padded, plus_pre, times_pre, 1, 2) is None

@@ -5,16 +5,17 @@ from itertools import permutations
 import pytest
 
 from kadlab import search
-from kadlab.algebra import (Equation, FiniteAlgebra, Profile, check_axioms,
-                            check_phi, is_isomorphic, lemma4_model,
-                            profile_axioms)
+from kadlab.algebra import (Equation, FiniteAlgebra, Profile, _Tables,
+                            check_axioms, check_phi, is_isomorphic,
+                            lemma4_model, profile_axioms)
 from kadlab.cli import BUILTIN_MODELS
 from kadlab.errors import BoundError, ModelError
 from kadlab.files import dump_model
 from kadlab.search import CONSTRAINTS, _PHI_CAPABLE, SearchStats, find_models
 from kadlab.terms import Var, parse_term
 
-from naive_oracle import IDEMPOTENT, brute_force_models, naive_is_least
+from naive_oracle import (IDEMPOTENT, brute_force_models, naive_is_least,
+                          naive_preimages)
 
 
 def test_size_bound():
@@ -239,6 +240,33 @@ def test_a_law_on_a_table_with_no_free_cell_prunes(monkeypatch):
             assert list(find_models(2, profile)) == [], profile
     finally:
         search._plan.cache_clear()
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+def test_pinned_checks_get_the_filled_cells_by_value(profile, monkeypatch):
+    # on every pinned call, plus_pre and times_pre hold, as multisets, the
+    # filled cells of + and ; grouped by the value they hold
+    calls = []
+
+    def checked(at):
+        def wrapper(*args):
+            plus_pre, times_pre, ci, cj = args[-4:]
+            tables = _Tables(*args[:-4])
+            expected = naive_preimages(tables)
+            got = [[sorted(cells) for cells in pre]
+                   for pre in (plus_pre, times_pre)]
+            assert got == [[sorted(cells) for cells in pre]
+                           for pre in expected], (tables.n, ci, cj)
+            calls.append(tables.n)
+            return at(*args)
+        return wrapper
+
+    for stage in search._plan(profile):
+        if stage.at is not None:
+            monkeypatch.setattr(stage, "at", checked(stage.at))
+    for size in (1, 2, 3, 4) + ((5,) if profile == Profile.KAD else ()):
+        list(find_models(size, profile, bound=size))
+    assert 4 in calls and (profile != Profile.KAD or 5 in calls)
 
 
 def test_every_yielded_model_is_the_least_of_its_class(searched):
