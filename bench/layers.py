@@ -32,7 +32,12 @@ instances are the library's own counts, ``CheckReport.instance_count`` and
 ``PhiResult.instantiations``.  At size 512, the carrier of ``rel3``, it times
 one call per run of ``rel_algebra_model(3)`` (layer ``rel3_build``, one
 instance) and of ``check_phi`` on a ``rel3`` built beforehand (layer
-``check_phi_rel3``).
+``check_phi_rel3``).  Layer ``load_model`` times ``load_model`` on
+``LOAD_TEXTS`` model texts at each of 16, 32 and 64 elements, the
+products of perfbench's ``laws`` workload at those sizes, each relabelled
+and with its rows shuffled by perfbench's ``dump_model`` as that workload
+writes them; its instances are the texts' table rows, so it reports
+microseconds per row.
 
 The search layer (workload ``search``) times ``find_models`` for each of
 the 40 (size, profile, constraint) jobs of perfbench's ``search`` workload,
@@ -107,6 +112,12 @@ RUNS = 7
 DEGREE = 3
 # loops per run of each law-layer call (a few milliseconds each on rel2)
 LAW_LOOPS = 10
+# the load_model layer: per carrier size, the product model, the texts of
+# it timed and the loops over them per run
+LOAD_PRODUCTS = {16: ("nearas", "nearas"), 32: ("rel2", "bool2"),
+                 64: ("rel2", "bool2", "bool2")}
+LOAD_TEXTS = 4
+LOAD_LOOPS = {16: 10, 32: 3, 64: 1}
 # loops per run over the set-operation pairs
 SETOP_LOOPS = 50
 # seconds a run of one search layer should take, by its untimed pass
@@ -208,6 +219,28 @@ def _law_cases(algebra, relations) -> dict:
     cases["rel3_build"] = 512, 1, 1, build
     phi = functools.partial(algebra.check_phi, build())
     cases["check_phi_rel3"] = 512, 1, phi().instantiations, phi
+    return cases
+
+
+def _load_cases(files) -> dict:
+    """Per carrier size, (table rows of one loop, the zero-argument calls
+    of one loop) of ``load_model`` on seeded texts of a product model."""
+    import references
+    from workloads import dump_model
+    cases = {}
+    for size, factors in LOAD_PRODUCTS.items():
+        rng = random.Random(f"load_model:{size}")
+        table = references.product_table(
+            *(references.BUILTINS[f]() for f in factors))
+        assert table.size == size
+        texts = []
+        for _ in range(LOAD_TEXTS):
+            order = list(range(size))
+            rng.shuffle(order)
+            texts.append(dump_model(references.permuted(table, order), rng))
+        rows = sum(text.count(" -> ") for text in texts)
+        cases[size] = rows, [functools.partial(files.load_model, text)
+                             for text in texts]
     return cases
 
 
@@ -342,7 +375,7 @@ def main(argv=None) -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from kadlab import algebra, evsets, hoare, relations, search
+    from kadlab import algebra, evsets, files, hoare, relations, search
 
     common = {"python": platform.python_version(), "commit": _commit(src),
               "source_sha1": _source_hash(src / "kadlab")}
@@ -392,6 +425,8 @@ def main(argv=None) -> int:
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, count, [call], loops)
+    for size, (rows, calls) in _load_cases(files).items():
+        record("laws", "load_model", size, rows, calls, LOAD_LOOPS[size])
     for (layer, size), (call, stats) in _search_cases(algebra, search).items():
         other = theirs.get((layer, size))
         record("search", layer, size, 1, [call], None,

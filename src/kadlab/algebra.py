@@ -772,7 +772,9 @@ def _compile(laws, partial=False, pin=None):
     occurrence of the table in each law, in which the occurrence's variable
     arguments are bound to ci and cj instead of looped over.  ``plus_pre[c]``
     and ``times_pre[c]`` list the filled cells (x, y) of + and ; that hold
-    c, in any order.
+    c, in any order.  The function's file name, such as ``<laws distrib-left,
+    distrib-right partial pinned at times>``, names the laws and the pin, so
+    that a profile keeps each compiled function apart.
     """
     if pin is None:
         vs, ts = set(), set()
@@ -794,8 +796,11 @@ def _compile(laws, partial=False, pin=None):
     for nest in nests:
         lines += nest.lines()
     lines.append("    return None")
+    label = ", ".join(law.name for law in laws) + " partial" * partial
+    if pin is not None:
+        label += f" pinned at {_READS[pin]}"
     namespace = {}
-    exec("\n".join(lines), namespace)
+    exec(compile("\n".join(lines), f"<laws {label}>", "exec"), namespace)
     return namespace["law"]
 
 

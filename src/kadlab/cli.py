@@ -55,8 +55,8 @@ def _load_file(load, path_str):
     """``load`` on the file's text, named by the file."""
     path = Path(path_str)
     try:
-        text = path.read_text()
-    except OSError as e:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ModelError(f"cannot read {path}: {e}") from None
     return load(text, name=path.name)
 

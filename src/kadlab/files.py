@@ -32,12 +32,19 @@ whitespace-separated tokens; the space around ``:`` and ``->`` may be left
 out, and an argument name cannot contain ``->``.  Binary tables must list
 every argument pair and unary tables every element: unspecified rows are
 errors, and so are repeated rows.
+
+A text without ``#`` whose ``plus``/``times`` rows are all spelt exactly
+``OP: A B -> C``, with single spaces and nothing before or after, as
+``dump_model`` writes them, has those rows read in bulk (``_read_bulk``);
+every other spelling is read row by row (``_read_lines``).  Both give the
+same models and the same errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product, repeat
+from operator import not_
 from typing import Optional
 
 from .algebra import FiniteAlgebra
@@ -65,6 +72,16 @@ _ARITY = {key: len(form.split()) - 2 for key, form in _ROW_FORMS.items()}
 
 
 def load_model(text: str, name: str = "model") -> FiniteAlgebra:
+    lines = text.splitlines()
+    read = None if "#" in text else _read_bulk(lines, name)
+    headers, rows, tables = read or (
+        *_read_lines(enumerate(lines, start=1), name), {})
+    return _build(headers, rows, tables, name)
+
+
+def _read_lines(numbered, name):
+    """The header lines and the rows of each table, keyed by argument names,
+    from (line number, line) pairs, read one line at a time."""
     headers = {}
     rows = {key: {} for key in _ROW_FORMS}
     # most lines are binary rows spaced as "KEY: A B -> C": five tokens, the
@@ -72,7 +89,7 @@ def load_model(text: str, name: str = "model") -> FiniteAlgebra:
     # the text before its first ":"
     spaced = {f"{key}:": (key, rows[key]) for key in ("plus", "times")}
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in numbered:
         if "#" in line:
             line = line[:line.index("#")]
         toks = line.split()
@@ -110,7 +127,48 @@ def load_model(text: str, name: str = "model") -> FiniteAlgebra:
             raise ParseError(f"duplicate {key} row for {' '.join(args)}",
                              line=lineno, source=name)
         table[args] = out
+    return headers, rows
 
+
+_BULK = ("plus: ", "times: ")
+
+
+def _read_bulk(lines, name):
+    """The header lines, the other rows and the + and ; index tables of a
+    text whose lines starting "plus: " or "times: " are exactly the rows
+    "OP: A B -> C" over the carrier, once each; None for any other text,
+    which the line reader then reads whole, faults included."""
+    is_bulk = list(map(str.startswith, lines, repeat(_BULK)))
+    bulk = list(compress(lines, is_bulk))
+    try:
+        headers, rows = _read_lines(
+            compress(enumerate(lines, start=1), map(not_, is_bulk)), name)
+    except ParseError:
+        return None
+    carrier = headers.get("carrier", ())
+    index = {e: i for i, e in enumerate(carrier)}
+    if (not carrier or len(index) != len(carrier) or rows["plus"]
+            or rows["times"] or len(bulk) != 2 * len(carrier) ** 2
+            or any("->" in e for e in carrier)):
+        return None
+    try:
+        # (head, result) of each row, where a row holding " -> " more than
+        # once or not at all raises ValueError; as there are 2n^2 rows, the
+        # 2n^2 heads looked up are all found only when no head repeats
+        results = dict(map(str.split, bulk, repeat(" -> ")))
+        tables = {op: [list(map(index.__getitem__, map(
+            results.__getitem__, map(f"{op}: {a} ".__add__, carrier))))
+            for a in carrier] for op in ("plus", "times")}
+    except (KeyError, ValueError):
+        return None
+    return headers, rows, tables
+
+
+def _build(headers, rows, tables, name):
+    """The algebra of the header lines and the rows, with the index tables
+    in ``tables`` standing for the rows of their keys; the first fault
+    raises, in the order headers, complement, plus, times, star, adom,
+    aran, then the algebra's own checks."""
     carrier = headers.get("carrier")
     if carrier is None:
         raise ParseError("missing carrier line", source=name)
@@ -127,7 +185,8 @@ def load_model(text: str, name: str = "model") -> FiniteAlgebra:
             if e not in index:
                 raise ParseError(f"unknown element {e!r}", source=name)
     plus, times, star, adom, aran = (
-        _index_table(key, rows[key], carrier, index, name)
+        tables[key] if key in tables
+        else _index_table(key, rows[key], carrier, index, name)
         for key in ("plus", "times", "star", "adom", "aran"))
     try:
         return FiniteAlgebra(

@@ -254,6 +254,18 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-axioms", "--profile", "kat", "--model"],
+    ["vcgen", "--program"],
+])
+def test_undecodable_file_exit_2(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"carrier: 0 \xff\n")
+    code, out, err = run(capsys, *argv, str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
+
 def test_find_models_structured_stats(capsys):
     code, out, _ = run(capsys, "find-models", "--size", "4", "--profile",
                        "kad", "--format", "structured")

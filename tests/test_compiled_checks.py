@@ -5,6 +5,8 @@ violating assignments, instance counts (total and per law) and the phi
 witness with its instantiation count.
 """
 
+import cProfile
+import pstats
 import random
 from itertools import product
 
@@ -358,3 +360,19 @@ def test_pinned_pairs_read_the_listed_cells():
     # mutation: with that cell dropped from its list, nothing reads it
     plus_pre[1].remove((1, 1))
     assert run(*padded, plus_pre, times_pre, 1, 2) is None
+
+
+def test_compiled_functions_name_their_laws():
+    x = Var("x")
+    square = Equation("square", Times(x, x), x)
+    unit = Equation("unit", Times(ONE, ONE), ONE)
+    names = [_compile(laws, **kw).__code__.co_filename for laws, kw in [
+        ((square,), {}), ((unit,), {}), ((square,), {"partial": True}),
+        ((square, unit), {"partial": True, "pin": Times})]]
+    assert names == ["<laws square>", "<laws unit>", "<laws square partial>",
+                     "<laws square, unit partial pinned at times>"]
+    # so a profile lists each law's compiled function apart
+    profile = cProfile.Profile()
+    profile.runcall(check_axioms, lemma4_model(), Profile.KAT)
+    laws = {key for key in pstats.Stats(profile).stats if key[2] == "law"}
+    assert len(laws) == len(profile_axioms(Profile.KAT))

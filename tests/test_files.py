@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -125,8 +127,13 @@ def test_row_spacing_is_free_around_colon_and_arrow():
 _HEADERS = ("carrier", "zero", "one", "tests")
 _BASES = [dump_model(m) for m in (lemma4_model(), bool2_model(),
                                   near_as_model(), trivial_model(),
-                                  rel_algebra_model(1))]
-_BASES.append(LEMMA4_TEXT)
+                                  rel_algebra_model(1), rel_algebra_model(2))]
+# lemma4's + and ; alone, a dioid: with no unary rows, an element renamed to
+# a name holding "->" breaks only binary rows
+_DIOID_TEXT = "\n".join(
+    line for line in _BASES[0].splitlines()
+    if line.startswith(("carrier", "zero", "one", "plus", "times"))) + "\n"
+_BASES += [_DIOID_TEXT, LEMMA4_TEXT]
 
 
 def _respace(line, style):
@@ -143,13 +150,17 @@ def _respace(line, style):
 def _mutated_model_texts(draw):
     """A valid model text, then up to five edits: shuffled lines, comments,
     other spacing, dropped and duplicated lines, unknown names, unknown
-    directives, malformed rows, ``->`` inside a name and repeated header
-    lines."""
+    directives, malformed rows, ``->`` inside a name, repeated header
+    lines, CRLF line ends, a tab or a double space inside a binary row, a
+    space after a row's result and a carrier element renamed everywhere to
+    a name holding ``->``."""
     lines = draw(st.sampled_from(_BASES)).strip().splitlines()
+    end = "\n"
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from([
             "shuffle", "comment", "respace", "drop", "duplicate", "reroute",
-            "unknown", "strangers", "directive", "arrow", "blank"]))
+            "unknown", "strangers", "directive", "arrow", "blank", "crlf",
+            "inner", "trailing", "rename"]))
         at = draw(st.integers(0, len(lines)))
         pick = min(at, len(lines) - 1) if lines else None
         if kind == "shuffle":
@@ -182,7 +193,31 @@ def _mutated_model_texts(draw):
                  "plus 0 0 -> 0", "times: 0 0 ->", "star: 0 0 -> 0"])))
         elif kind == "blank":
             lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
-    return "\n".join(lines) + "\n"
+        elif kind == "crlf":
+            end = "\r\n"
+        elif (kind == "inner" and lines and " " in lines[pick]
+              and lines[pick].startswith(("plus", "times"))):
+            line = lines[pick]
+            spaces = [k for k, ch in enumerate(line) if ch == " "]
+            k = draw(st.sampled_from(spaces))
+            lines[pick] = (line[:k] + draw(st.sampled_from(["\t", "  "]))
+                           + line[k + 1:])
+        elif kind == "trailing" and lines and "->" in lines[pick]:
+            lines[pick] += " "
+        elif kind == "rename":
+            carriers = [line.split()[1:] for line in lines
+                        if line.startswith("carrier:")]
+            if carriers and carriers[0]:
+                old = draw(st.sampled_from(carriers[0]))
+                lines = _rename(lines, old, old + "->x")
+    return end.join(lines) + end
+
+
+def _rename(lines, old, new):
+    """The lines with every whitespace-separated token ``old`` made
+    ``new``."""
+    token = re.compile(rf"(?<!\S){re.escape(old)}(?!\S)")
+    return [token.sub(lambda _: new, line) for line in lines]
 
 
 def _outcome(load, text):
@@ -213,6 +248,8 @@ def _first_repeated_header(text):
 @example(LEMMA4_TEXT.replace("star: a -> 1", "star: yy -> zz"))
 @example(LEMMA4_TEXT.replace("plus: 0 a -> a", "plus: 0 a -> a->b"))
 @example(LEMMA4_TEXT.replace("plus: 0 a -> a", "plus: 0 a->b -> a"))
+@example("\n".join(_rename(_DIOID_TEXT.splitlines(), "a", "a->x")) + "\n")
+@example(_BASES[0] + "plus:0 0->0\n")
 def test_loader_matches_the_naive_loader(text):
     expected = _outcome(naive_load_model, text)
     repeated = _first_repeated_header(text)
