@@ -37,7 +37,12 @@ instance) and of ``check_phi`` on a ``rel3`` built beforehand (layer
 products of perfbench's ``laws`` workload at those sizes, each relabelled
 and with its rows shuffled by perfbench's ``dump_model`` as that workload
 writes them; its instances are the texts' table rows, so it reports
-microseconds per row.
+microseconds per row.  Layer ``load_program_file`` times
+``load_program_file`` on the program texts of perfbench's ``hoare``
+workload at each of its state counts (8, 32 and 128), one text per
+template with fresh bindings, written by that workload's own writer; its
+instances are the pairs of the texts' relation literals, so it reports
+microseconds per pair.
 
 The search layer (workload ``search``) times ``find_models`` for each of
 the 40 (size, profile, constraint) jobs of perfbench's ``search`` workload,
@@ -118,6 +123,8 @@ LOAD_PRODUCTS = {16: ("nearas", "nearas"), 32: ("rel2", "bool2"),
                  64: ("rel2", "bool2", "bool2")}
 LOAD_TEXTS = 4
 LOAD_LOOPS = {16: 10, 32: 3, 64: 1}
+# loops per run over the load_program_file texts, by state count
+PROGRAM_LOOPS = {8: 20, 32: 5, 128: 1}
 # loops per run over the set-operation pairs
 SETOP_LOOPS = 50
 # seconds a run of one search layer should take, by its untimed pass
@@ -241,6 +248,27 @@ def _load_cases(files) -> dict:
         rows = sum(text.count(" -> ") for text in texts)
         cases[size] = rows, [functools.partial(files.load_model, text)
                              for text in texts]
+    return cases
+
+
+def _program_cases(files) -> dict:
+    """Per state count, (literal pairs of one loop, the zero-argument calls
+    of one loop) of ``load_program_file`` on seeded ``hoare`` program
+    texts, one per template."""
+    import workloads as w
+    cases = {}
+    for n in w.HOARE_SIZES:
+        rng = random.Random(f"load_program_file:{n}")
+        names = [str(i + 1) for i in range(n)]
+        pairs, calls = 0, []
+        for prog in w._templates(rng):
+            atoms, tests = w._bindings(rng, n)
+            pre, post = w._guard(rng, w.PRE_SHAPE), w._guard(rng, w.POST_SHAPE)
+            text = w._program_file(names, atoms, tests, pre, post, prog)
+            pairs += (sum(map(len, tests.values()))
+                      + sum(len(row) for succ in atoms.values() for row in succ))
+            calls.append(functools.partial(files.load_program_file, text))
+        cases[n] = pairs, calls
     return cases
 
 
@@ -427,6 +455,8 @@ def main(argv=None) -> int:
         record("laws", layer, size, count, [call], loops)
     for size, (rows, calls) in _load_cases(files).items():
         record("laws", "load_model", size, rows, calls, LOAD_LOOPS[size])
+    for n, (pairs, calls) in _program_cases(files).items():
+        record("hoare", "load_program_file", n, pairs, calls, PROGRAM_LOOPS[n])
     for (layer, size), (call, stats) in _search_cases(algebra, search).items():
         other = theirs.get((layer, size))
         record("search", layer, size, 1, [call], None,

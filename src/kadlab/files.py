@@ -172,6 +172,8 @@ def _build(headers, rows, tables, name):
     carrier = headers.get("carrier")
     if carrier is None:
         raise ParseError("missing carrier line", source=name)
+    if not carrier:
+        raise ParseError("empty carrier line", source=name)
     if "zero" not in headers or "one" not in headers:
         raise ParseError("missing zero/one line", source=name)
     index = {e: i for i, e in enumerate(carrier)}

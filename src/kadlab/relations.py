@@ -1,28 +1,29 @@
 """Binary relations over a finite state space.
 
 A relation is an adjacency matrix packed into an int; only the row view
-below knows the layout.  It splits the bits into n successor masks (bit j
-of row i set iff state i steps to j) and packs them back, ORs each row
-onto its first bit or all rows onto the first row by one logarithmic
-fold, builds the subidentity on a state mask or on the states whose row
-lies in one, composes by copying each row of the second relation into the
-rows of the first that reach it, and closes transitively the same way,
-one row at a time.  Tests are subidentities, and a composition with a test
-is a mask, not a product: t ; R keeps the rows of R at t's states and
-R ; t keeps its columns there.  Relation literals are split into pairs by
-one regular-expression pass.  A ``StateSpace`` is the relation algebra on
-its bit patterns: term evaluation runs on its operations at any state
-count, ``Rel`` wraps them with a space check, and ``rel_algebra_model``
-tabulates them into a ``FiniteAlgebra`` for checks, up to 3 states (512
-elements).
+below and ``StateSpace._pair_bits``, which sets the bits of named pairs
+as digits of a buffer read as one int, know the layout.  The row view
+splits the bits into n successor masks (bit j of row i set iff state i
+steps to j), ORs each row onto its first bit or all rows onto the first
+row by one logarithmic fold, builds the subidentity on a state mask or on
+the states whose row lies in one, composes by copying each row of the
+second relation into the rows of the first that reach it, and closes
+transitively the same way, one row at a time.  Tests are subidentities,
+and a composition with a test is a mask, not a product: t ; R keeps the
+rows of R at t's states and R ; t keeps its columns there.  Relation
+literals are split into pairs by str methods.  A ``StateSpace`` is the
+relation algebra on its bit patterns: term evaluation runs on its
+operations at any state count, ``Rel`` wraps them with a space check, and
+``rel_algebra_model`` tabulates them into a ``FiniteAlgebra`` for checks,
+up to 3 states (512 elements).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
+from operator import setitem, sub
 from typing import Iterable, Iterator
 
 from .algebra import FiniteAlgebra
@@ -64,6 +65,24 @@ class StateSpace:
     @cached_property
     def _positions(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def _row_tops(self) -> dict[str, int]:
+        n = self.size
+        return {name: (n - i) * n - 1 for i, name in enumerate(self.names)}
+
+    def _pair_bits(self, sources, targets) -> int:
+        """The bits of the pairs, the names looked up in reading order: bit
+        n * n - 1 - d is digit d of a buffer set in C (``any`` drains the
+        map, as ``setitem`` returns None) and read as one int."""
+        digits = bytearray(b"0") * self.size ** 2
+        try:
+            any(map(setitem, repeat(digits), map(
+                sub, map(self._row_tops.__getitem__, sources),
+                map(self._positions.__getitem__, targets)), repeat(ord("1"))))
+        except KeyError as e:
+            raise ModelError(f"unknown state {e.args[0]!r}") from None
+        return int(digits, 2)
 
     def index(self, name: str) -> int:
         try:
@@ -123,14 +142,6 @@ def _rows(bits: int, n: int) -> list[int]:
     """Split packed bits into the n successor masks."""
     mask = (1 << n) - 1
     return [bits >> shift & mask for shift in range(0, n * n, n)]
-
-
-def _pack(rows, n: int) -> int:
-    """Pack n successor masks back into bits, the last row first."""
-    bits = 0
-    for row in reversed(rows):
-        bits = bits << n | row
-    return bits
 
 
 @cache
@@ -213,13 +224,8 @@ class Rel:
     # -- constructors ---------------------------------------------------------
     @classmethod
     def from_pairs(cls, space: StateSpace, pairs) -> "Rel":
-        rows, positions = [0] * space.size, space._positions
-        try:
-            for a, b in pairs:
-                rows[positions[a]] |= 1 << positions[b]
-        except KeyError as e:
-            raise ModelError(f"unknown state {e.args[0]!r}") from None
-        return cls(space, _pack(rows, space.size))
+        sources, targets = list(zip(*pairs)) or ((), ())
+        return cls(space, space._pair_bits(sources, targets))
 
     @classmethod
     def empty(cls, space: StateSpace) -> "Rel":
@@ -278,11 +284,9 @@ class Rel:
         return self.bits & ~other.bits == 0
 
     def converse(self) -> "Rel":
-        n = self.space.size
-        cols = [0] * n
-        for i, j in _edges(self.bits, n):
-            cols[j] |= 1 << i
-        return Rel(self.space, _pack(cols, n))
+        names = self.space.names
+        return Rel.from_pairs(self.space, ((names[j], names[i]) for i, j
+                                           in _edges(self.bits, self.space.size)))
 
     def adom(self) -> "Rel":
         """Subidentity on the states with no outgoing edge."""
@@ -325,26 +329,33 @@ def all_relations(space: StateSpace) -> Iterator[Rel]:
 # ---------------------------------------------------------------------------
 # literals
 
-_PAIR = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 _NAMED = {"id": Rel.identity, "empty": Rel.empty, "full": Rel.full}
+_SPLIT = str.maketrans({"(": None, ")": ","})
 
 
 def parse_rel_literal(space: StateSpace, text: str) -> Rel:
     """Parse ``{(s1,s2),(s3,s3)}``, ``id``, ``empty`` or ``full``.
 
-    One split by the pair pattern leaves the gaps around the pairs, which
-    must be whitespace at the ends and one comma between pairs."""
+    Whitespace runs shrink to one space, dropped beside a bracket or comma.
+    A "(" first, a ")" last and k - 1 of "),(" between, with no other
+    bracket, leave k parts "s,t"; with "(" deleted and ")" made a comma,
+    a split at commas gives 3k tokens only if each is two names and ""."""
     body = text.strip()
     if body in _NAMED:
         return _NAMED[body](space)
-    parts = _PAIR.split(body[1:-1])
-    gaps = parts[::3]
-    if not (body[:1] == "{" and body[-1:] == "}"
-            and not gaps[0].strip() and not gaps[-1].strip()
-            and set(map(str.strip, gaps[1:-1])) <= {","}):
+    inner = " ".join(body[1:-1].split())
+    if " " in inner:
+        for c in "(),":
+            inner = inner.replace(f" {c}", c).replace(f"{c} ", c)
+    tokens, k = inner.translate(_SPLIT).split(","), inner.count("(")
+    sources, targets = tokens[:-1:3], tokens[1::3]  # none from "{}"
+    if not (body[:1] == "{" and body[-1:] == "}" and (not inner or (
+            " " not in inner and inner[0] + inner[-1] == "()"
+            and inner.count(")") == k and inner.count("),(") == k - 1
+            and len(tokens) == 3 * k and all(sources) and all(targets)))):
         raise ParseError(f"bad relation literal {text!r}")
     try:
-        return Rel.from_pairs(space, zip(parts[1::3], parts[2::3]))
+        return Rel(space, space._pair_bits(sources, targets))
     except ModelError as e:
         raise ParseError(f"bad relation literal {text!r}: {e}") from None
 

@@ -488,6 +488,8 @@ def naive_load_model(text, name="model"):
 
     if carrier is None:
         raise ParseError("missing carrier line", source=name)
+    if not carrier:
+        raise ParseError("empty carrier line", source=name)
     if zero is None or one is None:
         raise ParseError("missing zero/one line", source=name)
     index = {e: i for i, e in enumerate(carrier)}
@@ -563,20 +565,21 @@ _LITERAL_RE = re.compile(rf"\{{\s*(?:{_PAIR}(?:\s*,\s*{_PAIR})*)?\s*\}}")
 
 
 def naive_parse_rel_literal(space, text):
-    """The relation literal parser as it was before the one-pass split: the
-    whole grammar as one full match, then ``findall`` for the pairs, whose
-    names are looked up one at a time."""
+    """The relation literal grammar as regular expressions, independent of
+    the str-method split and the digit buffer that ``parse_rel_literal``
+    and ``Rel.from_pairs`` share: the whole literal as one full match, then
+    ``findall`` for the pairs, whose names are looked up one at a time in
+    reading order and whose bits are ORed in one pair at a time."""
     body = text.strip()
     named = {"id": Rel.identity, "empty": Rel.empty, "full": Rel.full}
     if body in named:
         return named[body](space)
     if not _LITERAL_RE.fullmatch(body):
         raise ParseError(f"bad relation literal {text!r}")
-    pairs = re.findall(_PAIR, body)
+    bits = 0
     try:
-        for a, b in pairs:
-            space.index(a)
-            space.index(b)
+        for a, b in re.findall(_PAIR, body):
+            bits |= 1 << space.index(a) * space.size + space.index(b)
     except ModelError as e:
         raise ParseError(f"bad relation literal {text!r}: {e}") from None
-    return Rel.from_pairs(space, pairs)
+    return Rel(space, bits)

@@ -254,6 +254,14 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_empty_carrier_exit_2(capsys, tmp_path):
+    empty = tmp_path / "empty.alg"
+    empty.write_text("carrier:\nzero: 0\none: 0\n")
+    code, out, err = run(capsys, "check-axioms", "--model", str(empty),
+                         "--profile", "kat")
+    assert (code, out, err) == (2, "", "error: empty.alg: empty carrier line\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["check-axioms", "--profile", "kat", "--model"],
     ["vcgen", "--program"],

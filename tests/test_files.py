@@ -95,6 +95,17 @@ def test_unknown_element_is_an_error():
         load_model(text)
 
 
+# without "#" the text goes to the bulk reader first, with it to the lines
+@pytest.mark.parametrize("text", [
+    "carrier:\nzero: 0\none: 0\n", "carrier:  # none\nzero: 0\none: 0\n",
+    "carrier:\nzero: 0\none: 0\nplus: 0 0 -> 0\ntimes: 0 0 -> 0\n",
+    "carrier:\nzero: 0\none: 0\nplus: 0 0 -> 0\n# a comment\n"])
+def test_empty_carrier_line_is_an_error(text):
+    with pytest.raises(ParseError, match="^m: empty carrier line$"):
+        load_model(text, name="m")
+    assert _outcome(naive_load_model, text) == _outcome(load_model, text)
+
+
 def test_unknown_directive_is_an_error():
     with pytest.raises(ParseError, match="unknown directive"):
         load_model("carrier: 0\nzero: 0\none: 0\nfoo: bar\n")
@@ -153,7 +164,7 @@ def _mutated_model_texts(draw):
     directives, malformed rows, ``->`` inside a name, repeated header
     lines, CRLF line ends, a tab or a double space inside a binary row, a
     space after a row's result and a carrier element renamed everywhere to
-    a name holding ``->``."""
+    a name holding ``->``, its unary rows dropped or kept."""
     lines = draw(st.sampled_from(_BASES)).strip().splitlines()
     end = "\n"
     for _ in range(draw(st.integers(0, 5))):
@@ -209,6 +220,12 @@ def _mutated_model_texts(draw):
                         if line.startswith("carrier:")]
             if carriers and carriers[0]:
                 old = draw(st.sampled_from(carriers[0]))
+                if draw(st.booleans()):
+                    # with no unary row read first, the rows holding the
+                    # new name reach the bulk reader's check for "->"
+                    lines = [line for line in lines if not line.startswith(
+                        tuple(f"{k}: {old} ->"
+                              for k in ("star", "adom", "aran", "not")))]
                 lines = _rename(lines, old, old + "->x")
     return end.join(lines) + end
 

@@ -183,11 +183,11 @@ _LITERAL_TOKENS = ["{", "}", "(", ")", ",", " ", "\t", "\n", "1", "2", "ab",
 
 
 @st.composite
-def _literal_like(draw):
+def _literal_like(draw, names=("1", "2", "ab", "9"), tokens=_LITERAL_TOKENS):
     """A literal built from drawn pairs, separators and spacing, then maybe
     one token inserted, one character deleted, or one swapped."""
     space_ = st.sampled_from([" ", "\t", "", "  ", "\n"])
-    name = st.sampled_from(["1", "2", "ab", "9"])
+    name = st.sampled_from(names)
     pairs = draw(st.lists(st.tuples(space_, name, space_, space_, name, space_),
                           max_size=4))
     seps = [draw(space_) + draw(st.sampled_from([",", ",", ",,", ""]))
@@ -200,16 +200,16 @@ def _literal_like(draw):
     if text and draw(st.booleans()):
         i = draw(st.integers(0, len(text) - 1))
         edit = draw(st.sampled_from(["insert", "delete", "swap"]))
-        token = draw(st.sampled_from(_LITERAL_TOKENS))
+        token = draw(st.sampled_from(tokens))
         text = (text[:i] + token + text[i:] if edit == "insert" else
                 text[:i] + text[i + 1:] if edit == "delete" else
                 text[:i] + token + text[i + 1:])
     return text
 
 
-def _literal_outcome(parse, text):
+def _literal_outcome(parse, text, space=LITERAL_SPACE):
     try:
-        return "ok", parse(LITERAL_SPACE, text)
+        return "ok", parse(space, text)
     except ParseError as e:
         return "error", str(e)
 
@@ -221,6 +221,51 @@ def _literal_outcome(parse, text):
 def test_literal_parser_matches_the_grammar_oracle(text):
     assert (_literal_outcome(parse_rel_literal, text)
             == _literal_outcome(naive_parse_rel_literal, text))
+
+
+# names of several characters, and names holding braces
+BRACE_SPACE = StateSpace(["1", "2", "ab", "s10", "{", "a}", "}{"])
+_BRACE_NAMES = ("1", "ab", "s10", "s1", "{", "a}", "}{", "}", "{}", "9")
+_BRACE_TOKENS = _LITERAL_TOKENS + ["s10", "a}", "(s10,{)", "({,a})", "}{"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), _literal_like(_BRACE_NAMES, _BRACE_TOKENS),
+                 st.lists(st.sampled_from(_BRACE_TOKENS), max_size=12)
+                 .map("".join)))
+def test_literal_parser_matches_the_oracle_on_brace_names(text):
+    assert (_literal_outcome(parse_rel_literal, text, BRACE_SPACE)
+            == _literal_outcome(naive_parse_rel_literal, text, BRACE_SPACE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 130).filter(lambda n: n % 8), st.integers(0, 2 ** 32))
+def test_literal_roundtrip_with_pairs_shuffled_and_repeated(n, seed):
+    rng = random.Random(seed)
+    space = StateSpace.of_size(n)
+    edges = rng.sample(range(n * n), rng.randint(0, min(n * n, 4 * n)))
+    rel = Rel(space, sum(1 << e for e in edges))
+    assert parse_rel_literal(space, format_rel(rel)) == rel
+    names = space.names
+    listed = [f"({names[e // n]},{names[e % n]})"
+              for e in edges + rng.choices(edges, k=len(edges) // 3)]
+    rng.shuffle(listed)
+    spaced = "{" + rng.choice(("", " ")) + ", ".join(listed) + "}"
+    assert parse_rel_literal(space, spaced) == rel
+    assert Rel.from_pairs(space, (p[1:-1].split(",") for p in listed)) == rel
+
+
+@pytest.mark.parametrize("text, unknown", [
+    ("{(1,9),(8x,1)}", "'9'"), ("{(8x,1),(1,9)}", "'8x'"),
+    ("{(1,2), (2,1), (3, 9)}", "'3'"), ("{(2,2),(2,{)}", "'{'")])
+def test_literal_error_names_the_first_unknown_state(text, unknown):
+    with pytest.raises(ParseError) as e:
+        parse_rel_literal(S2, text)
+    assert str(e.value) == (f"bad relation literal {text!r}: "
+                            f"unknown state {unknown}")
+    pairs = [p.split(",") for p in text.replace(" ", "")[2:-2].split("),(")]
+    with pytest.raises(ModelError, match=f"^unknown state {unknown}$"):
+        Rel.from_pairs(S2, pairs)
 
 
 def _only_kadlab_errors(parse, text):

@@ -30,6 +30,7 @@ import pytest
 from kadlab.algebra import Profile, bool2_model, lemma4_model
 from kadlab.cli import BUILTIN_MODELS
 from kadlab.files import dump_model
+from kadlab.hoare import SYNTH_METHODS
 from kadlab.search import CONSTRAINTS
 
 from test_compiled_checks import product_model
@@ -92,6 +93,86 @@ def _model_files():
 
 
 MODEL_FILES = _model_files()
+
+LOOPS = """\
+states: 1 2 3 4
+rel x = {(1,2),(2,3),(3,4),(4,4)}
+rel y = {(2,1),(3,3),(4,1)}
+test p = {(1,1),(2,2)}
+test q = {(3,3),(4,4)}
+pre: p
+post: q
+program: x ; while !q invariant p + q do x od ;
+  if q then y else x fi
+"""
+
+SPACED = """\
+states: 1 2 3 4
+rel x =   { ( 1 , 2 ) ,\t(2,3) ,(3 ,4),( 4, 4 ),(1,2) }
+rel y={(2,1),(3,3) , (4,1)}   # a comment
+test p = { (1,1) , (2,2) }
+test q =\t{(3,3),(4,4)}
+pre: p
+post: q
+program: x ;
+  while !q do x od ; if q then y else x fi
+"""
+
+
+def _big_program(n=128, degree=3):
+    """A 128-state file whose literals list their pairs shuffled, some
+    twice, with seeded spacing."""
+    rng = random.Random(n)
+    names = [str(i + 1) for i in range(n)]
+
+    def literal(pairs):
+        pairs = pairs + rng.sample(pairs, len(pairs) // 8)
+        rng.shuffle(pairs)
+        return "{" + ",".join(rng.choice(("", " ")) + f"({a},{b})"
+                              for a, b in pairs) + "}"
+
+    lines = [f"states: {' '.join(names)}"]
+    for x in ("x", "y"):
+        lines.append(f"rel {x} = " + literal(
+            [(a, b) for a in names for b in rng.sample(names, degree)]))
+    for t in ("p", "q"):
+        lines.append(f"test {t} = " + literal(
+            [(a, a) for a in rng.sample(names, n // 2)]))
+    return "\n".join(lines + [
+        "pre: p", "post: q",
+        "program: while p & !q do x ; if q then y else x fi od ; y"]) + "\n"
+
+
+def _program_files():
+    """The program files of the corpus, by file name."""
+    files = {"loops.prog": LOOPS,
+             "loops-plain.prog": LOOPS.replace(" invariant p + q", ""),
+             "spaced.prog": SPACED, "big.prog": _big_program()}
+    for name, line, faulty in [
+            ("unknown-state", "rel y = {(2,1),(3,3),(4,1)}",
+             "rel y = {(2,1),(3,9),(4,1)}"),
+            ("not-a-pair", "rel y = {(2,1),(3,3),(4,1)}",
+             "rel y = {(2,1),(3 3,3),(4,1)}"),
+            ("doubled-comma", "rel y = {(2,1),(3,3),(4,1)}",
+             "rel y = {(2,1),,(3,3),(4,1)}"),
+            ("missing-brace", "rel y = {(2,1),(3,3),(4,1)}",
+             "rel y = {(2,1),(3,3),(4,1)"),
+            ("test-not-subidentity", "test q = {(3,3),(4,4)}",
+             "test q = {(3,3),(4,1)}"),
+            ("duplicate-rel", "rel y = {(2,1),(3,3),(4,1)}",
+             "rel x = {(2,1),(3,3),(4,1)}")]:
+        assert line in LOOPS
+        files[f"{name}.prog"] = LOOPS.replace(line, faulty)
+    return files
+
+
+PROGRAM_FILES = _program_files()
+# the files that load; each faulty one runs one vcgen and one synth-mid
+SOUND_PROGRAMS = ("loops.prog", "loops-plain.prog", "spaced.prog", "big.prog")
+VCGEN_CONDITIONS = {"file": [], "q": ["--pre", "p", "--post", "q"],
+                    "1": ["--pre", "p", "--post", "1"],
+                    "0": ["--pre", "p + q", "--post", "0"]}
+SYNTH_PROGRAMS = ["--x", "x ; while !q do x od", "--y", "if q then y else x fi"]
 TERMS = ("1 ; (0 + 1)", "(1 + 0)*", "!0 ; 1")
 PROFILES = [p.value for p in Profile]
 COMMANDS = {
@@ -111,6 +192,14 @@ COMMANDS = {
        for f in MODEL_FILES},
     **{f"eval-file-{f[:-4]}-{k}": ["eval", "--model", f, "--term", term]
        for f in MODEL_FILES for k, term in enumerate(TERMS)},
+    **{f"vcgen-{f[:-5]}-{c}": ["vcgen", "--program", f, *conditions]
+       for f in PROGRAM_FILES for c, conditions in VCGEN_CONDITIONS.items()
+       if f in SOUND_PROGRAMS or c == "file"},
+    **{f"synth-mid-{f[:-5]}-{m}-{q}": [
+        "synth-mid", "--program", f, *SYNTH_PROGRAMS, "--pre", "p",
+        "--post", q, "--method", m]
+       for f in PROGRAM_FILES for m in SYNTH_METHODS for q in ("q", "1", "0")
+       if f in SOUND_PROGRAMS or (m, q) == ("wlp", "q")},
 }
 CASES = {f"{name}-{fmt}": (argv, fmt) for name, argv in COMMANDS.items()
          for fmt in ("text", "structured")}
@@ -120,8 +209,8 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_model_files(directory):
-    for name, text in MODEL_FILES.items():
+def _write_files(directory):
+    for name, text in {**MODEL_FILES, **PROGRAM_FILES}.items():
         (directory / name).write_text(text)
 
 
@@ -142,7 +231,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("models")
-    _write_model_files(directory)
+    _write_files(directory)
     return directory
 
 
@@ -158,7 +247,7 @@ def test_verdict_is_pinned(case, corpus, model_dir, monkeypatch):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        _write_model_files(Path(tmp))
+        _write_files(Path(tmp))
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
