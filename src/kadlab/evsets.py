@@ -6,26 +6,28 @@ whether every k >= n with k % p == c is.  Values are canonical, so
 equality is structural: the least period is the first offset at which the
 p-bit residue word recurs in the word written twice, and the least
 threshold is the bit length of the head XOR the repeated residues.
-Operations lift both sets to the larger threshold and the lcm period,
-then apply one int operation each; a residue pattern is repeated (a
-repunit product) only where the lift asks for more than one period, and
-a period of 1 is all or nothing.  Order tests use the lifted bits and
-build no set.  The sets form a countable algebra closed under union,
-intersection and complement, with sets neither finite nor cofinite (the
-evens) and the trivial star sending every set to the full one: the
-environment needed to refute proposed weakest liberal preconditions from
-the finite-or-cofinite test algebra, as any candidate disjoint from an
-infinite, co-infinite target is finite and grows by one fresh element
-while staying disjoint.
+An empty or all-ones residue word (every finite and cofinite set) has
+period 1 without that search.  Operations lift both sets to the larger
+threshold and the lcm period, then apply one int operation each; a
+residue pattern is repeated (a repunit product) only where the lift asks
+for more than one period, two sets of one period keep it as it is, and a
+period of 1 is all or nothing.  Order and disjointness tests use the
+lifted bits and build no set.  The sets form a countable algebra closed
+under union, intersection and complement, with sets neither finite nor
+cofinite (the evens) and the trivial star sending every set to the full
+one: the environment needed to refute proposed weakest liberal
+preconditions from the finite-or-cofinite test algebra, as any candidate
+disjoint from an infinite, co-infinite target is finite and grows by one
+fresh element while staying disjoint.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, count, islice
+from itertools import combinations, islice
 from math import lcm
-from operator import and_, or_
+from operator import and_, or_, xor
 from typing import Iterator, Optional
 
 from .errors import ModelError, ParseError
@@ -44,6 +46,8 @@ def _mask(width: int) -> int:
 
 def _tail(res: int, period: int, below: int) -> int:
     """The residue bits repeated from 0 (times a repunit), cut at ``below``."""
+    if not res:
+        return 0
     if below <= period:
         return res & _mask(below)
     if period == 1:
@@ -75,9 +79,12 @@ def _bits(elements, bound: int, message: str) -> int:
 
 def _canonical(n: int, head: int, p: int, res: int, s=None) -> "EvPeriodicSet":
     """Store the canonical form of (n, head, p, res) in ``s`` or a new set."""
-    word = format(res, f"0{p}b")
-    p = (word + word).find(word, 1)     # the least rotation fixing it divides p
-    res &= _mask(p)
+    if res and res != _mask(p):
+        word = format(res, f"0{p}b")
+        p = (word + word).find(word, 1)     # the least rotation fixing it divides p
+        res &= _mask(p)
+    else:                                   # finite or cofinite
+        p, res = 1, 1 if res else 0
     n = (head ^ _tail(res, p, n)).bit_length()
     s = object.__new__(EvPeriodicSet) if s is None else s
     s.__dict__.update(threshold=n, _head=head & _mask(n), period=p, _res=res)
@@ -130,6 +137,8 @@ class EvPeriodicSet:
     def _prefix(self, below: int) -> int:
         """The membership bits of 0 .. below - 1: the head, then the tail."""
         n = self.threshold
+        if below == n:
+            return self._head
         if below <= n:
             return self._head & _mask(below)
         tail = _tail(self._res, self.period, below) >> n << n
@@ -143,10 +152,14 @@ class EvPeriodicSet:
         """``op`` on both sets lifted to the larger threshold and the lcm
         period, as an uncanonical (threshold, head, period, residues)."""
         n = max(self.threshold, other.threshold)
-        p = lcm(self.period, other.period)
-        return (n, op(self._prefix(n), other._prefix(n)), p,
-                op(_tail(self._res, self.period, p),
-                   _tail(other._res, other.period, p)))
+        p = self.period
+        if p == other.period:
+            res = op(self._res, other._res)
+        else:
+            p = lcm(p, other.period)
+            res = op(_tail(self._res, self.period, p),
+                     _tail(other._res, other.period, p))
+        return n, op(self._prefix(n), other._prefix(n)), p, res
 
     def union(self, other):
         return _canonical(*self._lift(other, or_))
@@ -163,6 +176,10 @@ class EvPeriodicSet:
 
     def leq(self, other) -> bool:
         _, head, _, res = self._lift(other, _without)
+        return not head | res
+
+    def isdisjoint(self, other) -> bool:
+        _, head, _, res = self._lift(other, and_)
         return not head | res
 
     __or__ = union
@@ -228,27 +245,34 @@ def refute_wlp_candidate(target: EvPeriodicSet, candidate: EvPeriodicSet):
     intersects the target (so it is no precondition at all), or it is
     necessarily finite and the least element of the target's complement
     outside the candidate extends it to a strictly larger test that is
-    still disjoint from the target.
+    still disjoint from the target.  That element lies below the larger
+    threshold plus the target's period: past its threshold every period of
+    the co-infinite target holds a non-member.
     """
     if not in_test_algebra(candidate):
         raise ModelError("candidate is not finite or cofinite")
     if in_test_algebra(target):
         raise ModelError("target must be neither finite nor cofinite")
-    meet = target.intersect(candidate)
-    if not meet.is_empty:
-        return NotAPrecondition(meet.least())
-    x = next(k for k in count() if k not in target and k not in candidate)
-    return NotMaximal(x, candidate.union(finite_set({x})))
+    if not target.isdisjoint(candidate):
+        return NotAPrecondition(target.intersect(candidate).least())
+    w = max(target.threshold, candidate.threshold) + target.period
+    taken = target._prefix(w) | candidate._prefix(w)
+    x = (~taken & (taken + 1)).bit_length() - 1     # the lowest clear bit
+    head = candidate._head | 1 << x
+    return NotMaximal(x, _canonical(head.bit_length(), head, 1, 0))
 
 
 def verify_refutation(target, candidate, verdict) -> bool:
     """Check a verdict of ``refute_wlp_candidate``: a witness lies in the
-    candidate and the target; an extension is a larger test disjoint from it."""
+    candidate and the target; an extension is a test disjoint from the
+    target that is the candidate plus the missing element, which the
+    candidate lacks (the two differ at that element alone)."""
     if isinstance(verdict, NotAPrecondition):
         return verdict.witness in candidate and verdict.witness in target
-    ext = verdict.extension
-    return (in_test_algebra(ext) and candidate.leq(ext)
-            and not ext.leq(candidate) and target.intersect(ext).is_empty)
+    x, ext = verdict.missing, verdict.extension
+    _, head, _, res = ext._lift(candidate, xor)
+    return (x >= 0 and head == 1 << x and not res and x not in candidate
+            and in_test_algebra(ext) and target.isdisjoint(ext))
 
 
 def enumerate_candidates(target: EvPeriodicSet, count: int) -> Iterator[EvPeriodicSet]:

@@ -9,16 +9,18 @@ that the compiled law checker and the bitmask phi scan must reproduce
 exactly.  The model enumeration tries every table fill without pruning,
 and ``naive_is_least`` tries every relabelling of a complete model.
 ``NaiveEvPeriodicSet`` keeps head and residues as frozensets and computes
-every operation and canonical form one element at a time.  The model file
-loader and the squaring relation star are the versions the one-pass loader
-and the packed Warshall star replaced.  A triple is decided in its compose
-form p ; R ; !q = 0 on pair sets, and a relation literal by the full-match
-grammar and ``findall`` that the one-pass split replaced.
+every operation and canonical form one element at a time; the naive
+refuter searches the naturals in order for the element it adds.  The
+model file loader and the squaring relation star are the versions the
+one-pass loader and the packed Warshall star replaced.  A triple is
+decided in its compose form p ; R ; !q = 0 on pair sets, and a relation
+literal by the full-match grammar and ``findall`` that the one-pass split
+replaced.
 """
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, count, islice, permutations, product
 from math import lcm
 
 from kadlab.algebra import (CheckReport, ClosureLaw, Equation, FiniteAlgebra,
@@ -408,6 +410,17 @@ def naive_enumerate_candidates(target, count):
     free = [k for k in range(universe) if k not in target]
     yield from islice((naive_finite_set(combo) for size in range(len(free) + 1)
                        for combo in combinations(free, size)), count)
+
+
+def naive_refute_wlp_candidate(target, candidate):
+    """("witness", the meet's least element) if the candidate meets the
+    target, else ("missing", the least k in neither set, the candidate
+    plus k)."""
+    meet = target.intersect(candidate)
+    if not meet.is_empty:
+        return "witness", meet.least()
+    k = next(k for k in count() if k not in target and k not in candidate)
+    return "missing", k, candidate.union(naive_finite_set({k}))
 
 
 def naive_format_evset(s):

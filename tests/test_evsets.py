@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kadlab.errors import ModelError, ParseError
 from kadlab.evsets import (EvPeriodicSet, NotAPrecondition, NotMaximal,
@@ -10,7 +10,7 @@ from kadlab.evsets import (EvPeriodicSet, NotAPrecondition, NotMaximal,
                            in_test_algebra, odds, parse_evset,
                            refute_wlp_candidate, verify_refutation)
 from naive_oracle import (NaiveEvPeriodicSet, naive_enumerate_candidates,
-                          naive_format_evset)
+                          naive_format_evset, naive_refute_wlp_candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +151,22 @@ def test_finite_candidate_meeting_the_target_is_verified():
     assert verify_refutation(evens(), candidate, verdict)
 
 
-@pytest.mark.parametrize("verdict", [
-    NotAPrecondition(3),    # in the candidate, not in the target
-    NotAPrecondition(2),    # in the target, not in the candidate
-    NotMaximal(5, finite_set({3, 4, 5})),   # the extension meets the target
-])
-def test_wrong_refutations_fail_verification(verdict):
-    assert not verify_refutation(evens(), finite_set({3, 4}), verdict)
+@pytest.mark.parametrize("candidate, verdict", [
+    # in the candidate, not in the target
+    (finite_set({3, 4}), NotAPrecondition(3)),
+    # in the target, not in the candidate
+    (finite_set({3, 4}), NotAPrecondition(2)),
+    # the extension meets the target
+    (finite_set({3, 4}), NotMaximal(5, finite_set({3, 4, 5}))),
+    # a disjoint extension, but the missing element is in the target
+    (finite_set({1, 3}), NotMaximal(0, finite_set({1, 3, 5}))),
+    # a disjoint extension that adds 5, not the missing 7
+    (finite_set({1, 3}), NotMaximal(7, finite_set({1, 3, 5}))),
+    # a disjoint extension that adds 7 besides the missing 5
+    (finite_set({1, 3}), NotMaximal(5, finite_set({1, 3, 5, 7}))),
+], ids=[f"verdict{i}" for i in range(6)])
+def test_wrong_refutations_fail_verification(candidate, verdict):
+    assert not verify_refutation(evens(), candidate, verdict)
 
 
 def test_not_maximal_refutation_is_verified():
@@ -334,6 +343,7 @@ def test_binary_ops_match_the_oracle(raw_a, raw_b):
     for op in ("union", "intersect", "difference"):
         assert _canon(getattr(a, op)(b)) == _canon(getattr(naive_a, op)(naive_b))
     assert a.leq(b) == naive_a.leq(naive_b)
+    assert a.isdisjoint(b) == naive_a.intersect(naive_b).is_empty
     assert a.union(b).leq(a) == naive_a.union(naive_b).leq(naive_a)
 
 
@@ -354,3 +364,27 @@ def test_first_500_candidates_match_the_oracle(raw):
     ours = enumerate_candidates(target, 500)
     theirs = naive_enumerate_candidates(naive, 500)
     assert [_canon(c) for c in ours] == [_canon(c) for c in theirs]
+
+
+@st.composite
+def _test_algebra_raw(draw):
+    """A finite or a cofinite set as (threshold, head, period, residues),
+    with elements or exceptions below 40."""
+    n = draw(st.integers(0, 40))
+    head = draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
+    return n, head, 1, draw(st.sampled_from([frozenset(), frozenset({0})]))
+
+
+@given(_raw_sets(), _test_algebra_raw())
+def test_refuter_matches_the_oracle(raw_target, raw_candidate):
+    target, naive_target = _both(raw_target)
+    candidate, naive_candidate = _both(raw_candidate)
+    assume(not in_test_algebra(target))
+    verdict = refute_wlp_candidate(target, candidate)
+    if isinstance(verdict, NotAPrecondition):
+        got = "witness", verdict.witness
+    else:
+        got = "missing", verdict.missing, _canon(verdict.extension)
+    expected = naive_refute_wlp_candidate(naive_target, naive_candidate)
+    assert got == expected[:2] + tuple(map(_canon, expected[2:]))
+    assert verify_refutation(target, candidate, verdict)

@@ -4,10 +4,14 @@ The matrix is ``check-axioms`` for every builtin and profile,
 ``check-phi`` for every builtin and ``find-models`` at sizes 1-4 for every
 profile and constraint, each in text and in structured form.  The same
 ``check-axioms`` and ``check-phi`` commands, and ``eval`` of three fixed
-terms, run on model files written here: ``dump_model`` of each builtin,
+terms, run on every builtin and on model files written here: ``dump_model`` of each builtin,
 lemma4 written by hand with comments and free spacing, a product of 18
 elements with its rows shuffled, and three faulty files (a duplicate row,
-a missing row and an unknown result).  Each case
+a missing row and an unknown result).  ``vcgen`` and ``synth-mid`` run
+on program files written here.  ``demo nonexpressivity`` runs on the
+evens, the odds, a period-12 target with a head and a literal whose period
+and threshold shrink on canonicalisation, each with 1, 100 (the default)
+and 250 candidates, and on a finite target, which it refuses.  Each case
 pins its argv, its exit code and the sha256 of its stdout and stderr, in
 ``verdict_corpus.json``, so a change to any verdict, count or model shows
 up here as the cases that moved.  After a change that is meant to alter a
@@ -174,6 +178,14 @@ VCGEN_CONDITIONS = {"file": [], "q": ["--pre", "p", "--post", "q"],
                     "0": ["--pre", "p + q", "--post", "0"]}
 SYNTH_PROGRAMS = ["--x", "x ; while !q do x od", "--y", "if q then y else x fi"]
 TERMS = ("1 ; (0 + 1)", "(1 + 0)*", "!0 ; 1")
+# demo nonexpressivity targets; the last two are canonically
+# periodic(5; 1,3,4; 2; 1) and finite{1}, which the demo refuses
+DEMO_TARGETS = {"evens": "evens", "odds": "odds",
+                "p12": "periodic(4; 0,3; 12; 1,2,5,7,11)",
+                "shrinks": "periodic(9; 1,3,4,5,7; 6; 1,3,5)",
+                "finite": "finite{1}"}
+DEMO_COUNTS = {"1": ["--candidates", "1"], "100": [],
+               "250": ["--candidates", "250"]}
 PROFILES = [p.value for p in Profile]
 COMMANDS = {
     **{f"check-axioms-{b}-{p}": ["check-axioms", "--builtin", b,
@@ -190,6 +202,12 @@ COMMANDS = {
        for f in MODEL_FILES for p in PROFILES},
     **{f"check-phi-file-{f[:-4]}": ["check-phi", "--model", f]
        for f in MODEL_FILES},
+    **{f"eval-{b}-{k}": ["eval", "--builtin", b, "--term", term]
+       for b in sorted(BUILTIN_MODELS) for k, term in enumerate(TERMS)},
+    **{f"demo-nonexpressivity-{t}-{c}": [
+        "demo", "nonexpressivity", "--set", literal, *count]
+       for t, literal in DEMO_TARGETS.items()
+       for c, count in DEMO_COUNTS.items() if t != "finite" or c == "100"},
     **{f"eval-file-{f[:-4]}-{k}": ["eval", "--model", f, "--term", term]
        for f in MODEL_FILES for k, term in enumerate(TERMS)},
     **{f"vcgen-{f[:-5]}-{c}": ["vcgen", "--program", f, *conditions]
