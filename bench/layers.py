@@ -37,7 +37,10 @@ instance) and of ``check_phi`` on a ``rel3`` built beforehand (layer
 products of perfbench's ``laws`` workload at those sizes, each relabelled
 and with its rows shuffled by perfbench's ``dump_model`` as that workload
 writes them; its instances are the texts' table rows, so it reports
-microseconds per row.  Layer ``load_program_file`` times
+microseconds per row.  Layers ``load_model_commented`` and
+``load_model_tabbed`` time the 64-element texts behind a ``# model 1``
+line, as ``find-models`` prints a model, and with tabs around ``->``, a
+spelling read row by row.  Layer ``load_program_file`` times
 ``load_program_file`` on the program texts of perfbench's ``hoare``
 workload at each of its state counts (8, 32 and 128), one text per
 template with fresh bindings, written by that workload's own writer; its
@@ -123,6 +126,11 @@ LOAD_PRODUCTS = {16: ("nearas", "nearas"), 32: ("rel2", "bool2"),
                  64: ("rel2", "bool2", "bool2")}
 LOAD_TEXTS = 4
 LOAD_LOOPS = {16: 10, 32: 3, 64: 1}
+# the 64-element texts again, as find-models prints a model (behind its
+# comment line) and in a spelling the bulk reader refuses (tabs around ->)
+LOAD_SPELLINGS = {
+    "load_model_commented": "# model 1 (search-laws-64-1)\n".__add__,
+    "load_model_tabbed": lambda text: text.replace(" -> ", "\t->\t")}
 # loops per run over the load_program_file texts, by state count
 PROGRAM_LOOPS = {8: 20, 32: 5, 128: 1}
 # loops per run over the set-operation pairs
@@ -230,8 +238,9 @@ def _law_cases(algebra, relations) -> dict:
 
 
 def _load_cases(files) -> dict:
-    """Per carrier size, (table rows of one loop, the zero-argument calls
-    of one loop) of ``load_model`` on seeded texts of a product model."""
+    """Per (layer, carrier size), (table rows of one loop, the zero-argument
+    calls of one loop) of ``load_model`` on seeded texts of a product model,
+    at 64 elements in ``LOAD_SPELLINGS`` too."""
     import references
     from workloads import dump_model
     cases = {}
@@ -246,8 +255,13 @@ def _load_cases(files) -> dict:
             rng.shuffle(order)
             texts.append(dump_model(references.permuted(table, order), rng))
         rows = sum(text.count(" -> ") for text in texts)
-        cases[size] = rows, [functools.partial(files.load_model, text)
-                             for text in texts]
+        spellings = {"load_model": str}
+        if size == 64:
+            spellings.update(LOAD_SPELLINGS)
+        for layer, spell in spellings.items():
+            cases[layer, size] = rows, [
+                functools.partial(files.load_model, spell(text))
+                for text in texts]
     return cases
 
 
@@ -453,8 +467,8 @@ def main(argv=None) -> int:
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, count, [call], loops)
-    for size, (rows, calls) in _load_cases(files).items():
-        record("laws", "load_model", size, rows, calls, LOAD_LOOPS[size])
+    for (layer, size), (rows, calls) in _load_cases(files).items():
+        record("laws", layer, size, rows, calls, LOAD_LOOPS[size])
     for n, (pairs, calls) in _program_cases(files).items():
         record("hoare", "load_program_file", n, pairs, calls, PROGRAM_LOOPS[n])
     for (layer, size), (call, stats) in _search_cases(algebra, search).items():

@@ -9,6 +9,7 @@ class ParseError(KadlabError):
     """Syntax error in a term, test expression, program or data file."""
 
     def __init__(self, message, *, line=None, column=None, source=None):
+        self.message = message
         self.line = line
         self.column = column
         self.source = source

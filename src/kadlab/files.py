@@ -33,17 +33,20 @@ out, and an argument name cannot contain ``->``.  Binary tables must list
 every argument pair and unary tables every element: unspecified rows are
 errors, and so are repeated rows.
 
-A text without ``#`` whose ``plus``/``times`` rows are all spelt exactly
-``OP: A B -> C``, with single spaces and nothing before or after, as
-``dump_model`` writes them, has those rows read in bulk (``_read_bulk``);
-every other spelling is read row by row (``_read_lines``).  Both give the
-same models and the same errors.
+A text whose ``plus``/``times`` rows are all spelt exactly
+``OP: A B -> C``, with single spaces and nothing before or after, not even
+a comment, as ``dump_model`` and ``find-models`` write them, has those rows
+read in bulk (``_read_bulk``), whatever its other lines hold; every other
+text is read row by row (``_read_lines``).  Both give the same models and
+the same errors.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, product, repeat
+from functools import partial
+from itertools import accumulate, compress, product, repeat
 from operator import not_
 from typing import Optional
 
@@ -55,9 +58,11 @@ from .relations import Rel, StateSpace, parse_rel_literal
 __all__ = ["load_model", "dump_model", "ProgramFile", "load_program_file"]
 
 
-def _lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+def _lines(numbered):
+    """The (line number, line) pairs whose line holds more than a comment
+    and blanks, each line cut at its ``#`` and stripped."""
+    for lineno, raw in numbered:
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
 
@@ -73,60 +78,43 @@ _ARITY = {key: len(form.split()) - 2 for key, form in _ROW_FORMS.items()}
 
 def load_model(text: str, name: str = "model") -> FiniteAlgebra:
     lines = text.splitlines()
-    read = None if "#" in text else _read_bulk(lines, name)
-    headers, rows, tables = read or (
+    headers, rows, tables = _read_bulk(lines, name) or (
         *_read_lines(enumerate(lines, start=1), name), {})
     return _build(headers, rows, tables, name)
 
 
 def _read_lines(numbered, name):
     """The header lines and the rows of each table, keyed by argument names,
-    from (line number, line) pairs, read one line at a time."""
+    from (line number, line) pairs, each line read by its key, the text
+    before its first ":"."""
     headers = {}
     rows = {key: {} for key in _ROW_FORMS}
-    # most lines are binary rows spaced as "KEY: A B -> C": five tokens, the
-    # fourth "->" and no "->" before it; any other line is read by its key,
-    # the text before its first ":"
-    spaced = {f"{key}:": (key, rows[key]) for key in ("plus", "times")}
-
-    for lineno, line in numbered:
-        if "#" in line:
-            line = line[:line.index("#")]
-        toks = line.split()
-        if not toks:
+    for lineno, line in _lines(numbered):
+        if ":" not in line:
+            raise ParseError("expected 'key: ...'", line=lineno, source=name)
+        key, _, rest = line.partition(":")
+        key = key.strip()
+        if key in _HEADER_KEYS:
+            if key in headers:
+                raise ParseError(f"duplicate {key} line",
+                                 line=lineno, source=name)
+            headers[key] = rest.split()
+            if key in ("zero", "one") and len(headers[key]) != 1:
+                raise ParseError(f"{key} takes one element",
+                                 line=lineno, source=name)
             continue
-        key, table = spaced.get(toks[0], (None, None))
-        if (table is not None and len(toks) == 5 and toks[3] == "->"
-                and "->" not in toks[1] and "->" not in toks[2]):
-            args, out = (toks[1], toks[2]), toks[4]
-        else:
-            if ":" not in line:
-                raise ParseError("expected 'key: ...'",
-                                 line=lineno, source=name)
-            key, _, rest = line.partition(":")
-            key = key.strip()
-            if key in _HEADER_KEYS:
-                if key in headers:
-                    raise ParseError(f"duplicate {key} line",
-                                     line=lineno, source=name)
-                headers[key] = rest.split()
-                if key in ("zero", "one") and len(headers[key]) != 1:
-                    raise ParseError(f"{key} takes one element",
-                                     line=lineno, source=name)
-                continue
-            if key not in rows:
-                raise ParseError(f"unknown directive {key!r}",
-                                 line=lineno, source=name)
-            lhs, _, out = rest.partition("->")
-            args, out = tuple(lhs.split()), out.split()
-            if len(args) != _ARITY[key] or len(out) != 1:
-                raise ParseError(f"expected '{key}: {_ROW_FORMS[key]}'",
-                                 line=lineno, source=name)
-            table, out = rows[key], out[0]
-        if args in table:
+        if key not in rows:
+            raise ParseError(f"unknown directive {key!r}",
+                             line=lineno, source=name)
+        lhs, _, out = rest.partition("->")
+        args, out = tuple(lhs.split()), out.split()
+        if len(args) != _ARITY[key] or len(out) != 1:
+            raise ParseError(f"expected '{key}: {_ROW_FORMS[key]}'",
+                             line=lineno, source=name)
+        if args in rows[key]:
             raise ParseError(f"duplicate {key} row for {' '.join(args)}",
                              line=lineno, source=name)
-        table[args] = out
+        rows[key][args] = out[0]
     return headers, rows
 
 
@@ -137,7 +125,10 @@ def _read_bulk(lines, name):
     """The header lines, the other rows and the + and ; index tables of a
     text whose lines starting "plus: " or "times: " are exactly the rows
     "OP: A B -> C" over the carrier, once each; None for any other text,
-    which the line reader then reads whole, faults included."""
+    which the line reader then reads whole, faults included.  Carrier names
+    hold no "#", so a bulk line holding one has a head that is none of the
+    2n^2 heads looked up, leaving one of them missing, or a result that is
+    no carrier name: such a text goes to the line reader too."""
     is_bulk = list(map(str.startswith, lines, repeat(_BULK)))
     bulk = list(compress(lines, is_bulk))
     try:
@@ -260,17 +251,18 @@ def load_program_file(text: str, name: str = "program") -> ProgramFile:
     space = None
     rel_decls = []
     test_decls = []
-    pre_text = post_text = None
-    program_lines = []
+    # the pre, post and program lines as (line number, text) pieces, a
+    # program's continuation lines being further pieces of its text
+    pieces = {}
     in_program = False
 
-    for lineno, line in _lines(text):
+    for lineno, line in _lines(enumerate(text.splitlines(), start=1)):
         head, *rest = line.split(None, 1)
         key = head.rstrip(":")
         is_directive = (line.startswith(("states:", "pre:", "post:", "program:"))
                         or key in ("rel", "test"))
         if in_program and not is_directive:
-            program_lines.append(line)
+            pieces["program"].append((lineno, line))
             continue
         in_program = False
         if line.startswith("states:"):
@@ -292,15 +284,12 @@ def load_program_file(text: str, name: str = "program") -> ProgramFile:
                 raise ParseError(str(e), line=lineno, source=name) from None
             (rel_decls if key == "rel" else test_decls).append(
                 (lineno, decl_name, rel))
-        elif line.startswith("pre:"):
-            pre_text = line.partition(":")[2].strip()
-        elif line.startswith("post:"):
-            post_text = line.partition(":")[2].strip()
-        elif line.startswith("program:"):
-            tail = line.partition(":")[2].strip()
-            if tail:
-                program_lines.append(tail)
-            in_program = True
+        elif line.startswith(("pre:", "post:", "program:")):
+            key, _, tail = line.partition(":")
+            if key in pieces:
+                raise ParseError(f"duplicate {key} line", line=lineno, source=name)
+            pieces[key] = [(lineno, tail.strip())]
+            in_program = key == "program"
         else:
             raise ParseError(f"unknown directive in program file: {line!r}",
                              line=lineno, source=name)
@@ -323,8 +312,24 @@ def load_program_file(text: str, name: str = "program") -> ProgramFile:
     bindings = Bindings(space, atoms, tests)
 
     program = None
-    if program_lines:
-        program = parse_program(" ".join(program_lines), atoms, tests)
-    pre, post = (None if text is None else read_test(text, bindings)
-                 for text in (pre_text, post_text))
+    if any(piece for _, piece in pieces.get("program", ())):
+        program = _parse_pieces(partial(parse_program, atoms=atoms,
+                                        tests=tests), pieces["program"], name)
+    pre, post = (None if key not in pieces else _parse_pieces(
+        partial(read_test, bindings=bindings), pieces[key], name)
+        for key in ("pre", "post"))
     return ProgramFile(bindings, program, pre, post)
+
+
+def _parse_pieces(parse, pieces, name):
+    """``parse`` of the text of (line number, text) pieces joined by spaces;
+    a ParseError is raised again at the line of the piece that holds its
+    column."""
+    try:
+        return parse(" ".join(piece for _, piece in pieces))
+    except ParseError as e:
+        # offsets below ends[k] lie in pieces 0..k; the end of input, at
+        # ends[-1] - 1, lies in the last piece
+        ends = list(accumulate(len(piece) + 1 for _, piece in pieces))
+        at = bisect_right(ends, (e.column or 1) - 1)
+        raise ParseError(e.message, line=pieces[at][0], source=name) from None

@@ -6,6 +6,7 @@ import pytest
 from kadlab import evsets
 from kadlab import cli
 from kadlab.cli import _build_parser, main
+from kadlab.files import dump_model, load_model
 from kadlab.terms import MAX_DEPTH
 
 PROGRAM_TEXT = """
@@ -104,6 +105,18 @@ def test_find_models_output_parses_back(capsys, tmp_path):
     from kadlab.algebra import Profile, check_axioms
     m = load_model(block, name="emitted")
     assert check_axioms(m, Profile.KAT).passed
+
+
+@pytest.mark.parametrize("profile", ["kat", "kad"])
+def test_every_find_models_block_loads_back(capsys, profile):
+    code, out, _ = run(capsys, "find-models", "--size", "4",
+                       "--profile", profile)
+    *blocks, found = out.split("\n\n")
+    assert (code, found) == (0, f"found: {len(blocks)}\n")
+    for k, block in enumerate(blocks, start=1):
+        comment, _, dump = block.partition("\n")
+        assert comment == f"# model {k} (search-{profile}-4-{k})"
+        assert dump_model(load_model(block)) == dump + "\n"
 
 
 def test_find_models_empty_is_exit_1(capsys):
@@ -243,6 +256,24 @@ def test_reports_are_deterministic(capsys):
     _, out1, _ = run(capsys, "find-models", "--size", "3", "--profile", "kat")
     _, out2, _ = run(capsys, "find-models", "--size", "3", "--profile", "kat")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("old,new,line", [
+    ("program: x ; y", "program: x\n; if zz then y else x fi", 10),
+    ("pre: p", "pre: zz", 7), ("post: q", "post: !zz", 8)])
+def test_program_file_parse_errors_name_file_and_line(capsys, tmp_path, old,
+                                                      new, line):
+    path = tmp_path / "seq.kat"
+    path.write_text(PROGRAM_TEXT.replace(old, new))
+    code, out, err = run(capsys, "vcgen", "--program", str(path))
+    assert (code, out, err) == (
+        2, "", f"error: seq.kat:{line}: unknown test 'zz'\n")
+
+
+def test_pre_argument_parse_errors_keep_their_column(capsys, progfile):
+    code, out, err = run(capsys, "vcgen", "--program", progfile,
+                         "--pre", "p & zz")
+    assert (code, out, err) == (2, "", "error: 1: unknown test 'zz'\n")
 
 
 def test_parse_error_exit_2(capsys, tmp_path):

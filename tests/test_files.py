@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kadlab.algebra import (Profile, bool2_model, check_axioms, lemma4_model,
                             near_as_model, trivial_model)
+from kadlab import files
 from kadlab.errors import KadlabError, ParseError
 from kadlab.files import dump_model, load_model, load_program_file
 from kadlab.relations import Rel, rel_algebra_model
@@ -95,7 +96,8 @@ def test_unknown_element_is_an_error():
         load_model(text)
 
 
-# without "#" the text goes to the bulk reader first, with it to the lines
+# the bulk reader refuses an empty carrier, so each of these texts, with
+# rows, a comment or neither, is read line by line and fails in _build
 @pytest.mark.parametrize("text", [
     "carrier:\nzero: 0\none: 0\n", "carrier:  # none\nzero: 0\none: 0\n",
     "carrier:\nzero: 0\none: 0\nplus: 0 0 -> 0\ntimes: 0 0 -> 0\n",
@@ -145,6 +147,25 @@ _DIOID_TEXT = "\n".join(
     line for line in _BASES[0].splitlines()
     if line.startswith(("carrier", "zero", "one", "plus", "times"))) + "\n"
 _BASES += [_DIOID_TEXT, LEMMA4_TEXT]
+
+
+# a find-models block: its comment line, then the dump
+COMMENTED_DUMP = "# model 1 (search-kad-4-1)\n" + _BASES[0]
+
+
+def test_a_commented_dump_has_its_rows_read_in_bulk(monkeypatch):
+    read = []
+    read_lines = files._read_lines
+
+    def recording(numbered, name):
+        numbered = list(numbered)
+        read.extend(line for _, line in numbered)
+        return read_lines(numbered, name)
+
+    monkeypatch.setattr(files, "_read_lines", recording)
+    assert dump_model(load_model(COMMENTED_DUMP)) == _BASES[0]
+    assert read[0] == "# model 1 (search-kad-4-1)"
+    assert not [line for line in read if line.startswith(("plus", "times"))]
 
 
 def _respace(line, style):
@@ -267,6 +288,9 @@ def _first_repeated_header(text):
 @example(LEMMA4_TEXT.replace("plus: 0 a -> a", "plus: 0 a->b -> a"))
 @example("\n".join(_rename(_DIOID_TEXT.splitlines(), "a", "a->x")) + "\n")
 @example(_BASES[0] + "plus:0 0->0\n")
+@example(COMMENTED_DUMP)
+@example(_BASES[0].replace("plus: 0 a -> a\n", "plus: 0 a -> a  # note\n"))
+@example(_BASES[0].replace("tests: 0 1\n", "tests: 0 1\n# plus: 0 0 -> 0\n"))
 def test_loader_matches_the_naive_loader(text):
     expected = _outcome(naive_load_model, text)
     repeated = _first_repeated_header(text)
@@ -365,3 +389,25 @@ def test_program_file_errors():
         load_program_file("states: 1\nrel x = id\nrel x = id\n")
     with pytest.raises(ParseError):
         load_program_file("states: 1\nprogram: nosuchatom\n")
+
+
+@pytest.mark.parametrize("key,again", [
+    ("pre", "pre: q"), ("post", "post: p"), ("program", "program: x")])
+def test_repeated_program_file_line_is_an_error(key, again):
+    lines = PROGRAM_TEXT.splitlines()
+    text = "\n".join(lines + [again]) + "\n"
+    with pytest.raises(ParseError, match=f"^f:{len(lines) + 1}: "
+                       f"duplicate {key} line$"):
+        load_program_file(text, name="f")
+
+
+@pytest.mark.parametrize("old,new,line", [
+    ("  y\n", "  y ; if zz then x else y fi\n", 11),
+    ("  y\n", "  y ;\n  # a comment\n\n  while p do\n", 14),
+    ("pre: p", "pre: zz", 7), ("post: q", "post: q &", 8)])
+def test_program_file_parse_errors_name_their_line(old, new, line):
+    assert old in PROGRAM_TEXT
+    with pytest.raises(ParseError) as info:
+        load_program_file(PROGRAM_TEXT.replace(old, new), name="f")
+    assert (info.value.source, info.value.line) == ("f", line)
+    assert info.value.column is None

@@ -6,9 +6,13 @@ profile and constraint, each in text and in structured form.  The same
 ``check-axioms`` and ``check-phi`` commands, and ``eval`` of three fixed
 terms, run on every builtin and on model files written here: ``dump_model`` of each builtin,
 lemma4 written by hand with comments and free spacing, a product of 18
-elements with its rows shuffled, and three faulty files (a duplicate row,
-a missing row and an unknown result).  ``vcgen`` and ``synth-mid`` run
-on program files written here.  ``demo nonexpressivity`` runs on the
+elements with its rows shuffled, the first ``# model`` block that
+``find-models --size 4`` prints for kad and for kat, comment line
+included, and three faulty files (a duplicate row, a missing row and an
+unknown result).  ``vcgen`` and ``synth-mid`` run on program files
+written here, among them faulty ones: bad literals, an unknown test in a
+program's continuation line, in ``pre:`` and in ``post:``, and a repeated
+``pre:``, ``post:`` or ``program:`` line.  ``demo nonexpressivity`` runs on the
 evens, the odds, a period-12 target with a head and a literal whose period
 and threshold shrink on canonicalisation, each with 1, 100 (the default)
 and 250 candidates, and on a finite target, which it refuses.  Each case
@@ -75,6 +79,13 @@ not:1->0
 """
 
 
+def _first_found_model(profile):
+    """The first ``# model`` block, comment line included, that
+    ``find-models --size 4`` prints for the profile."""
+    out = _run(["find-models", "--size", "4", "--profile", profile], "text")
+    return out["stdout"].split("\n\n")[0] + "\n"
+
+
 def _model_files():
     """The model files of the corpus, by file name."""
     files = {f"{b}.alg": dump_model(make())
@@ -86,6 +97,8 @@ def _model_files():
     random.Random(0).shuffle(rows)
     files["product.alg"] = "\n".join(
         [line for line in lines if "->" not in line] + rows) + "\n"
+    for profile in ("kad", "kat"):
+        files[f"find-models-{profile}.alg"] = _first_found_model(profile)
     lemma4 = files["lemma4.alg"]
     for name, row, faulty in [
             ("duplicate-row", "times: 0 a -> 0\n", "times: 0 a -> 0\n" * 2),
@@ -164,7 +177,14 @@ def _program_files():
             ("test-not-subidentity", "test q = {(3,3),(4,4)}",
              "test q = {(3,3),(4,1)}"),
             ("duplicate-rel", "rel y = {(2,1),(3,3),(4,1)}",
-             "rel x = {(2,1),(3,3),(4,1)}")]:
+             "rel x = {(2,1),(3,3),(4,1)}"),
+            ("unknown-guard", "  if q then y else x fi",
+             "  if zz then y else x fi"),
+            ("unknown-pre", "pre: p", "pre: zz"),
+            ("unknown-post", "post: q", "post: q & zz"),
+            ("duplicate-pre", "pre: p", "pre: p\npre: q"),
+            ("duplicate-post", "post: q", "post: q\npost: p"),
+            ("duplicate-program", "post: q", "post: q\nprogram: skip")]:
         assert line in LOOPS
         files[f"{name}.prog"] = LOOPS.replace(line, faulty)
     return files
