@@ -37,10 +37,11 @@ instance) and of ``check_phi`` on a ``rel3`` built beforehand (layer
 products of perfbench's ``laws`` workload at those sizes, each relabelled
 and with its rows shuffled by perfbench's ``dump_model`` as that workload
 writes them; its instances are the texts' table rows, so it reports
-microseconds per row.  Layers ``load_model_commented`` and
-``load_model_tabbed`` time the 64-element texts behind a ``# model 1``
-line, as ``find-models`` prints a model, and with tabs around ``->``, a
-spelling read row by row.  Layer ``load_program_file`` times
+microseconds per row.  Layers ``load_model_commented``,
+``load_model_tabbed`` and ``load_model_spaced`` time the 64-element texts
+behind a ``# model 1`` line, as ``find-models`` prints a model, with tabs
+around ``->``, and spelt ``plus:a b->c``; the last two are read row by
+row.  Layer ``load_program_file`` times
 ``load_program_file`` on the program texts of perfbench's ``hoare``
 workload at each of its state counts (8, 32 and 128), one text per
 template with fresh bindings, written by that workload's own writer; its
@@ -127,10 +128,13 @@ LOAD_PRODUCTS = {16: ("nearas", "nearas"), 32: ("rel2", "bool2"),
 LOAD_TEXTS = 4
 LOAD_LOOPS = {16: 10, 32: 3, 64: 1}
 # the 64-element texts again, as find-models prints a model (behind its
-# comment line) and in a spelling the bulk reader refuses (tabs around ->)
+# comment line) and in two spellings the bulk reader refuses (tabs around
+# ->, and no space after : or around ->)
 LOAD_SPELLINGS = {
     "load_model_commented": "# model 1 (search-laws-64-1)\n".__add__,
-    "load_model_tabbed": lambda text: text.replace(" -> ", "\t->\t")}
+    "load_model_tabbed": lambda text: text.replace(" -> ", "\t->\t"),
+    "load_model_spaced": lambda text: text.replace(": ", ":").replace(
+        " -> ", "->")}
 # loops per run over the load_program_file texts, by state count
 PROGRAM_LOOPS = {8: 20, 32: 5, 128: 1}
 # loops per run over the set-operation pairs

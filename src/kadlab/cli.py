@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .algebra import (FiniteAlgebra, Profile, bool2_model, check_axioms,
                       check_phi, evaluate, lemma4_model, near_as_model,
                       trivial_model)
 from .errors import KadlabError, ModelError
-from .files import dump_model, load_model, load_program_file
+from .files import _parse_pieces, dump_model, load_model, load_program_file
 from .hoare import (PremiseError, parse_program, read_test, holds,
                     synth_mid, vcgen, HoareTriple, SYNTH_METHODS)
 from .relations import format_rel, rel_algebra_model
@@ -59,6 +60,12 @@ def _load_file(load, path_str):
     except (OSError, UnicodeDecodeError) as e:
         raise ModelError(f"cannot read {path}: {e}") from None
     return load(text, name=path.name)
+
+
+def _argument(args, flag, parse, *context):
+    """``parse`` of argument ``--flag`` and ``context``, located by column."""
+    return _parse_pieces([(None, getattr(args, flag))], f"--{flag}", parse,
+                         *context)
 
 
 def _split_bindings(text: str) -> list[str]:
@@ -110,7 +117,7 @@ def _cmd_check_axioms(args):
 
 def _cmd_eval(args):
     algebra = _load_algebra(args)
-    term = parse_term(args.term, tests=frozenset())
+    term = _argument(args, "term", parse_term, frozenset())
     elements = {}
     for item in _split_bindings(args.env):
         item = item.strip()
@@ -182,8 +189,8 @@ def _cmd_vcgen(args):
     pf = _load_file(load_program_file, args.program)
     if pf.program is None:
         raise ModelError("program file declares no program")
-    pre = pf.pre if args.pre is None else read_test(args.pre, pf.bindings)
-    post = pf.post if args.post is None else read_test(args.post, pf.bindings)
+    pre, post = (getattr(pf, f) if getattr(args, f) is None else
+                 _argument(args, f, read_test, pf.bindings) for f in ("pre", "post"))
     if pre is None or post is None:
         raise ModelError("both a precondition and a postcondition are needed "
                          "(pre:/post: lines or --pre/--post)")
@@ -208,9 +215,8 @@ def _cmd_vcgen(args):
 def _cmd_synth_mid(args):
     pf = _load_file(load_program_file, args.program)
     b = pf.bindings
-    x = parse_program(args.x, b.atoms, b.tests)
-    y = parse_program(args.y, b.atoms, b.tests)
-    p, q = read_test(args.pre, b), read_test(args.post, b)
+    x, y = (_argument(args, f, parse_program, b.atoms, b.tests) for f in "xy")
+    p, q = (_argument(args, f, read_test, b) for f in ("pre", "post"))
     r = synth_mid(x, y, p, q, args.method, b)
     first = holds(HoareTriple(p, x, r), b)
     second = holds(HoareTriple(r, y, q), b)
@@ -390,10 +396,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv, namespace=argparse.Namespace(format="text"))
     try:
         code, lines, payload = args.handler(args)
-        if args.format == "structured":
-            text = json.dumps(payload, indent=2, sort_keys=True)
-        else:
-            text = "\n".join(lines)
+        print(json.dumps(payload, indent=2, sort_keys=True)
+              if args.format == "structured" else "\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): the verdict's code stands,
+        # and stdout goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except PremiseError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1
@@ -407,7 +416,6 @@ def main(argv=None) -> int:
         logging.getLogger(__name__).debug("internal error", exc_info=True)
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    print(text)
     return code
 
 

@@ -13,13 +13,8 @@ class ParseError(KadlabError):
         self.line = line
         self.column = column
         self.source = source
-        where = ""
-        if source is not None:
-            where += f"{source}:"
-        if line is not None:
-            where += f"{line}:"
-        if column is not None:
-            where += f"{column}:"
+        where = "".join(f"{part}:" for part in (source, line, column)
+                        if part is not None)
         super().__init__(f"{where} {message}" if where else message)
 
 

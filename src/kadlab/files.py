@@ -45,8 +45,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, compress, product, repeat
+from math import isqrt
 from operator import not_
 from typing import Optional
 
@@ -89,31 +89,30 @@ def _read_lines(numbered, name):
     before its first ":"."""
     headers = {}
     rows = {key: {} for key in _ROW_FORMS}
+
+    def fault(message):
+        return ParseError(message, line=lineno, source=name)
+
     for lineno, line in _lines(numbered):
         if ":" not in line:
-            raise ParseError("expected 'key: ...'", line=lineno, source=name)
+            raise fault("expected 'key: ...'")
         key, _, rest = line.partition(":")
         key = key.strip()
         if key in _HEADER_KEYS:
             if key in headers:
-                raise ParseError(f"duplicate {key} line",
-                                 line=lineno, source=name)
+                raise fault(f"duplicate {key} line")
             headers[key] = rest.split()
             if key in ("zero", "one") and len(headers[key]) != 1:
-                raise ParseError(f"{key} takes one element",
-                                 line=lineno, source=name)
+                raise fault(f"{key} takes one element")
             continue
         if key not in rows:
-            raise ParseError(f"unknown directive {key!r}",
-                             line=lineno, source=name)
+            raise fault(f"unknown directive {key!r}")
         lhs, _, out = rest.partition("->")
         args, out = tuple(lhs.split()), out.split()
         if len(args) != _ARITY[key] or len(out) != 1:
-            raise ParseError(f"expected '{key}: {_ROW_FORMS[key]}'",
-                             line=lineno, source=name)
+            raise fault(f"expected '{key}: {_ROW_FORMS[key]}'")
         if args in rows[key]:
-            raise ParseError(f"duplicate {key} row for {' '.join(args)}",
-                             line=lineno, source=name)
+            raise fault(f"duplicate {key} row for {' '.join(args)}")
         rows[key][args] = out[0]
     return headers, rows
 
@@ -125,32 +124,36 @@ def _read_bulk(lines, name):
     """The header lines, the other rows and the + and ; index tables of a
     text whose lines starting "plus: " or "times: " are exactly the rows
     "OP: A B -> C" over the carrier, once each; None for any other text,
-    which the line reader then reads whole, faults included.  Carrier names
-    hold no "#", so a bulk line holding one has a head that is none of the
-    2n^2 heads looked up, leaving one of them missing, or a result that is
-    no carrier name: such a text goes to the line reader too."""
+    which the line reader then reads whole, faults included; a text is
+    refused before its other lines are read when its bulk lines number no
+    2n^2 or " -> " does not split one in two.  Carrier names hold no "#",
+    so a bulk line holding one has a head that is none of the 2n^2 heads
+    looked up, or a result that is no carrier name."""
     is_bulk = list(map(str.startswith, lines, repeat(_BULK)))
     bulk = list(compress(lines, is_bulk))
-    try:
-        headers, rows = _read_lines(
-            compress(enumerate(lines, start=1), map(not_, is_bulk)), name)
-    except ParseError:
-        return None
-    carrier = headers.get("carrier", ())
-    index = {e: i for i, e in enumerate(carrier)}
-    if (not carrier or len(index) != len(carrier) or rows["plus"]
-            or rows["times"] or len(bulk) != 2 * len(carrier) ** 2
-            or any("->" in e for e in carrier)):
+    n = isqrt(len(bulk) // 2)
+    if not n or len(bulk) != 2 * n * n:
         return None
     try:
         # (head, result) of each row, where a row holding " -> " more than
-        # once or not at all raises ValueError; as there are 2n^2 rows, the
-        # 2n^2 heads looked up are all found only when no head repeats
+        # once or not at all raises ValueError
         results = dict(map(str.split, bulk, repeat(" -> ")))
+        headers, rows = _read_lines(
+            compress(enumerate(lines, start=1), map(not_, is_bulk)), name)
+    except (ValueError, ParseError):
+        return None
+    carrier = headers.get("carrier", ())
+    index = {e: i for i, e in enumerate(carrier)}
+    if (len(carrier) != n or len(index) != n or rows["plus"]
+            or rows["times"] or any("->" in e for e in carrier)):
+        return None
+    try:
+        # as there are 2n^2 rows, the 2n^2 heads looked up are all found
+        # only when no head repeats
         tables = {op: [list(map(index.__getitem__, map(
             results.__getitem__, map(f"{op}: {a} ".__add__, carrier))))
             for a in carrier] for op in ("plus", "times")}
-    except (KeyError, ValueError):
+    except KeyError:
         return None
     return headers, rows, tables
 
@@ -248,13 +251,17 @@ class ProgramFile:
 
 
 def load_program_file(text: str, name: str = "program") -> ProgramFile:
+    """The program file of ``text``, read in one pass: the first faulty
+    line raises."""
     space = None
-    rel_decls = []
-    test_decls = []
+    atoms, tests = {}, {}
     # the pre, post and program lines as (line number, text) pieces, a
     # program's continuation lines being further pieces of its text
     pieces = {}
     in_program = False
+
+    def fault(message):
+        return ParseError(message, line=lineno, source=name)
 
     for lineno, line in _lines(enumerate(text.splitlines(), start=1)):
         head, *rest = line.split(None, 1)
@@ -267,69 +274,57 @@ def load_program_file(text: str, name: str = "program") -> ProgramFile:
         in_program = False
         if line.startswith("states:"):
             if space is not None:
-                raise ParseError("duplicate states line", line=lineno, source=name)
+                raise fault("duplicate states line")
             space = StateSpace(line.partition(":")[2].split())
         elif key in ("rel", "test"):
             decl_name, eq, literal = "".join(rest).partition("=")
             decl_name = decl_name.strip()
             if not eq or not decl_name:
-                raise ParseError(f"expected '{key} NAME = literal'",
-                                 line=lineno, source=name)
+                raise fault(f"expected '{key} NAME = literal'")
             if space is None:
-                raise ParseError("states must be declared first",
-                                 line=lineno, source=name)
+                raise fault("states must be declared first")
             try:
                 rel = parse_rel_literal(space, literal.strip())
             except ParseError as e:
-                raise ParseError(str(e), line=lineno, source=name) from None
-            (rel_decls if key == "rel" else test_decls).append(
-                (lineno, decl_name, rel))
+                raise fault(str(e)) from None
+            if key == "rel" and decl_name in atoms:
+                raise fault(f"duplicate rel {decl_name!r}")
+            if decl_name in atoms or decl_name in tests:
+                raise fault(f"duplicate name {decl_name!r}")
+            if key == "test" and not rel.is_subidentity():
+                raise fault(f"test {decl_name!r} is not a subidentity")
+            (atoms if key == "rel" else tests)[decl_name] = rel
         elif line.startswith(("pre:", "post:", "program:")):
             key, _, tail = line.partition(":")
             if key in pieces:
-                raise ParseError(f"duplicate {key} line", line=lineno, source=name)
+                raise fault(f"duplicate {key} line")
             pieces[key] = [(lineno, tail.strip())]
             in_program = key == "program"
         else:
-            raise ParseError(f"unknown directive in program file: {line!r}",
-                             line=lineno, source=name)
+            raise fault(f"unknown directive in program file: {line!r}")
 
     if space is None:
         raise ParseError("missing states line", source=name)
-    atoms = {}
-    tests = {}
-    for lineno, decl_name, rel in rel_decls:
-        if decl_name in atoms:
-            raise ParseError(f"duplicate rel {decl_name!r}", line=lineno, source=name)
-        atoms[decl_name] = rel
-    for lineno, decl_name, rel in test_decls:
-        if decl_name in tests or decl_name in atoms:
-            raise ParseError(f"duplicate name {decl_name!r}", line=lineno, source=name)
-        if not rel.is_subidentity():
-            raise ParseError(f"test {decl_name!r} is not a subidentity",
-                             line=lineno, source=name)
-        tests[decl_name] = rel
     bindings = Bindings(space, atoms, tests)
-
     program = None
     if any(piece for _, piece in pieces.get("program", ())):
-        program = _parse_pieces(partial(parse_program, atoms=atoms,
-                                        tests=tests), pieces["program"], name)
+        program = _parse_pieces(pieces["program"], name, parse_program,
+                                atoms, tests)
     pre, post = (None if key not in pieces else _parse_pieces(
-        partial(read_test, bindings=bindings), pieces[key], name)
-        for key in ("pre", "post"))
+        pieces[key], name, read_test, bindings) for key in ("pre", "post"))
     return ProgramFile(bindings, program, pre, post)
 
 
-def _parse_pieces(parse, pieces, name):
-    """``parse`` of the text of (line number, text) pieces joined by spaces;
-    a ParseError is raised again at the line of the piece that holds its
-    column."""
+def _parse_pieces(pieces, name, parse, *context):
+    """``parse`` of the text of (line number, text) pieces joined by spaces
+    and ``context``; a ParseError is raised again at the line of the piece
+    that holds its column, or at the column if that piece has no line."""
     try:
-        return parse(" ".join(piece for _, piece in pieces))
+        return parse(" ".join(piece for _, piece in pieces), *context)
     except ParseError as e:
         # offsets below ends[k] lie in pieces 0..k; the end of input, at
         # ends[-1] - 1, lies in the last piece
         ends = list(accumulate(len(piece) + 1 for _, piece in pieces))
-        at = bisect_right(ends, (e.column or 1) - 1)
-        raise ParseError(e.message, line=pieces[at][0], source=name) from None
+        line = pieces[bisect_right(ends, (e.column or 1) - 1)][0]
+        raise ParseError(e.message, line=line, source=name,
+                         column=None if line else e.column) from None

@@ -241,6 +241,55 @@ def test_complement_must_be_involution():
                       complement={"0": "1", "1": "0", "a": "1"})
 
 
+# a three-element carrier 0 < a < 1 whose tests, when declared, are 0 and 1
+_CHAIN = (["0", "a", "1"], "0", "1",
+          [[max(i, j) for j in range(3)] for i in range(3)],
+          [[min(i, j) for j in range(3)] for i in range(3)])
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    (([], "0", "1", [], []), {}, "empty carrier"),
+    ((["0", "0"], "0", "0", [[0, 0], [0, 0]], [[0, 0], [0, 0]]), {},
+     "duplicate carrier element names"),
+    (_CHAIN, {"complement": {"0": "1", "1": "0"}},
+     "complement table given without tests"),
+    (_CHAIN, {"tests": ["0", "1"], "complement": {"0": "a", "1": "0"}},
+     "complement row 0 -> a leaves the test set"),
+    (_CHAIN, {"tests": ["0", "1"], "complement": {"0": "1"}},
+     "complement table must cover exactly the tests"),
+    (_CHAIN, {"adom": [2, 0, 0], "complement": {"0": "0", "1": "1"}},
+     "complement table disagrees with antidomain on tests"),
+    ((["0", "1"], "0", "1", None, [[0, 0], [0, 1]]), {},
+     "plus table is required"),
+    ((["0", "1"], "0", "1", [[0, 1], [1, 1]], [[0, 0]]), {},
+     "times table must be 2x2"),
+])
+def test_construction_errors(args, kwargs, message):
+    with pytest.raises(ModelError) as info:
+        FiniteAlgebra(*args, **kwargs)
+    assert (type(info.value), str(info.value)) == (ModelError, message)
+
+
+def test_missing_tables_and_unknown_names():
+    untested = FiniteAlgebra(*_CHAIN)
+    with pytest.raises(MissingTableError, match="^lemma4: no antirange table$"):
+        lemma4_model().aran(0)
+    with pytest.raises(MissingTableError, match="^algebra: no tests declared$"):
+        untested.complement(0)
+    with pytest.raises(ValueError, match="^unknown op 'plus'$"):
+        untested.has_op("plus")
+    with pytest.raises(ModelError) as info:
+        check_phi(untested)
+    assert (type(info.value), str(info.value)) == (
+        ModelError, "algebra: phi needs tests and a complement "
+        "(or an antidomain table)")
+    with pytest.raises(ModelError) as info:
+        Profile.parse("kadt")
+    assert (type(info.value), str(info.value)) == (
+        ModelError, "unknown profile 'kadt' (one of semiring, dioid, kleene, "
+        "ts, kat, as, near-as, kad, ars, kadr)")
+
+
 @pytest.mark.parametrize("bad", [2, -1, None, "1", [0], 0.5])
 def test_table_values_must_be_indices(bad):
     plus, times = [[0, 1], [1, 1]], [[0, 0], [0, 1]]

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,7 +277,55 @@ def test_program_file_parse_errors_name_file_and_line(capsys, tmp_path, old,
 def test_pre_argument_parse_errors_keep_their_column(capsys, progfile):
     code, out, err = run(capsys, "vcgen", "--program", progfile,
                          "--pre", "p & zz")
-    assert (code, out, err) == (2, "", "error: 1: unknown test 'zz'\n")
+    assert (code, out, err) == (2, "", "error: --pre:1: unknown test 'zz'\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["vcgen", "--pre", "p", "--post", "p & zz"],
+     "--post:1: unknown test 'zz'"),
+    (["vcgen", "--pre", "p &"],
+     "--pre:4: expected a term, found 'end of input'"),
+    (["synth-mid", "--x", "x", "--y", "x ; zz", "--pre", "p", "--post", "q",
+      "--method", "wlp"], "--y:5: unknown atomic command 'zz'"),
+    (["synth-mid", "--x", "x ;", "--y", "y", "--pre", "p", "--post", "q",
+      "--method", "wlp"], "--x:4: expected a program, found 'end of input'"),
+    (["synth-mid", "--x", "x", "--y", "y", "--pre", "p", "--post", "(q",
+      "--method", "wlp"], "--post:3: expected ')', found 'end of input'"),
+], ids=["vcgen-post", "vcgen-pre", "synth-y", "synth-x", "synth-post"])
+def test_argument_parse_errors_name_their_flag(capsys, progfile, argv, err):
+    code, out, got = run(capsys, argv[0], "--program", progfile, *argv[1:])
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["check-axioms", "--builtin", "rel3", "--profile", "kat"],
+     "unknown builtin 'rel3' "
+     "(one of bool2, lemma4, nearas, rel1, rel2, trivial)"),
+    (["eval", "--builtin", "lemma4", "--term", "x ; y", "--env", "x=a"],
+     "unbound identifier 'y'"),
+    (["eval", "--builtin", "lemma4", "--term", "a ; ; b"],
+     "--term:5: expected a term, found ';'"),
+], ids=["unknown-builtin", "unbound", "term"])
+def test_refused_requests_exit_2(capsys, argv, err):
+    code, out, got = run(capsys, *argv)
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+_NO_CONDITION = ("both a precondition and a postcondition are needed "
+                 "(pre:/post: lines or --pre/--post)")
+
+
+@pytest.mark.parametrize("cut,argv,err", [
+    ("program: x ; y\n", [], "program file declares no program"),
+    ("pre: p\n", [], _NO_CONDITION),
+    ("post: q\n", ["--pre", "p"], _NO_CONDITION),
+], ids=["no-program", "no-pre", "no-post"])
+def test_vcgen_without_a_program_or_condition_exits_2(capsys, tmp_path, cut,
+                                                      argv, err):
+    path = tmp_path / "cut.kat"
+    path.write_text(PROGRAM_TEXT.replace(cut, ""))
+    code, out, got = run(capsys, "vcgen", "--program", str(path), *argv)
+    assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
 def test_parse_error_exit_2(capsys, tmp_path):
@@ -423,3 +475,24 @@ def test_interrupts_are_not_internal_errors(monkeypatch):
     monkeypatch.setattr(cli, "check_phi", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["check-phi", "--builtin", "lemma4"])
+
+
+# a report larger than a pipe buffer (about 120 kB, exit 0) and a small one
+# (exit 1)
+@pytest.mark.parametrize("argv,code", [
+    (["demo", "nonexpressivity", "--candidates", "2000"], 0),
+    (["check-phi", "--builtin", "lemma4"], 1),
+], ids=["large", "small"])
+def test_a_closed_stdout_keeps_the_exit_code(argv, code):
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from kadlab.cli import main; sys.exit(main())",
+             *argv], stdout=write, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, b"")

@@ -111,6 +111,19 @@ def test_literal_errors():
         parse_evset("periodic(0; ; 0; )")
 
 
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: EvPeriodicSet(-1, (), 1, ()), ModelError,
+     "threshold must be nonnegative"),
+    (lambda: finite_set({3, -2}), ModelError, "elements must be naturals"),
+    (lambda: parse_evset("finite{1,,2}"), ParseError,
+     "bad set literal 'finite{1,,2}'"),
+])
+def test_refused_sets_say_why(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 # ---------------------------------------------------------------------------
 # refuter
 

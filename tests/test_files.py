@@ -113,6 +113,13 @@ def test_unknown_directive_is_an_error():
         load_model("carrier: 0\nzero: 0\none: 0\nfoo: bar\n")
 
 
+def test_duplicate_carrier_elements_are_an_error():
+    with pytest.raises(ParseError) as info:
+        load_model("carrier: a b a\nzero: a\none: b\n", name="m")
+    assert (type(info.value), str(info.value)) == (
+        ParseError, "m: duplicate carrier elements")
+
+
 @pytest.mark.parametrize("key,first,again", [
     ("carrier", "carrier: 0 a 1", "carrier: 0 a 1 b"),
     ("zero", "zero: 0", "zero: 1"),
@@ -153,17 +160,25 @@ _BASES += [_DIOID_TEXT, LEMMA4_TEXT]
 COMMENTED_DUMP = "# model 1 (search-kad-4-1)\n" + _BASES[0]
 
 
-def test_a_commented_dump_has_its_rows_read_in_bulk(monkeypatch):
+def _record_read_lines(monkeypatch):
+    """The (line number, line) pairs that ``files._read_lines`` is given
+    from now on, in the order given."""
     read = []
     read_lines = files._read_lines
 
     def recording(numbered, name):
         numbered = list(numbered)
-        read.extend(line for _, line in numbered)
+        read.extend(numbered)
         return read_lines(numbered, name)
 
     monkeypatch.setattr(files, "_read_lines", recording)
+    return read
+
+
+def test_a_commented_dump_has_its_rows_read_in_bulk(monkeypatch):
+    pairs = _record_read_lines(monkeypatch)
     assert dump_model(load_model(COMMENTED_DUMP)) == _BASES[0]
+    read = [line for _, line in pairs]
     assert read[0] == "# model 1 (search-kad-4-1)"
     assert not [line for line in read if line.startswith(("plus", "times"))]
 
@@ -176,6 +191,23 @@ def _respace(line, style):
     if style == 1:
         return f"  {key} :\t{'  '.join(lhs.split())}  {arrow}{out}  "
     return f"{key}: {lhs.strip()} {arrow}  {out.strip()} # note"
+
+
+# lemma4 with its rows spaced by hand, the three styles in turn, and a dump
+# with tabs around "->": the bulk read refuses both by their bulk lines alone
+_HAND_SPACED = "".join(
+    (_respace(line, k % 3) if "->" in line else line) + "\n"
+    for k, line in enumerate(LEMMA4_TEXT.splitlines()))
+_TABBED_DUMP = _BASES[0].replace(" -> ", "\t->\t")
+
+
+@pytest.mark.parametrize("text", [_HAND_SPACED, _TABBED_DUMP],
+                         ids=["hand-spaced", "tabbed"])
+def test_a_text_the_bulk_read_refuses_is_read_once(monkeypatch, text):
+    expected = dump_model(load_model(text))
+    read = _record_read_lines(monkeypatch)
+    assert dump_model(load_model(text)) == expected
+    assert read == list(enumerate(text.splitlines(), start=1))
 
 
 @st.composite
@@ -389,6 +421,26 @@ def test_program_file_errors():
         load_program_file("states: 1\nrel x = id\nrel x = id\n")
     with pytest.raises(ParseError):
         load_program_file("states: 1\nprogram: nosuchatom\n")
+
+
+# each text holds two faults; the one on the earlier line is reported
+@pytest.mark.parametrize("text,message", [
+    ("states: 1\nrel x = id\nrel x = id\nfrob: 1\n",
+     "f:3: duplicate rel 'x'"),
+    ("states: 1\ntest p = id\nrel p = id\ntest p = id\n",
+     "f:3: duplicate name 'p'"),
+    ("states: 1\nrel x = id\ntest x = id\nrel y = {(1,2)}\n",
+     "f:3: duplicate name 'x'"),
+    ("states: 1 2\ntest p = full\nrel x = id\nrel x = id\n",
+     "f:2: test 'p' is not a subidentity"),
+    ("states: 1\nrel x = id\nrel x = id\nrel y = {(1,2)}\n",
+     "f:3: duplicate rel 'x'"),
+], ids=["rel-then-directive", "test-then-rel", "rel-then-test",
+        "non-test-then-rel", "rel-then-literal"])
+def test_program_file_faults_are_reported_in_reading_order(text, message):
+    with pytest.raises(ParseError) as info:
+        load_program_file(text, name="f")
+    assert (type(info.value), str(info.value)) == (ParseError, message)
 
 
 @pytest.mark.parametrize("key,again", [

@@ -123,6 +123,25 @@ def test_unbound_names_raise_model_error():
         eval_test(TV("nosuch"), b)
 
 
+@pytest.mark.parametrize("atoms,tests,message", [
+    ({"x": Rel.identity(S3)}, {}, "atom 'x' lives on a different space"),
+    ({}, {"p": Rel.identity(S3)}, "test 'p' lives on a different space"),
+    ({}, {"p": Rel.from_pairs(S2, [("1", "2")])},
+     "test 'p' is not a subidentity"),
+])
+def test_bindings_refuse_foreign_and_non_test_relations(atoms, tests, message):
+    with pytest.raises(ModelError) as info:
+        Bindings(S2, atoms, tests)
+    assert (type(info.value), str(info.value)) == (ModelError, message)
+
+
+def test_conditions_on_another_space_are_refused():
+    with pytest.raises(ModelError) as info:
+        wlp(Skip(), Rel.identity(S3), b2())
+    assert (type(info.value), str(info.value)) == (
+        ModelError, "relations live on different state spaces")
+
+
 def test_denote_skip_is_identity():
     assert denote(Skip(), b2()) == Rel.identity(S2)
 

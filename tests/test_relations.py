@@ -109,6 +109,13 @@ def test_box_requires_subidentity():
         Rel.empty(S2).box(Rel.from_pairs(S2, [("1", "2")]))
 
 
+def test_test_complement_requires_subidentity():
+    with pytest.raises(ModelError) as info:
+        Rel.from_pairs(S2, [("1", "2")]).complement_test()
+    assert (type(info.value), str(info.value)) == (
+        ModelError, "test complement of a non-subidentity relation")
+
+
 def test_space_mismatch():
     with pytest.raises(ModelError):
         Rel.empty(S2).compose(Rel.empty(S3))
