@@ -32,12 +32,23 @@ instances are the library's own counts, ``CheckReport.instance_count`` and
 ``PhiResult.instantiations``.  At size 512, the carrier of ``rel3``, it times
 one call per run of ``rel_algebra_model(3)`` (layer ``rel3_build``, one
 instance) and of ``check_phi`` on a ``rel3`` built beforehand (layer
-``check_phi_rel3``).  Layer ``load_model`` times ``load_model`` on
-``LOAD_TEXTS`` model texts at each of 16, 32 and 64 elements, the
-products of perfbench's ``laws`` workload at those sizes, each relabelled
-and with its rows shuffled by perfbench's ``dump_model`` as that workload
-writes them; its instances are the texts' table rows, so it reports
-microseconds per row.  Layers ``load_model_commented``,
+``check_phi_rel3``).  Layer ``check_phi_products`` times ``check_phi`` on
+the products with tests of perfbench's ``laws`` workload at 32 and 64
+elements, loaded from their seeded dumps as that workload writes them;
+its instances are the instantiations the calls report.  Layer
+``structured_report`` (workload ``cli``) times the ``--format
+structured`` encoder on the payloads of ``demo nonexpressivity`` at 100
+and 500 candidates, of ``vcgen`` on a 128-state program file of
+perfbench's ``hoare`` workload and of a failing ``check-axioms``
+(``nearas``, ``as``), one record per report (``report``) at the size of
+its text in characters, so it reports microseconds per report.  Both
+layers are timed as the search layers are (below).  Layer
+``load_model`` times ``load_model`` on ``LOAD_TEXTS`` model texts at
+each of 16, 32 and 64 elements, the products of perfbench's ``laws``
+workload at those sizes, each relabelled and with its rows shuffled by
+perfbench's ``dump_model`` as that workload writes them; its instances
+are the texts' table rows, so it reports microseconds per row.  Layers
+``load_model_commented``,
 ``load_model_tabbed`` and ``load_model_spaced`` time the 64-element texts
 behind a ``# model 1`` line, as ``find-models`` prints a model, with tabs
 around ``->``, and spelt ``plus:a b->c``; the last two are read row by
@@ -105,6 +116,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Optional
@@ -238,6 +250,60 @@ def _law_cases(algebra, relations) -> dict:
     cases["rel3_build"] = 512, 1, 1, build
     phi = functools.partial(algebra.check_phi, build())
     cases["check_phi_rel3"] = 512, 1, phi().instantiations, phi
+    return cases
+
+
+def _phi_product_cases(algebra, files) -> dict:
+    """Per carrier size (32 and 64), (instantiations of one loop, the
+    zero-argument calls of one loop) of ``check_phi`` on the products with
+    tests of perfbench's ``laws`` workload, loaded from seeded dumps."""
+    import references
+    from workloads import PRODUCTS, dump_model
+    rng = random.Random("check_phi_products")
+    cases = {}
+    for factors in PRODUCTS:
+        table = references.product_table(
+            *(references.BUILTINS[f]() for f in factors))
+        if (table.size not in (32, 64)
+                or "tests" not in references.product_ops(factors)):
+            continue
+        order = list(range(table.size))
+        rng.shuffle(order)
+        model = files.load_model(dump_model(references.permuted(table, order),
+                                            rng))
+        call = functools.partial(algebra.check_phi, model)
+        count, calls = cases.get(table.size, (0, []))
+        cases[table.size] = count + call().instantiations, calls + [call]
+    return cases
+
+
+def _report_cases(cli) -> dict:
+    """Per report, (the characters of its text, the zero-argument call that
+    encodes its payload) for the ``structured_report`` layer."""
+    import workloads as w
+    # a tree from before cli._dumps printed json.dumps's indenting encoder
+    encode = getattr(cli, "_dumps", None) or functools.partial(
+        json.dumps, indent=2, sort_keys=True)
+    rng = random.Random("structured_report")
+    names = [str(i + 1) for i in range(128)]
+    atoms, tests = w._bindings(rng, 128)
+    text = w._program_file(names, atoms, tests, w._guard(rng, w.PRE_SHAPE),
+                           w._guard(rng, w.POST_SHAPE), w._templates(rng)[0])
+    parser, cases = cli._build_parser(), {}
+    with tempfile.TemporaryDirectory() as tmp:
+        program = Path(tmp) / "n128.prog"
+        program.write_text(text)
+        for report, argv in {
+                "nonexpressivity_100": ["demo", "nonexpressivity"],
+                "nonexpressivity_500": ["demo", "nonexpressivity",
+                                        "--candidates", "500"],
+                "vcgen_128": ["vcgen", "--program", str(program)],
+                "check_axioms_fails": ["check-axioms", "--builtin", "nearas",
+                                       "--profile", "as"]}.items():
+            args = parser.parse_args(argv)
+            payload = args.handler(args)[2]
+            cases[report] = (len(encode(payload)),
+                             functools.partial(encode, payload))
     return cases
 
 
@@ -421,7 +487,7 @@ def main(argv=None) -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from kadlab import algebra, evsets, files, hoare, relations, search
+    from kadlab import algebra, cli, evsets, files, hoare, relations, search
 
     common = {"python": platform.python_version(), "commit": _commit(src),
               "source_sha1": _source_hash(src / "kadlab")}
@@ -471,6 +537,11 @@ def main(argv=None) -> int:
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, count, [call], loops)
+    for size, (count, calls) in _phi_product_cases(algebra, files).items():
+        record("laws", "check_phi_products", size, count, calls, None)
+    for report, (size, call) in _report_cases(cli).items():
+        record("cli", "structured_report", size, 1, [call], None,
+               report=report)
     for (layer, size), (rows, calls) in _load_cases(files).items():
         record("laws", layer, size, rows, calls, LOAD_LOOPS[size])
     for n, (pairs, calls) in _program_cases(files).items():

@@ -906,25 +906,35 @@ def check_phi(algebra: FiniteAlgebra) -> PhiResult:
     after = [[zeroes[times[r][y]] for r in tests] for y in range(n)]
     # served[y][suits]: the q for which some r in ``suits`` has r;y;!q = 0
     served = [{} for _ in range(n)]
+    # phi at (x, y, p, q) reads only e = p;x, y and q, so each e is scanned
+    # once across all (x, p): held[e] is the y below which it holds for e
+    held = [0] * n
     for x in range(n):
-        prefixes = [(zeroes[px], times[px])
-                    for px in (times[p][x] for p in tests)]
-        for y in range(n):
-            after_y, served_y = after[y], served[y]
-            for pi, (suits, px_row) in enumerate(prefixes):
+        # the first failing y for this x (n if none), and its p and q mask
+        limit, failure = n, None
+        for pi, p in enumerate(tests):
+            e = times[p][x]
+            suits, e_row = zeroes[e], times[e]
+            # an earlier p wins a tie, so a later one is scanned below limit
+            for y in range(held[e], limit):
+                served_y = served[y]
                 ok = served_y.get(suits)
                 if ok is None:
                     ok = served_y[suits] = functools.reduce(
-                        int.__or__, (qs for ri, qs in enumerate(after_y)
+                        int.__or__, (qs for ri, qs in enumerate(after[y])
                                      if suits >> ri & 1), 0)
-                unserved = zeroes[px_row[y]] & ~ok
+                unserved = zeroes[e_row[y]] & ~ok
                 if unserved:
-                    qi = (unserved & -unserved).bit_length() - 1
-                    name = algebra.element_name
-                    return PhiResult(
-                        False, (name(x), name(y), name(tests[pi]),
-                                name(tests[qi])),
-                        ((x * n + y) * k + pi) * k + qi + 1)
+                    limit, failure = y, (pi, unserved)
+                    break
+            held[e] = max(held[e], limit)
+        if failure is not None:
+            pi, unserved = failure
+            qi = (unserved & -unserved).bit_length() - 1
+            name = algebra.element_name
+            return PhiResult(
+                False, (name(x), name(limit), name(tests[pi]), name(tests[qi])),
+                ((x * n + limit) * k + pi) * k + qi + 1)
     return PhiResult(True, None, n * n * k * k)
 
 

@@ -83,6 +83,40 @@ def _split_bindings(text: str) -> list[str]:
     return items + [text[start:]]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of a payload whose
+    dict keys are str, each container built by one ``str.join`` instead of
+    json's pure-Python indenting encoder; strings are escaped by the C
+    function of json's ``ensure_ascii`` path, and leaves other than str,
+    bool, None and int (floats) by json itself."""
+    if type(value) is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            f"{_quote(k)}: {_dumps(value[k], inner)}"
+            for k in sorted(value)]) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _dumps(v, inner) for v in value]) + indent + "]"
+    return json.dumps(value)
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -396,8 +430,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv, namespace=argparse.Namespace(format="text"))
     try:
         code, lines, payload = args.handler(args)
-        print(json.dumps(payload, indent=2, sort_keys=True)
-              if args.format == "structured" else "\n".join(lines), flush=True)
+        print(_dumps(payload) if args.format == "structured"
+              else "\n".join(lines), flush=True)
     except BrokenPipeError:
         # the reader closed stdout (``| head``): the verdict's code stands,
         # and stdout goes to devnull, so the flush at exit raises nothing

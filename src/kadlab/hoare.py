@@ -150,11 +150,16 @@ class _Parser(tm._TermParser):
 
     def guard(self) -> tm.Term:
         """A test-sorted term whose variables are all declared tests."""
-        col = self.peek()[2]
+        start, col = self.i, self.peek()[2]
         t = self.parse_expr()
         unknown = tm.variables(t)[0]
         if unknown:
-            raise ParseError(f"unknown test {min(unknown)!r}", column=col)
+            # the first in reading order: a name not applied as an operator
+            name, col = next(
+                (val, c) for (_, val, c), (_, after, _)
+                in zip(self.tokens[start:self.i], self.tokens[start + 1:])
+                if val in unknown and after != "(")
+            raise ParseError(f"unknown test {name!r}", column=col)
         try:
             if tm.sort_of(t) is tm.Sort.TEST:
                 return tm.desugar(t)

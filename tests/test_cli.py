@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kadlab import evsets
 from kadlab import cli
@@ -277,12 +278,14 @@ def test_program_file_parse_errors_name_file_and_line(capsys, tmp_path, old,
 def test_pre_argument_parse_errors_keep_their_column(capsys, progfile):
     code, out, err = run(capsys, "vcgen", "--program", progfile,
                          "--pre", "p & zz")
-    assert (code, out, err) == (2, "", "error: --pre:1: unknown test 'zz'\n")
+    assert (code, out, err) == (2, "", "error: --pre:5: unknown test 'zz'\n")
 
 
 @pytest.mark.parametrize("argv,err", [
     (["vcgen", "--pre", "p", "--post", "p & zz"],
-     "--post:1: unknown test 'zz'"),
+     "--post:5: unknown test 'zz'"),
+    (["vcgen", "--pre", "p", "--post", "q | zz | d(aa)"],
+     "--post:5: unknown test 'zz'"),
     (["vcgen", "--pre", "p &"],
      "--pre:4: expected a term, found 'end of input'"),
     (["synth-mid", "--x", "x", "--y", "x ; zz", "--pre", "p", "--post", "q",
@@ -291,7 +294,8 @@ def test_pre_argument_parse_errors_keep_their_column(capsys, progfile):
       "--method", "wlp"], "--x:4: expected a program, found 'end of input'"),
     (["synth-mid", "--x", "x", "--y", "y", "--pre", "p", "--post", "(q",
       "--method", "wlp"], "--post:3: expected ')', found 'end of input'"),
-], ids=["vcgen-post", "vcgen-pre", "synth-y", "synth-x", "synth-post"])
+], ids=["vcgen-post", "vcgen-post-order", "vcgen-pre", "synth-y", "synth-x",
+        "synth-post"])
 def test_argument_parse_errors_name_their_flag(capsys, progfile, argv, err):
     code, out, got = run(capsys, argv[0], "--program", progfile, *argv[1:])
     assert (code, out, got) == (2, "", f"error: {err}\n")
@@ -496,3 +500,23 @@ def test_a_closed_stdout_keeps_the_exit_code(argv, code):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (code, b"")
+
+
+# strings json escapes: quotes, backslashes, control characters, non-ASCII
+# beyond the BMP and lone surrogates
+_STRINGS = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\n\t", "\u00e9\u2028", "\U0001f600", "\ud800",
+     "\udfff"])
+_PAYLOADS = st.recursive(
+    _STRINGS | st.booleans() | st.none() | st.integers()
+    | st.integers(-2 ** 200, 2 ** 200) | st.floats(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_structured_encoder_writes_json_dumps_bytes(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -121,6 +121,32 @@ def test_product_models_match_oracle(factors):
     assert_same_reports(model)
 
 
+@pytest.mark.parametrize("factors", [
+    ("lemma4", "lemma4", "lemma4"), ("nearas", "lemma4", "bool2"),
+    ("lemma4", "bool2", "bool2", "bool2"), ("rel2", "bool2"),
+    ("rel2", "rel1"), ("nearas", "bool2", "bool2", "bool2"),
+    ("rel1", "rel1", "rel1", "rel1", "bool2"),
+])
+def test_phi_on_products_matches_oracle(factors):
+    # phi alone on products of up to 32 elements, where prefixes p;x repeat
+    # across many (x, p)
+    model = product_model(*(BUILTINS[f]() for f in factors))
+    assert 24 <= model.size <= 32
+    assert check_phi(model) == naive_check_phi(model)
+
+
+def test_phi_matches_oracle_in_every_carrier_order_of_lemma4():
+    # lemma4 fails only at x = y = a: with a last, the scan of each prefix
+    # p;x must reach the carrier's last y
+    orders = {}
+    for seed in range(20):
+        model = product_model(lemma4_model(), seed=seed)
+        orders[model.carrier] = model
+    assert len(orders) == 6
+    for model in orders.values():
+        assert check_phi(model) == naive_check_phi(model)
+
+
 @st.composite
 def random_algebras(draw):
     """Arbitrary tables of size 1-4; most laws fail somewhere in them."""

@@ -455,6 +455,7 @@ def test_repeated_program_file_line_is_an_error(key, again):
 
 @pytest.mark.parametrize("old,new,line", [
     ("  y\n", "  y ; if zz then x else y fi\n", 11),
+    ("  y\n", "  y ; if q &\n  zz then x else y fi\n", 12),
     ("  y\n", "  y ;\n  # a comment\n\n  while p do\n", 14),
     ("pre: p", "pre: zz", 7), ("post: q", "post: q &", 8)])
 def test_program_file_parse_errors_name_their_line(old, new, line):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from kadlab.cli import main
+from kadlab.cli import _build_parser, main
 
 GOLDEN = Path(__file__).with_name("readme_golden.json")
 
@@ -107,6 +107,32 @@ def test_readme_command_output_is_pinned(case, argv, fmt, tmp_path,
     _write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert _run(argv, fmt) == json.loads(GOLDEN.read_text())[case]
+
+
+def _keys(value):
+    """The dict keys anywhere in a payload."""
+    if isinstance(value, dict):
+        yield from value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _keys(item)
+
+
+def test_structured_payloads_have_only_str_keys(tmp_path, monkeypatch):
+    # the structured encoder quotes keys as str, where json.dumps would
+    # have converted an int, float, bool or None key; a refuted
+    # check-axioms adds the violations' assignments
+    _write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    parser, keys = _build_parser(), set()
+    for argv in [*COMMANDS.values(),
+                 "check-axioms --builtin nearas --profile as"]:
+        args = parser.parse_args(argv.split() if isinstance(argv, str)
+                                 else argv)
+        keys.update(_keys(args.handler(args)[2]))
+    assert {type(k) for k in keys} == {str}
+    assert "assignment" in keys
 
 
 if __name__ == "__main__":
