@@ -77,10 +77,14 @@ first under the package name ``kadlab_against`` (the package's modules
 import each other relatively), and each search layer left at one call per
 run times the two trees' calls alternately in one process, the first
 call of each pair taking turns.  Host drift over the minutes between two
-separate files then cancels out of the per-pair ratio.  Such a record
-also holds ``seconds_runs``, this tree's runs, ``against`` (the other
-tree's commit, source hash, median, quartiles and ``seconds_runs``) and
-``ratio``, the median over the pairs of this tree's run over the other's.
+separate files then cancels out of the per-pair ratio.  Before anything
+is timed, each search layer's models (their names and model files) are
+compared with those the other tree yields; if they differ the script
+stops with exit 2 and names the layer, so that a ratio never compares
+different work.  A paired record also holds ``seconds_runs``, this
+tree's runs, ``against`` (the other tree's commit, source hash, median,
+quartiles and ``seconds_runs``) and ``ratio``, the median over the pairs
+of this tree's run over the other's.
 
 The evsets layer (workload ``nonexpressivity``) times
 ``refute_wlp_candidate`` then ``verify_refutation`` on each of the first
@@ -356,9 +360,9 @@ def _program_cases(files) -> dict:
     return cases
 
 
-def _search_cases(algebra, search) -> dict:
-    """Per (search layer, size), the call and the ``SearchStats`` of one
-    call."""
+def _search_cases(algebra, search, files) -> dict:
+    """Per (search layer, size), the call, the ``SearchStats`` of one call
+    and the name and model file of each model it yields."""
     specs = [(size, p.value, None) for size in (3, 4) for p in algebra.Profile]
     for p in IDEMPOTENT:
         specs.append((5, p, None))
@@ -371,9 +375,9 @@ def _search_cases(algebra, search) -> dict:
         def call(stats=None, spec=(size, profile, constraint)):
             return list(search.find_models(*spec, bound=spec[0], stats=stats))
         stats = search.SearchStats()
-        call(stats)
+        models = [f"{m.name}\n{files.dump_model(m)}" for m in call(stats)]
         layer = f"find_models_{profile}" + (f"_{constraint}" if constraint else "")
-        cases[layer, size] = call, vars(stats)
+        cases[layer, size] = call, vars(stats), models
     return cases
 
 
@@ -491,15 +495,20 @@ def main(argv=None) -> int:
 
     common = {"python": platform.python_version(), "commit": _commit(src),
               "source_sha1": _source_hash(src / "kadlab")}
+    searches = _search_cases(algebra, search, files)
     theirs, other_tree = {}, None
     if args.against is not None:
         other = args.against.resolve()
         _import_as(other, "kadlab_against")
         theirs = _search_cases(
             *(importlib.import_module(f"kadlab_against.{name}")
-              for name in ("algebra", "search")))
+              for name in ("algebra", "search", "files")))
         other_tree = {"commit": _commit(other),
                       "source_sha1": _source_hash(other / "kadlab")}
+        for (layer, size), (_, _, models) in searches.items():
+            if (layer, size) in theirs and theirs[layer, size][2] != models:
+                parser.exit(2, f"{layer} at size {size} yields other models "
+                            f"in {other}; no layer was timed\n")
     records = []
 
     def record(workload, layer, size, per_loop, calls, loops, against=None,
@@ -546,7 +555,7 @@ def main(argv=None) -> int:
         record("laws", layer, size, rows, calls, LOAD_LOOPS[size])
     for n, (pairs, calls) in _program_cases(files).items():
         record("hoare", "load_program_file", n, pairs, calls, PROGRAM_LOOPS[n])
-    for (layer, size), (call, stats) in _search_cases(algebra, search).items():
+    for (layer, size), (call, stats, _) in searches.items():
         other = theirs.get((layer, size))
         record("search", layer, size, 1, [call], None,
                other and [other[0]], stats=stats)

@@ -318,13 +318,20 @@ def load_program_file(text: str, name: str = "program") -> ProgramFile:
 def _parse_pieces(pieces, name, parse, *context):
     """``parse`` of the text of (line number, text) pieces joined by spaces
     and ``context``; a ParseError is raised again at the line of the piece
-    that holds its column, or at the column if that piece has no line."""
+    that holds its column.  A piece with no line is a CLI argument, the
+    only piece: the error is raised at its column, or at its line and the
+    column on that line if it holds several lines."""
     try:
         return parse(" ".join(piece for _, piece in pieces), *context)
     except ParseError as e:
         # offsets below ends[k] lie in pieces 0..k; the end of input, at
         # ends[-1] - 1, lies in the last piece
+        offset = (e.column or 1) - 1
         ends = list(accumulate(len(piece) + 1 for _, piece in pieces))
-        line = pieces[bisect_right(ends, (e.column or 1) - 1)][0]
+        line, text = pieces[bisect_right(ends, offset)]
+        column = None if line else e.column
+        if column and "\n" in text:
+            line = text.count("\n", 0, offset) + 1
+            column = offset - text.rfind("\n", 0, offset)
         raise ParseError(e.message, line=line, source=name,
-                         column=None if line else e.column) from None
+                         column=column) from None

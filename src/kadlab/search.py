@@ -18,20 +18,26 @@ the pinned check loops over the cells (x, y) of op that hold that
 argument's coordinate instead of over all n^2 pairs.
 
 The rest is derived from + and ;.  The star is the sum of the powers x^k
-for k < n, the only star of a finite dioid (Kozen, 1994).  On each test
-set in turn the antidomain of x is the join of the tests r with r ; x = 0,
-its antirange that of the tests with x ; r = 0, and for ts and kat the
-complement of a test t that of the tests with r ; t = 0 (Desharnais,
-Möller & Struth, ACM TOCL 2006); a test set such a table leaves or misses
-is dropped.  The laws of these stages run once on the derived tables, so
-every fill that comes out satisfies the profile.
+for k < n, the only star of a finite dioid (Kozen, 1994).  Only sets of
+idempotents of ; that hold 0 and 1 are offered as test sets: t ; t = t is
+a law of ts and kat, and the antidomain profiles derive it from right
+distributivity, as a(x) = (a(x) + d(x)) ; a(x) = a(x) ; a(x) + 0, and
+the antirange profiles likewise from left distributivity.  On each such
+test set in turn the antidomain of x is the join of the tests r with
+r ; x = 0, its antirange that of the tests with x ; r = 0, and for ts and
+kat the complement of a test t that of the tests with r ; t = 0
+(Desharnais, Möller & Struth, ACM TOCL 2006); a test set such a table
+leaves or misses is dropped.  The laws of these stages run once on the
+derived tables, so every fill that comes out satisfies the profile.
 
 Of the fills that differ by a relabelling of the middle elements only the
 least is kept: + and ; compared row-major, then the derived antidomain
-and antirange, then the test set, which fixes the complement.  A fill is
-dropped once + or ; is complete and a relabelling that kept the earlier
-table unchanged makes it smaller (every completion then has a smaller
-relabelling too), and a derived fill once one that keeps + and ; does.
+and antirange, then the test set, which fixes the complement.  As each
+row of ; and of an unbounded + (see below) is completed, before the next
+stage's laws, a fill is dropped if a relabelling that kept the earlier
+tables unchanged makes its filled rows smaller (every completion then has
+a smaller relabelling too).  The bounded + is checked once complete, and
+a derived fill once a relabelling that keeps + and ; makes it smaller.
 
 Search bound: for the profiles where x + x = x is an axiom or derivable,
 the search also assumes that the unit is the additive top and that a + b
@@ -85,8 +91,10 @@ class SearchStats:
     the + and ; cell values tried (the laws of ; that run as the search
     enters it count for the last + cell), the star, adom and aran tables
     derived, or the test sets whose complement is derived, and those a law
-    refuted or whose derived table leaves or misses the test set.
-    ``duplicates`` counts the fills dropped as relabellings of a smaller one,
+    refuted or whose derived table leaves or misses the test set.  A test
+    set that holds an x with x ; x != x is not offered and not counted.
+    ``duplicates`` counts the fills dropped as relabellings of a smaller
+    one, at the first completed row of + or ; that shows it,
     ``candidates`` the fills that passed every law and ``models`` the
     models yielded.
     """
@@ -110,7 +118,10 @@ def find_models(size: int, profile, constraint: Optional[str] = None,
     where + is idempotent, it visits only algebras whose unit is the
     additive top (see the module docstring).  Each model yielded is the
     least of its isomorphism class and satisfies the profile without a
-    further check.  A ``SearchStats`` passed as ``stats`` is filled in.
+    further check: a partial fill is dropped as soon as a completed row of
+    + or ; shows a smaller relabelling, and only sets of idempotents are
+    tried as test sets.  A ``SearchStats`` passed as ``stats`` is filled
+    in.
     """
     if isinstance(profile, str):
         profile = Profile.parse(profile)
@@ -220,8 +231,10 @@ def _enumerate_models(n: int, profile: Profile,
     # one step per free cell (i, j) of + and ;, in fill order: its row, its
     # mirror's row and column (itself unless the table is symmetric), its
     # values, the stage's pinned test ``at``, whether the mirror is another
-    # cell, on a table's last cell the ``full`` of the stage it enters, and
-    # the table's cell lists by value
+    # cell, on a table's last cell the ``full`` of the stage it enters, its
+    # counts, on the last cell of a row (of the table, if the order bound
+    # constrains it) the table for ``_stabiliser``, and the table's cell
+    # lists by value
     plan = [(stage, stats.stages.setdefault(stage.name, [0, 0]))
             for stage in _plan(profile)]
     steps = []
@@ -241,14 +254,16 @@ def _enumerate_models(n: int, profile: Profile,
             steps.append([i, j, table[i], table[j] if sym else table[i],
                           i if sym else j, range(lo, n), stage.at,
                           sym and i != j, None, counts,
-                          k == len(cells) - 1 and (table, bounded), pre])
+                          (k + 1 == len(cells)
+                           or not bounded and cells[k + 1][0] != i)
+                          and (table, bounded), pre])
     for table, pre in ((P, P_pre), (T, T_pre)):
         for x, y in product(range(n), repeat=2):
             if table[x][y] != unknown:
                 pre[table[x][y]].append((x, y))
     derived = dict((stage.name, (stage, counts)) for stage, counts in plan[2:])
     star = derived.pop("star", None)
-    test_sets = [(t, [i in t for i in range(n)])
+    test_sets = [(t, [i in t for i in range(n)], sum(1 << i for i in t))
                  for t in (_test_sets(n) if derived else [()])]
     # the relabellings of the middle elements but the identity, with inverses
     perms = [(pi, tuple(sorted(range(n), key=pi.__getitem__)))
@@ -273,8 +288,13 @@ def _enumerate_models(n: int, profile: Profile,
         cols = list(zip(*T))[:n]
         derive = {"adom": ("adom", cols), "aran": ("aran", T[:n]),
                   "tests": ("complement", cols)}
+        # tests are idempotent (see the module docstring): a test set that
+        # holds an x with x ; x != x is skipped
+        loose = sum(1 << x for x in range(n) if T[x][x] != x)
         kept = []
-        for tests_i, is_test in test_sets:
+        for tests_i, is_test, mask in test_sets:
+            if mask & loose:
+                continue
             args[_ARG["tests"]], args[_ARG["is_test"]] = tests_i, is_test
             tables = {}
             for stage, counts in derived.values():
@@ -324,15 +344,15 @@ def _enumerate_models(n: int, profile: Profile,
                 cells.append((j, i))
             counts[0] += 1
             if (at(*args, P_pre, T_pre, i, j) is not None
-                    or mirror and at(*args, P_pre, T_pre, j, i) is not None
-                    or full and full(*args) is not None):
+                    or mirror and at(*args, P_pre, T_pre, j, i) is not None):
+                counts[1] += 1
+            elif (kept := _stabiliser(*done, perms, n) if done and perms
+                  else perms) is None:
+                stats.duplicates += 1
+            elif full and full(*args) is not None:
                 counts[1] += 1
             else:
-                kept = _stabiliser(*done, perms, n) if done else perms
-                if kept is None:
-                    stats.duplicates += 1
-                else:
-                    yield from fill(k + 1, kept)
+                yield from fill(k + 1, kept)
             cells.pop()
             if mirror:
                 cells.pop()
@@ -393,17 +413,25 @@ def _test_sets(n):
 # canonical representatives
 
 def _stabiliser(table, bounded, perms, n):
-    """The relabellings that leave the table just completed unchanged, or
-    None if one makes it smaller, row-major as the tables are compared.
-    ``bounded`` first drops those that break the search's order on +."""
+    """The relabellings that may still leave the table unchanged, or None
+    if one makes it smaller, row-major as the tables are compared.  Row i
+    of the relabelled table is compared only where row i and the row it is
+    relabelled from are both filled; a relabelling is kept at the first
+    row that is not yet decided.  ``bounded`` (a complete + table) first
+    drops those that break the search's order on +."""
     if bounded:
         perms = [(pi, inv) for pi, inv in perms
                  if all(pi[table[i][j]] >= max(pi[i], pi[j])
                         for i in range(n) for j in range(n))]
+    rows = [row[:n] for row in table[:n]]
+    filled = [n not in row for row in rows]
     kept = []
     for pi, inv in perms:
-        for i in range(n):
-            mine, src = table[i][:n], table[inv[i]]
+        for i, mine in enumerate(rows):
+            if not (filled[i] and filled[inv[i]]):
+                kept.append((pi, inv))
+                break
+            src = rows[inv[i]]
             new = [pi[src[j]] for j in inv]
             if new != mine:
                 if new < mine:

@@ -301,6 +301,23 @@ def test_argument_parse_errors_name_their_flag(capsys, progfile, argv, err):
     assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("flag,text,err", [
+    ("--post", "q &\nzz", "--post:2:1: unknown test 'zz'"),
+    ("--post", "q\n& zz", "--post:2:3: unknown test 'zz'"),
+    ("--post", "zz &\nq", "--post:1:1: unknown test 'zz'"),
+    ("--post", "(q &\n p", "--post:2:3: expected ')', found 'end of input'"),
+    ("--pre", "p |\nq |\n  zz", "--pre:3:3: unknown test 'zz'"),
+], ids=["second-line", "column-on-line", "first-line", "end-of-input",
+        "third-line"])
+def test_multi_line_arguments_name_their_line_and_column(capsys, progfile,
+                                                         flag, text, err):
+    conditions = {"--pre": "p", "--post": "q", flag: text}
+    code, out, got = run(capsys, "vcgen", "--program", progfile,
+                         *(item for pair in conditions.items()
+                           for item in pair))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("argv,err", [
     (["check-axioms", "--builtin", "rel3", "--profile", "kat"],
      "unknown builtin 'rel3' "
