@@ -27,12 +27,17 @@ for which the premise holds.
 
 The law layer (workload ``laws``, size 16, the carrier of ``rel2``) times
 ``check_axioms(rel2, profile)`` for every profile (``rel2`` has all their
-operations), as layer ``check_axioms_<profile>``, and ``check_phi(rel2)``; its
-instances are the library's own counts, ``CheckReport.instance_count`` and
-``PhiResult.instantiations``.  At size 512, the carrier of ``rel3``, it times
-one call per run of ``rel_algebra_model(3)`` (layer ``rel3_build``, one
-instance) and of ``check_phi`` on a ``rel3`` built beforehand (layer
-``check_phi_rel3``).  Layer ``check_phi_products`` times ``check_phi`` on
+operations), as layer ``check_axioms_<profile>``, ``check_rules(rel2,
+profile)`` for kat and kad, as layer ``check_rules_<profile>``, and
+``check_phi(rel2)``; its instances are the library's own counts,
+``CheckReport.instance_count`` and ``PhiResult.instantiations``.  Layer
+``evaluate`` times ``evaluate`` on ``EVAL_TERMS`` seeded terms over each of
+lemma4, bool2, nearas and trivial (size: the carrier), each term and its
+bindings drawn as perfbench's ``laws`` workload draws an ``eval`` job and
+read as the ``eval`` command reads them; it reports microseconds per call.
+At size 512, the carrier of ``rel3``, it times one call per run of
+``rel_algebra_model(3)`` (layer ``rel3_build``, one instance) and of
+``check_phi`` on a ``rel3`` built beforehand (layer ``check_phi_rel3``).  Layer ``check_phi_products`` times ``check_phi`` on
 the products with tests of perfbench's ``laws`` workload at 32 and 64
 elements, loaded from their seeded dumps as that workload writes them;
 its instances are the instantiations the calls report.  Layer
@@ -137,6 +142,9 @@ RUNS = 7
 DEGREE = 3
 # loops per run of each law-layer call (a few milliseconds each on rel2)
 LAW_LOOPS = 10
+# the evaluate layer: terms per builtin, and loops over them per run
+EVAL_TERMS = 16
+EVAL_LOOPS = 10
 # the load_model layer: per carrier size, the product model, the texts of
 # it timed and the loops over them per run
 LOAD_PRODUCTS = {16: ("nearas", "nearas"), 32: ("rel2", "bool2"),
@@ -248,12 +256,38 @@ def _law_cases(algebra, relations) -> dict:
         call = functools.partial(algebra.check_axioms, rel2, profile)
         cases[f"check_axioms_{profile.value}"] = (
             16, LAW_LOOPS, call().instance_count, call)
+    for profile in (algebra.Profile.KAT, algebra.Profile.KAD):
+        call = functools.partial(algebra.check_rules, rel2, profile)
+        cases[f"check_rules_{profile.value}"] = (
+            16, LAW_LOOPS, call().instance_count, call)
     phi = functools.partial(algebra.check_phi, rel2)
     cases["check_phi"] = 16, LAW_LOOPS, phi().instantiations, phi
     build = functools.partial(relations.rel_algebra_model, 3)
     cases["rel3_build"] = 512, 1, 1, build
     phi = functools.partial(algebra.check_phi, build())
     cases["check_phi_rel3"] = 512, 1, phi().instantiations, phi
+    return cases
+
+
+def _eval_cases(algebra, cli, terms) -> dict:
+    """Per builtin, (its carrier size, the zero-argument ``evaluate`` calls
+    of one loop) on terms and bindings drawn as perfbench's ``eval`` jobs
+    draw them, parsed as the ``eval`` command parses them."""
+    import references
+    from workloads import EVAL_BUILTINS, _eval_job
+    cases = {}
+    for b in EVAL_BUILTINS:
+        rng = random.Random(f"evaluate:{b}")
+        model, calls = cli.BUILTIN_MODELS[b](), []
+        for _ in range(EVAL_TERMS):
+            argv = _eval_job(b, (), references.BUILTINS[b](), rng).argv
+            term = terms.parse_term(argv[argv.index("--term") + 1],
+                                    frozenset())
+            env = terms.Env(elements=dict(
+                item.split("=") for item in
+                argv[argv.index("--env") + 1].split(",")))
+            calls.append(functools.partial(algebra.evaluate, model, term, env))
+        cases[b] = model.size, calls
     return cases
 
 
@@ -491,7 +525,8 @@ def main(argv=None) -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from kadlab import algebra, cli, evsets, files, hoare, relations, search
+    from kadlab import (algebra, cli, evsets, files, hoare, relations, search,
+                        terms)
 
     common = {"python": platform.python_version(), "commit": _commit(src),
               "source_sha1": _source_hash(src / "kadlab")}
@@ -546,6 +581,9 @@ def main(argv=None) -> int:
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, count, [call], loops)
+    for b, (size, calls) in _eval_cases(algebra, cli, terms).items():
+        record("laws", "evaluate", size, len(calls), calls, EVAL_LOOPS,
+               model=b)
     for size, (count, calls) in _phi_product_cases(algebra, files).items():
         record("laws", "check_phi_products", size, count, calls, None)
     for report, (size, call) in _report_cases(cli).items():

@@ -264,7 +264,8 @@ class _Tables(NamedTuple):
     """A model's raw tables, in the parameter order of a compiled law.
 
     ``tests`` is empty and ``complement`` None when no tests are declared;
-    otherwise ``complement`` maps each test to its complement."""
+    otherwise ``complement`` maps each test, and only a test, to its
+    complement, and ``tests`` lists its keys in order."""
 
     n: int
     tests: tuple[int, ...]
@@ -274,7 +275,6 @@ class _Tables(NamedTuple):
     adom: Optional[Sequence[int]]
     aran: Optional[Sequence[int]]
     complement: Optional[Mapping[int, int]]
-    is_test: Sequence[bool]
     zero: int
     one: int
 
@@ -355,9 +355,8 @@ class FiniteAlgebra:
             if adom is None:
                 raise ModelError("tests without a complement table or antidomain")
             comp = {t: adom[t] for t in tests_i}
-        self.tables = _Tables(
-            n, tests_i or (), plus, times, star, adom, aran, comp,
-            tuple(i in (comp or ()) for i in range(n)), self.zero_i, self.one_i)
+        self.tables = _Tables(n, tests_i or (), plus, times, star, adom, aran,
+                              comp, self.zero_i, self.one_i)
 
     # -- construction helpers ------------------------------------------------
     def _require_element(self, name: str) -> int:
@@ -500,40 +499,32 @@ def _eval_idx(algebra: FiniteAlgebra, t: tm.Term, venv, tenv) -> int:
 def evaluate(algebra: FiniteAlgebra, t: tm.Term, env: Optional[tm.Env] = None) -> str:
     """Evaluate a term to a carrier element name.
 
-    Sugar is expanded first (a no-op on already desugared terms).  Test
-    variable bindings are checked for test membership in the model.
-    Unbound variables whose name coincides with a carrier element resolve
-    to that element, so terms may mention model elements directly.
+    Sugar is expanded first (a no-op on already desugared terms).  Every
+    element binding must name a carrier element, and a variable with no
+    binding denotes the carrier element of its name, so terms may mention
+    model elements directly.  A test variable takes its test binding, else
+    its element binding; each test binding must name a test of the model,
+    the bindings of ``env.tests`` first and in their order, used or not.
     """
     env = env or tm.Env()
     t = tm.desugar(t)
-    venv = {k: algebra.index(v) for k, v in env.elements.items()}
-    tenv = {}
-    for k, v in env.tests.items():
-        i = algebra.index(v)
-        if algebra.tests_i is None or i not in algebra.tests_i:
-            raise EvalError(f"test variable {k!r} bound to non-test element {v!r}")
-        tenv[k] = i
     vvars, tvars = tm.variables(t)
-    for name in vvars:
-        if name not in venv and name in algebra.carrier:
-            venv[name] = algebra.index(name)
-    # a test variable may also be satisfied by an element binding (or an
-    # element literal) that happens to name a test
-    for name in tvars:
-        if name in tenv:
-            continue
-        if name in venv:
-            i = venv[name]
-        elif name in algebra.carrier:
-            i = algebra.index(name)
+    venv = {k: algebra.index(v) for k, v in env.elements.items()}
+    for k in vvars | tvars:
+        if k not in venv and k in algebra.carrier:
+            venv[k] = algebra.index(k)
+    tests, tenv = algebra.tables.complement or {}, {}
+    for k in (*env.tests, *tvars):
+        if k in env.tests:
+            i = algebra.index(env.tests[k])
+        elif k in venv:
+            i = venv[k]
         else:
             continue
-        if algebra.tests_i is None or i not in algebra.tests_i:
-            raise EvalError(
-                f"test variable {name!r} bound to non-test element "
-                f"{algebra.element_name(i)!r}")
-        tenv[name] = i
+        if i not in tests:
+            raise EvalError(f"test variable {k!r} bound to non-test element "
+                            f"{algebra.element_name(i)!r}")
+        tenv[k] = i
     return algebra.element_name(_eval_idx(algebra, t, venv, tenv))
 
 
@@ -677,7 +668,8 @@ class _LoopNest:
                       f"    return {found}, {lhs}, {rhs}"]
         elif isinstance(law, ClosureLaw):
             v = self.value(law.term)[0]
-            block += [f"if not is_test[{v}]:", f"    return {found}, {v}, None"]
+            block += [f"if {v} not in complement:",
+                      f"    return {found}, {v}, None"]
         else:
             premises = " and ".join(self.leq(s, t) for s, t in law.premises)
             # the conclusion's values at this level are computed only under
@@ -1027,8 +1019,7 @@ def _relabel(tb: _Tables, pi: Sequence[int]) -> _Tables:
                   {pi[k]: pi[v] for k, v in tb.complement.items()})
     return _Tables(tb.n, tests, binary(tb.plus), binary(tb.times),
                    unary(tb.star), unary(tb.adom), unary(tb.aran), complement,
-                   tuple(tb.is_test[inv[i]] for i in r), pi[tb.zero],
-                   pi[tb.one])
+                   pi[tb.zero], pi[tb.one])
 
 
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:

@@ -139,8 +139,6 @@ class EvPeriodicSet:
         n = self.threshold
         if below == n:
             return self._head
-        if below <= n:
-            return self._head & _mask(below)
         tail = _tail(self._res, self.period, below) >> n << n
         return (self._head | tail) & _mask(below)
 

@@ -218,8 +218,7 @@ def _enumerate_models(n: int, profile: Profile,
     # row and column n are the absorbing "unknown" index
     P, T = ([[unknown] * (n + 1) for _ in range(n + 1)] for _ in range(2))
     args = list(_Tables(n=n, tests=(), plus=P, times=T, star=None, adom=None,
-                        aran=None, complement=None, is_test=None, zero=0,
-                        one=one))
+                        aran=None, complement=None, zero=0, one=one))
     # pre[v] lists the filled cells (x, y) of each table that hold v
     P_pre, T_pre = ([[] for _ in range(n)] for _ in range(2))
     if idem:
@@ -263,8 +262,7 @@ def _enumerate_models(n: int, profile: Profile,
                 pre[table[x][y]].append((x, y))
     derived = dict((stage.name, (stage, counts)) for stage, counts in plan[2:])
     star = derived.pop("star", None)
-    test_sets = [(t, [i in t for i in range(n)], sum(1 << i for i in t))
-                 for t in (_test_sets(n) if derived else [()])]
+    test_sets = _test_sets(n) if derived else [((), 0)]
     # the relabellings of the middle elements but the identity, with inverses
     perms = [(pi, tuple(sorted(range(n), key=pi.__getitem__)))
              for pi in ((0, *p, one) for p in permutations(range(1, one)))][1:]
@@ -292,10 +290,10 @@ def _enumerate_models(n: int, profile: Profile,
         # holds an x with x ; x != x is skipped
         loose = sum(1 << x for x in range(n) if T[x][x] != x)
         kept = []
-        for tests_i, is_test, mask in test_sets:
+        for tests_i, mask in test_sets:
             if mask & loose:
                 continue
-            args[_ARG["tests"]], args[_ARG["is_test"]] = tests_i, is_test
+            args[_ARG["tests"]] = tests_i
             tables = {}
             for stage, counts in derived.values():
                 counts[0] += 1
@@ -303,7 +301,7 @@ def _enumerate_models(n: int, profile: Profile,
                 comp = field == "complement"
                 if comp:  # the tests' columns, by test
                     rows = [rows[t] for t in tests_i]
-                table = _annihilators(P, rows, tests_i, is_test)
+                table = _annihilators(P, rows, tests_i, mask)
                 if comp and table:
                     table = dict(zip(tests_i, table))
                 tables[field] = args[_ARG[field]] = table
@@ -386,27 +384,29 @@ def _sum_of_powers(P, T, n):
     return star
 
 
-def _annihilators(P, rows, tests, is_test):
+def _annihilators(P, rows, tests, mask):
     """For each row the join of the tests t with row[t] = 0: on the columns
     of ; the antidomain, on its rows the antirange, on the tests' columns
-    the complement; None if a join is no test or the joins miss a test."""
+    the complement; None if a join is no test (no bit of ``mask``, the
+    tests' bits) or the joins miss a test."""
     table = []
     for row in rows:
         join = 0
         for t in tests:
             if row[t] == 0:
                 join = P[join][t]
-        if not is_test[join]:
+        if not mask >> join & 1:
             return None
         table.append(join)
     return table if len(set(table)) == len(tests) else None
 
 
 def _test_sets(n):
-    """The subsets of the carrier that contain zero and one."""
-    return [tuple(sorted({0, n - 1, *(m for m in range(1, n - 1)
-                                       if mask >> m - 1 & 1)}))
-            for mask in range(1 << max(n - 2, 0))]
+    """The subsets of the carrier that contain zero and one, as (sorted
+    elements, bit mask) pairs, the middle elements' bits counting up."""
+    masks = (1 | 1 << n - 1 | m << 1 for m in range(1 << max(n - 2, 0)))
+    return [(tuple(i for i in range(n) if mask >> i & 1), mask)
+            for mask in masks]
 
 
 # ---------------------------------------------------------------------------

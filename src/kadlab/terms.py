@@ -281,12 +281,13 @@ def print_term(t: Term) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
+# the last alternative takes any character that starts no other token
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<const>[01])"
     r"|(?P<sym>[+;*!()\[\]&|])"
-)
+    r"|(?P<bad>.)", re.DOTALL)
 
 # The parser rejects terms nested deeper than this, counting both the levels
 # of the tree it builds and the parentheses around them, so that neither it
@@ -301,15 +302,12 @@ DEFAULT_TEST_INITIALS = "pqrst"
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(m.lastgroup), pos + 1))
-        pos = m.end()
+    """(kind, text, column) of each token, in one scan, and then eof."""
+    tokens = [(m.lastgroup, m.group(), m.start() + 1)
+              for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+    for kind, val, col in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", column=col)
     tokens.append(("eof", "", len(text) + 1))
     return tokens
 
@@ -348,7 +346,7 @@ class _TermParser:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}",
                              column=col)
 
-    def is_test_name(self, name):
+    def names_test(self, name):
         if self.tests is not None:
             return name in self.tests
         return name[0] in DEFAULT_TEST_INITIALS
@@ -414,7 +412,7 @@ class _TermParser:
                 arg = self.parse_expr()
                 self.expect(")")
                 return self.node(_OP_NAMES[val], col, arg)
-            if self.is_test_name(val):
+            if self.names_test(val):
                 return TestVar(val)
             return Var(val)
         if val == "(":

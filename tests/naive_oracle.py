@@ -175,7 +175,7 @@ def naive_partial_violations(tables, law):
         if isinstance(law, Equation):
             fails = n != ev(law.lhs) != ev(law.rhs) != n
         elif isinstance(law, ClosureLaw):
-            fails = not tables.is_test[ev(law.term)]
+            fails = ev(law.term) not in tables.complement
         else:
             s, t = law.conclusion
             join = tables.plus[ev(s)][ev(t)]

@@ -311,6 +311,64 @@ def test_eval_errors():
         evaluate(m, parse_term("a(x)"), Env(elements={"x": "a"}))
 
 
+def _named_bool2():
+    """The two-element boolean algebra with identifiers f and t as names."""
+    return FiniteAlgebra(["f", "t"], "f", "t", [[0, 1], [1, 1]],
+                         [[0, 0], [0, 1]], adom=[1, 0])
+
+
+def test_eval_binds_test_variables():
+    m = lemma4_model()
+    # through a test binding, an element binding, or the element's name
+    assert evaluate(m, parse_term("!p"), Env(tests={"p": "1"})) == "0"
+    assert evaluate(m, parse_term("!p"), Env(elements={"p": "0"})) == "1"
+    assert evaluate(_named_bool2(), parse_term("!t ; x", tests={"t"}),
+                    Env(elements={"x": "t"})) == "f"
+    # a test binding wins over an element binding, which need not be a test
+    env = Env(elements={"p": "a"}, tests={"p": "1"})
+    assert evaluate(m, parse_term("!p ; a + p"), env) == "1"
+    assert evaluate(m, parse_term("p + 0", tests=()), env) == "a"
+
+
+@pytest.mark.parametrize("term,env,name,element", [
+    ("!q", Env(tests={"q": "a"}), "q", "a"),
+    ("!q", Env(elements={"q": "a"}), "q", "a"),
+    ("1", Env(tests={"r": "a"}), "r", "a"),  # unused, still checked
+    ("p ; q", Env(tests={"q": "1", "p": "a"}), "p", "a"),
+    ("p ; q", Env(elements={"q": "a"}, tests={"p": "0"}), "q", "a"),
+], ids=["test-binding", "element-binding", "unused", "second-entry",
+        "element-after-test"])
+def test_eval_refuses_a_non_test_for_a_test_variable(term, env, name,
+                                                     element):
+    with pytest.raises(EvalError) as info:
+        evaluate(lemma4_model(), parse_term(term), env)
+    assert str(info.value) == (f"test variable {name!r} bound to non-test "
+                               f"element {element!r}")
+
+
+def test_eval_refuses_a_non_test_named_as_a_test_variable():
+    with pytest.raises(EvalError, match="^test variable 'a' bound to "
+                       "non-test element 'a'$"):
+        evaluate(lemma4_model(), parse_term("!a", tests={"a"}))
+
+
+@pytest.mark.parametrize("env,error", [
+    # element bindings are read before test bindings, test bindings in order
+    (Env(elements={"x": "b"}, tests={"p": "a"}), ModelError),
+    (Env(elements={"p": "a"}, tests={"q": "b"}), ModelError),
+    (Env(tests={"p": "a", "q": "b"}), EvalError),
+    (Env(tests={"q": "b", "p": "a"}), ModelError),
+], ids=["element-then-test", "element-bound-test-then-unknown",
+        "non-test-then-unknown", "unknown-then-non-test"])
+def test_eval_reports_the_first_bad_binding(env, error):
+    with pytest.raises(KadlabError) as info:
+        evaluate(lemma4_model(), parse_term("!p ; x"), env)
+    assert type(info.value) is error
+    assert str(info.value) == ("unknown carrier element 'b'"
+                               if error is ModelError else
+                               "test variable 'p' bound to non-test element 'a'")
+
+
 def test_profiles_are_cumulative():
     names = {p: {law.name for law in profile_axioms(p)} for p in Profile}
     assert names[Profile.KAT] == names[Profile.KLEENE] | names[Profile.TS]
@@ -383,6 +441,6 @@ def test_a_complement_exactly_when_tests():
         models += 1
         tests = m.tests_i or ()
         assert m.has_op("complement") == m.has_op("tests") == bool(tests)
-        assert m.tables.is_test == tuple(i in tests for i in range(m.size))
+        assert tuple(sorted(m.tables.complement or ())) == tuple(tests)
         assert sorted(map(m.complement, tests)) == list(tests), m.name
     assert models == 6 + len(_BASES) + 154

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from kadlab import evsets
 from kadlab import cli
+from kadlab.algebra import PhiResult
 from kadlab.cli import _build_parser, main
 from kadlab.files import dump_model, load_model
 from kadlab.terms import MAX_DEPTH
@@ -164,6 +165,17 @@ def test_demo_separation(capsys):
     assert "phi holds (4096 instantiations)" in out  # 16^2 * 4^2 on rel2
 
 
+def test_demo_separation_not_reproduced_exits_1(capsys, monkeypatch):
+    # phi holding on lemma4 breaks the separation
+    check_phi = cli.check_phi
+    monkeypatch.setattr(cli, "check_phi", lambda m: PhiResult(True, None, 0)
+                        if m.name == "lemma4" else check_phi(m))
+    code, out, _ = run(capsys, "demo", "separation")
+    assert code == 1
+    assert "[2] lemma4: phi holds (unexpected)" in out.splitlines()
+    assert out.splitlines()[-1] == "summary: separation NOT reproduced"
+
+
 def test_demo_nonexpressivity(capsys):
     code, out, _ = run(capsys, "demo", "nonexpressivity", "--candidates", "12")
     assert code == 0
@@ -273,6 +285,15 @@ def test_program_file_parse_errors_name_file_and_line(capsys, tmp_path, old,
     code, out, err = run(capsys, "vcgen", "--program", str(path))
     assert (code, out, err) == (
         2, "", f"error: seq.kat:{line}: unknown test 'zz'\n")
+
+
+def test_program_file_with_a_second_states_line_exits_2(capsys, tmp_path):
+    path = tmp_path / "seq.kat"
+    path.write_text(PROGRAM_TEXT + "states: 1 2\n")
+    line = len(PROGRAM_TEXT.splitlines()) + 1
+    code, out, err = run(capsys, "vcgen", "--program", str(path))
+    assert (code, out, err) == (
+        2, "", f"error: seq.kat:{line}: duplicate states line\n")
 
 
 def test_pre_argument_parse_errors_keep_their_column(capsys, progfile):

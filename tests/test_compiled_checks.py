@@ -257,8 +257,7 @@ def padded_tables(tb, rnd):
         plus=[blank(row) for row in tb.plus] + [[n] * (n + 1)],
         times=[blank(row) for row in tb.times] + [[n] * (n + 1)],
         star=unary(tb.star), adom=unary(tb.adom), aran=unary(tb.aran),
-        complement=tb.complement and {**tb.complement, n: n},
-        is_test=list(tb.is_test) + [True])
+        complement=tb.complement and {**tb.complement, n: n})
 
 
 @settings(max_examples=60, deadline=None)

@@ -401,3 +401,16 @@ def test_refuter_matches_the_oracle(raw_target, raw_candidate):
     expected = naive_refute_wlp_candidate(naive_target, naive_candidate)
     assert got == expected[:2] + tuple(map(_canon, expected[2:]))
     assert verify_refutation(target, candidate, verdict)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_prefix_holds_the_membership_bits(seed):
+    rng = random.Random(f"prefix:{seed}")
+    for _ in range(16):
+        threshold, period = rng.randint(0, 8), rng.randint(1, 12)
+        s = EvPeriodicSet(
+            threshold, [k for k in range(threshold) if rng.random() < 0.5],
+            period, rng.sample(range(period), rng.randint(0, period)))
+        for below in range(s.threshold + 2 * s.period + 1):
+            assert s._prefix(below) == sum(1 << k for k in range(below)
+                                           if k in s), (s, below)

@@ -443,6 +443,12 @@ def test_program_file_faults_are_reported_in_reading_order(text, message):
     assert (type(info.value), str(info.value)) == (ParseError, message)
 
 
+def test_second_states_line_is_an_error():
+    text = "states: 1 2\nrel x = id\nstates: 1\ntest p = id\n"
+    with pytest.raises(ParseError, match="^f:3: duplicate states line$"):
+        load_program_file(text, name="f")
+
+
 @pytest.mark.parametrize("key,again", [
     ("pre", "pre: q"), ("post", "post: p"), ("program", "program: x")])
 def test_repeated_program_file_line_is_an_error(key, again):

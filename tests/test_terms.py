@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from kadlab.terms import (ADom, ARan, Box, Dom, Not, ONE, Plus, Ran, Sort,
                           Star, Times, Var, ZERO, desugar,
                           parse_term, print_term, sort_of, variables)
 from kadlab.terms import TestVar as TV  # alias keeps pytest collection quiet
+from kadlab.terms import _tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +61,51 @@ def test_parse_errors():
         parse_term("x ? y")
     with pytest.raises(ParseError):
         parse_term("x y")
+
+
+# the tokenizer as a loop over positions, one match at each: the reference
+# for the one-scan ``_tokenize``
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<const>[01])"
+    r"|(?P<sym>[+;*!()\[\]&|])"
+)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}",
+                             column=pos + 1)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(m.lastgroup), pos + 1))
+        pos = m.end()
+    tokens.append(("eof", "", len(text) + 1))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return exc.message, exc.column
+
+
+# the token alphabet, then stray characters: newlines, tabs, digits 2-9,
+# other punctuation and non-ASCII, a no-break space among them
+_TOKEN_TEXT = st.text(st.sampled_from(
+    "xyzpqad_' 01+;*!()[]&|" "\n\t\r23456789.,:-#=?{}<>\"\\" "é→λ\u00a0\u2028"),
+    max_size=30)
+
+
+@given(_TOKEN_TEXT)
+def test_tokenize_matches_the_loop_over_positions(text):
+    assert (_tokens_or_error(_tokenize, text)
+            == _tokens_or_error(_reference_tokenize, text))
 
 
 # ---------------------------------------------------------------------------
