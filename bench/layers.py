@@ -35,6 +35,9 @@ profile)`` for kat and kad, as layer ``check_rules_<profile>``, and
 lemma4, bool2, nearas and trivial (size: the carrier), each term and its
 bindings drawn as perfbench's ``laws`` workload draws an ``eval`` job and
 read as the ``eval`` command reads them; it reports microseconds per call.
+Layer ``eval_command`` times those jobs' ``eval`` commands, run through
+``cli.main`` in process as that workload runs them, in microseconds per
+command.
 At size 512, the carrier of ``rel3``, it times one call per run of
 ``rel_algebra_model(3)`` (layer ``rel3_build``, one instance) and of
 ``check_phi`` on a ``rel3`` built beforehand (layer ``check_phi_rel3``).  Layer ``check_phi_products`` times ``check_phi`` on
@@ -271,23 +274,30 @@ def _law_cases(algebra, relations) -> dict:
 
 def _eval_cases(algebra, cli, terms) -> dict:
     """Per builtin, (its carrier size, the zero-argument ``evaluate`` calls
-    of one loop) on terms and bindings drawn as perfbench's ``eval`` jobs
-    draw them, parsed as the ``eval`` command parses them."""
+    of one loop, the zero-argument ``eval`` commands of one loop) on terms
+    and bindings drawn as perfbench's ``eval`` jobs draw them, parsed as the
+    ``eval`` command parses them: an identifier is a test variable when the
+    element it is bound to, or else the element of its name, is a test."""
     import references
+    from run import run_cli
     from workloads import EVAL_BUILTINS, _eval_job
     cases = {}
     for b in EVAL_BUILTINS:
         rng = random.Random(f"evaluate:{b}")
-        model, calls = cli.BUILTIN_MODELS[b](), []
+        model, calls, commands = cli.BUILTIN_MODELS[b](), [], []
+        tests = model.tests or ()
         for _ in range(EVAL_TERMS):
-            argv = _eval_job(b, (), references.BUILTINS[b](), rng).argv
-            term = terms.parse_term(argv[argv.index("--term") + 1],
-                                    frozenset())
-            env = terms.Env(elements=dict(
-                item.split("=") for item in
-                argv[argv.index("--env") + 1].split(",")))
-            calls.append(functools.partial(algebra.evaluate, model, term, env))
-        cases[b] = model.size, calls
+            argv = _eval_job(b, ("--builtin", b), references.BUILTINS[b](),
+                             rng).argv
+            env = dict(item.split("=")
+                       for item in argv[argv.index("--env") + 1].split(","))
+            term = terms.parse_term(argv[argv.index("--term") + 1], {
+                *(k for k, v in env.items() if v in tests),
+                *(t for t in tests if t not in env)})
+            calls.append(functools.partial(algebra.evaluate, model, term,
+                                           terms.Env(elements=env)))
+            commands.append(functools.partial(run_cli, argv))
+        cases[b] = model.size, calls, commands
     return cases
 
 
@@ -581,9 +591,12 @@ def main(argv=None) -> int:
     law_cases = _law_cases(algebra, relations)
     for layer, (size, loops, count, call) in law_cases.items():
         record("laws", layer, size, count, [call], loops)
-    for b, (size, calls) in _eval_cases(algebra, cli, terms).items():
+    for b, (size, calls, commands) in _eval_cases(algebra, cli,
+                                                  terms).items():
         record("laws", "evaluate", size, len(calls), calls, EVAL_LOOPS,
                model=b)
+        record("laws", "eval_command", size, len(commands), commands,
+               EVAL_LOOPS, model=b)
     for size, (count, calls) in _phi_product_cases(algebra, files).items():
         record("laws", "check_phi_products", size, count, calls, None)
     for report, (size, call) in _report_cases(cli).items():

@@ -97,11 +97,8 @@ class ClosureLaw:
     term: tm.Term
 
 
-_AXIOM_TESTS = frozenset("pqrst")
-
-
 def _ax(text: str) -> tm.Term:
-    return tm.desugar(tm.parse_term(text, tests=_AXIOM_TESTS))
+    return tm.desugar(tm.parse_term(text))
 
 
 def _eq(name, lhs, rhs):
@@ -187,11 +184,13 @@ _PROFILE_AXIOMS = {
     Profile.KA_DR: _SEMIRING + _IDEM + _STAR + _ADOM + _ARAN + _COMPAT,
 }
 
-# the operation each term type reads, in the order model search fills them:
-# its field of ``_Tables``, but ``!`` reads the ``complement`` of the tests
-_READS = {tm.Plus: "plus", tm.Times: "times", tm.Star: "star",
-          tm.ADom: "adom", tm.ARan: "aran", tm.Not: "tests",
-          tm.TestVar: "tests"}
+# the operation each operator applies, in the order model search fills them:
+# the ``_Tables`` field a compiled law reads and the method evaluation calls
+# on a model or state space; for ``_READS``, ``!`` and test variables read
+# the tests
+_APPLY = {tm.Plus: "plus", tm.Times: "times", tm.Star: "star",
+          tm.ADom: "adom", tm.ARan: "aran", tm.Not: "complement"}
+_READS = {**_APPLY, tm.Not: "tests", tm.TestVar: "tests"}
 
 
 def profile_axioms(profile: Profile):
@@ -477,44 +476,37 @@ def _eval_idx(algebra: FiniteAlgebra, t: tm.Term, venv, tenv) -> int:
                 return tenv[name]
             except KeyError:
                 raise EvalError(f"unbound test variable {name!r}") from None
-        case tm.Plus(l, r):
-            return algebra.plus(_eval_idx(algebra, l, venv, tenv),
-                                _eval_idx(algebra, r, venv, tenv))
-        case tm.Times(l, r):
-            return algebra.times(_eval_idx(algebra, l, venv, tenv),
-                                 _eval_idx(algebra, r, venv, tenv))
-        case tm.Star(a):
-            return algebra.star(_eval_idx(algebra, a, venv, tenv))
-        case tm.Not(a):
-            return algebra.complement(_eval_idx(algebra, a, venv, tenv))
-        case tm.ADom(a):
-            return algebra.adom(_eval_idx(algebra, a, venv, tenv))
-        case tm.ARan(a):
-            return algebra.aran(_eval_idx(algebra, a, venv, tenv))
+        case tm.Plus(l, r) | tm.Times(l, r):
+            return getattr(algebra, _APPLY[type(t)])(
+                _eval_idx(algebra, l, venv, tenv),
+                _eval_idx(algebra, r, venv, tenv))
+        case tm.Star(a) | tm.Not(a) | tm.ADom(a) | tm.ARan(a):
+            return getattr(algebra, _APPLY[type(t)])(
+                _eval_idx(algebra, a, venv, tenv))
         case tm.Dom(_) | tm.Ran(_) | tm.Box(_, _):
-            raise EvalError("term must be desugared before evaluation")
+            return _eval_idx(algebra, tm.desugar(t), venv, tenv)
     raise TypeError(f"not a term: {t!r}")
 
 
 def evaluate(algebra: FiniteAlgebra, t: tm.Term, env: Optional[tm.Env] = None) -> str:
     """Evaluate a term to a carrier element name.
 
-    Sugar is expanded first (a no-op on already desugared terms).  Every
+    d, r and [x]y are evaluated as written, by their definitions.  Every
     element binding must name a carrier element, and a variable with no
     binding denotes the carrier element of its name, so terms may mention
     model elements directly.  A test variable takes its test binding, else
     its element binding; each test binding must name a test of the model,
-    the bindings of ``env.tests`` first and in their order, used or not.
+    the bindings of ``env.tests`` first and in their order, used or not,
+    then the element-bound test variables in sorted order.
     """
     env = env or tm.Env()
-    t = tm.desugar(t)
     vvars, tvars = tm.variables(t)
     venv = {k: algebra.index(v) for k, v in env.elements.items()}
     for k in vvars | tvars:
         if k not in venv and k in algebra.carrier:
             venv[k] = algebra.index(k)
     tests, tenv = algebra.tables.complement or {}, {}
-    for k in (*env.tests, *tvars):
+    for k in (*env.tests, *sorted(tvars)):
         if k in env.tests:
             i = algebra.index(env.tests[k])
         elif k in venv:
@@ -630,7 +622,7 @@ class _LoopNest:
             return "one", -1
         if isinstance(t, (tm.Var, tm.TestVar)):
             return self._var(t.name)
-        table = "complement" if isinstance(t, tm.Not) else _READS[type(t)]
+        table = _APPLY[type(t)]
         if isinstance(t, (tm.Plus, tm.Times)):
             a, la = self.value(t.left)
             b, lb = self.value(t.right)

@@ -151,28 +151,26 @@ def _cmd_check_axioms(args):
 
 def _cmd_eval(args):
     algebra = _load_algebra(args)
-    term = _argument(args, "term", parse_term, frozenset())
-    elements = {}
-    for item in _split_bindings(args.env):
-        item = item.strip()
-        if not item:
-            continue
-        key, eq, value = item.partition("=")
-        if not eq:
+    items = [item.strip().partition("=") for item in _split_bindings(args.env)]
+    elements = {key.strip(): value.strip() for key, eq, value in items if eq}
+    # an identifier is a test iff the element it names is one; a malformed
+    # binding is reported after the term's parse errors
+    tests = algebra.tests or ()
+    term = _argument(args, "term", parse_term, {
+        *(k for k, v in elements.items() if v in tests),
+        *(t for t in tests if t not in elements)})
+    for item, eq, _ in items:
+        if item and not eq:
             raise ModelError(f"bad env binding {item!r} (expected name=element)")
-        elements[key.strip()] = value.strip()
-    names = sorted(variables(term)[0])
-    for name in names:
+    for name in sorted(variables(term)[0]):
         if name not in elements and name not in algebra.carrier:
             raise ModelError(f"unbound identifier {name!r}")
-    # an identifier is a test iff the element it names is one
-    tests = algebra.tests or ()
-    sort_of(term, declared_tests={n for n in names if elements.get(n, n) in tests})
+    sort_of(term)
     result = evaluate(algebra, term, Env(elements=elements))
-    lines = [f"{print_term(term)} = {result}"]
-    payload = {"command": "eval", "model": algebra.name,
-               "term": print_term(term), "result": result}
-    return 0, lines, payload
+    text = print_term(term)
+    payload = {"command": "eval", "model": algebra.name, "term": text,
+               "result": result}
+    return 0, [f"{text} = {result}"], payload
 
 
 def _cmd_check_phi(args):

@@ -162,7 +162,7 @@ class _Parser(tm._TermParser):
             raise ParseError(f"unknown test {name!r}", column=col)
         try:
             if tm.sort_of(t) is tm.Sort.TEST:
-                return tm.desugar(t)
+                return t
         except SortError:
             pass
         raise ParseError(f"expected a test, found {tm.print_term(t)!r}",

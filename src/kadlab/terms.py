@@ -3,7 +3,8 @@
 Terms are immutable trees over the signature 0, 1, +, ;, *, !, a, d, r, ar
 and the box operator [x]y.  Box, d and r are sugar: ``desugar`` rewrites
 them into the antidomain/antirange primitives, so concrete models only ever
-interpret +, ;, *, !, a and ar.
+interpret +, ;, *, !, a and ar.  It serves the law inventory, whose laws
+are stored desugared; evaluation expands the sugar where it meets it.
 
 A node's children are its term-valued fields (``_children``); ``_walk``
 visits them for ``variables`` and the law compiler, ``desugar`` rebuilds
@@ -167,22 +168,20 @@ def variables(t: Term) -> tuple[frozenset, frozenset]:
 # ---------------------------------------------------------------------------
 # sorting
 
-def sort_of(t: Term, declared_tests: Iterable[str] = ()) -> Sort:
+def sort_of(t: Term) -> Sort:
     """Sort a term as ELEMENT or TEST, or raise SortError.
 
     Tests are built from 0, 1, test variables, + and ; of tests, !, and the
     (anti)domain/(anti)range operators (their images are always tests).
-    Star always yields an element-sorted term.  ``declared_tests`` promotes
-    plain variables with those names to test sort.
+    Star always yields an element-sorted term.
     """
-    declared = frozenset(declared_tests)
 
     def go(node: Term) -> Sort:
         match node:
             case Zero() | One() | TestVar():
                 return Sort.TEST
-            case Var(name):
-                return Sort.TEST if name in declared else Sort.ELEMENT
+            case Var():
+                return Sort.ELEMENT
             case Plus(l, r) | Times(l, r):
                 sl, sr = go(l), go(r)
                 if sl is Sort.TEST and sr is Sort.TEST:
@@ -232,18 +231,9 @@ def desugar(t: Term) -> Term:
 # printing
 
 _PREC_PLUS, _PREC_TIMES, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
-
-
-def _prec(t: Term) -> int:
-    match t:
-        case Plus(_, _):
-            return _PREC_PLUS
-        case Times(_, _):
-            return _PREC_TIMES
-        case Star(_) | Not(_) | Box(_, _):
-            return _PREC_UNARY
-        case _:
-            return _PREC_ATOM
+# how tightly each operator binds; every other node prints as an atom
+_PREC = {Plus: _PREC_PLUS, Times: _PREC_TIMES, Star: _PREC_UNARY,
+         Not: _PREC_UNARY, Box: _PREC_UNARY}
 
 
 def print_term(t: Term) -> str:
@@ -251,7 +241,7 @@ def print_term(t: Term) -> str:
 
     def wrap(node, minimum):
         s = go(node)
-        return f"({s})" if _prec(node) < minimum else s
+        return f"({s})" if _PREC.get(type(node), _PREC_ATOM) < minimum else s
 
     def go(node):
         match node:

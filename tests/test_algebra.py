@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import kadlab
 from kadlab.algebra import (FiniteAlgebra, Profile, bool2_model, check_axioms,
                             check_phi, evaluate,
                             is_isomorphic, lemma4_model, near_as_model,
@@ -11,7 +16,7 @@ from kadlab.errors import EvalError, KadlabError, MissingTableError, ModelError
 from kadlab.files import load_model
 from kadlab.relations import rel_algebra_model
 from kadlab.search import find_models
-from kadlab.terms import Env, parse_term
+from kadlab.terms import Env, desugar, parse_term
 from test_files import _BASES
 
 
@@ -350,6 +355,37 @@ def test_eval_refuses_a_non_test_named_as_a_test_variable():
     with pytest.raises(EvalError, match="^test variable 'a' bound to "
                        "non-test element 'a'$"):
         evaluate(lemma4_model(), parse_term("!a", tests={"a"}))
+
+
+def test_eval_checks_element_bound_test_variables_in_sorted_order():
+    # the term's test variables are a frozenset, whose iteration order
+    # follows the string hash seed
+    src = str(Path(kadlab.__file__).resolve().parents[1])
+    script = ("from kadlab.algebra import evaluate, lemma4_model\n"
+              "from kadlab.errors import EvalError\n"
+              "from kadlab.terms import Env, parse_term\n"
+              "term = parse_term('p + q + r + s', tests='pqrs')\n"
+              "try:\n"
+              "    evaluate(lemma4_model(), term,\n"
+              "             Env(elements=dict.fromkeys('pqrs', 'a')))\n"
+              "except EvalError as e:\n"
+              "    print(e)\n")
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src,
+                             "PYTHONHASHSEED": seed})
+        assert (done.stdout, done.stderr) == (
+            "test variable 'p' bound to non-test element 'a'\n", "")
+
+
+@pytest.mark.parametrize("text", [
+    "d(x) + [x]y", "r(x ; y) ; ar(d(y))", "[x*]!d(y)", "!r(x) + [[x]y]x"])
+def test_eval_expands_sugar_where_it_meets_it(text):
+    m, t = rel_algebra_model(2), parse_term(text)
+    for x, y in product(m.carrier, repeat=2):
+        env = Env(elements={"x": x, "y": y})
+        assert evaluate(m, t, env) == evaluate(m, desugar(t), env)
 
 
 @pytest.mark.parametrize("env,error", [

@@ -14,6 +14,7 @@ from kadlab.algebra import PhiResult
 from kadlab.cli import _build_parser, main
 from kadlab.files import dump_model, load_model
 from kadlab.terms import MAX_DEPTH
+from test_algebra import _named_bool2
 
 PROGRAM_TEXT = """
 states: 1 2 3
@@ -97,6 +98,31 @@ def test_eval_classifies_tests_from_model(capsys):
                        "--term", "!q", "--env", "q=1")
     assert code == 0
     assert out.strip().endswith("= 0")
+
+
+# an identifier denotes a test when the element that --env binds it to, or
+# else the element of its name, is a test of the model
+@pytest.mark.parametrize("term,env,code,out,err", [
+    ("!x", "x=1", 0, "!x = 0\n", ""),
+    ("!x", "x=a", 2, "",
+     "error: complement applied to non-test subterm: x\n"),
+    # the term's parse error, then a malformed binding, then an unbound name
+    ("(x", "bad", 2, "", "error: --term:3: expected ')', found 'end of input'\n"),
+    ("x+y", "bad", 2, "",
+     "error: bad env binding 'bad' (expected name=element)\n"),
+], ids=["bound-to-test", "bound-to-non-test", "parse-error-first",
+        "bad-binding-before-unbound"])
+def test_eval_names_tests_by_the_elements_they_denote(capsys, term, env, code,
+                                                      out, err):
+    assert run(capsys, "eval", "--builtin", "lemma4", "--term", term,
+               "--env", env) == (code, out, err)
+
+
+def test_eval_reads_a_models_test_names_as_tests(capsys, tmp_path):
+    model = tmp_path / "named.alg"
+    model.write_text(dump_model(_named_bool2()))  # its tests are f and t
+    assert run(capsys, "eval", "--model", str(model), "--term",
+               "!f ; t") == (0, "!f ; t = t\n", "")
 
 
 def test_find_models_output_parses_back(capsys, tmp_path):

@@ -356,6 +356,18 @@ def test_every_yielded_model_is_the_least_of_its_class(searched):
             assert naive_is_least(m, profile in IDEMPOTENT), m.name
 
 
+def test_near_as_6_drops_the_fills_a_relabelling_derives_smaller():
+    # near-as at size 6 derives fills (antidomain, antirange or test set)
+    # that a relabelling keeping + and ; makes smaller, which no profile
+    # does below size 6; kept, two of them would be yielded beside the
+    # least of their class
+    stats = SearchStats()
+    models = list(find_models(6, "near-as", bound=6, stats=stats))
+    assert (len(models), stats.duplicates) == (4181, 10218)
+    for m in models:
+        assert naive_is_least(m, Profile.NEAR_AS in IDEMPOTENT), m.name
+
+
 def test_the_star_stage_prunes_nothing(searched_with_stats):
     # a finite dioid has exactly one star, the sum of the powers of x
     # (Kozen, 1994), so every star the search derives passes the star laws

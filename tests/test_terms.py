@@ -142,11 +142,6 @@ def test_sort_star_is_element():
         sort_of(Not(Star(TV("p"))))
 
 
-def test_sort_declared_tests_promote_vars():
-    assert sort_of(Var("x"), declared_tests={"x"}) is Sort.TEST
-    assert sort_of(Not(Var("x")), declared_tests={"x"}) is Sort.TEST
-
-
 def test_sort_of_tests():
     assert sort_of(Plus(TV("p"), TV("q"))) is Sort.TEST
     assert sort_of(Times(TV("p"), Var("x"))) is Sort.ELEMENT
