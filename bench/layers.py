@@ -69,7 +69,8 @@ microseconds per pair.
 
 The search layer (workload ``search``) times ``find_models`` for each of
 the 40 (size, profile, constraint) jobs of perfbench's ``search`` workload,
-for near-as at size 5 and for ts and kat at size 6, as layer
+for near-as at size 5 and for kleene, ts, kat and kadr at size 6 (with
+the workload's kad, every star profile at size 6), as layer
 ``find_models_<profile>[_<constraint>]`` at the carrier size, and records
 the ``SearchStats`` of one call under ``stats``.  A run makes as many calls
 (``instances``) as took ``SEARCH_RUN_S`` by the untimed pass, at least one,
@@ -413,7 +414,8 @@ def _search_cases(algebra, search, files) -> dict:
         if p in PHI_CAPABLE:
             specs += [(5, p, "phi-fails"), (5, p, "phi-holds")]
     specs += [(5, "semiring", None), (6, "kad", None), (5, "near-as", None),
-              (6, "ts", None), (6, "kat", None)]
+              (6, "ts", None), (6, "kat", None), (6, "kleene", None),
+              (6, "kadr", None)]
     cases = {}
     for size, profile, constraint in specs:
         def call(stats=None, spec=(size, profile, constraint)):

@@ -69,8 +69,8 @@ def _argument(args, flag, parse, *context):
 
 
 def _split_bindings(text: str) -> list[str]:
-    """Split ``--env`` on the commas outside braces and parentheses, so an
-    element may be a relation literal such as ``{(1,2),(2,1)}``."""
+    """The nonempty items of ``--env``, stripped, split on the commas outside
+    braces and parentheses, as in ``x={(1,2),(2,1)}, y=a``."""
     items, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch in "({":
@@ -80,7 +80,7 @@ def _split_bindings(text: str) -> list[str]:
         elif ch == "," and depth == 0:
             items.append(text[start:i])
             start = i + 1
-    return items + [text[start:]]
+    return [item.strip() for item in items + [text[start:]] if item.strip()]
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -151,7 +151,7 @@ def _cmd_check_axioms(args):
 
 def _cmd_eval(args):
     algebra = _load_algebra(args)
-    items = [item.strip().partition("=") for item in _split_bindings(args.env)]
+    items = [item.partition("=") for item in _split_bindings(args.env)]
     elements = {key.strip(): value.strip() for key, eq, value in items if eq}
     # an identifier is a test iff the element it names is one; a malformed
     # binding is reported after the term's parse errors
@@ -159,9 +159,13 @@ def _cmd_eval(args):
     term = _argument(args, "term", parse_term, {
         *(k for k, v in elements.items() if v in tests),
         *(t for t in tests if t not in elements)})
+    bound = set()
     for item, eq, _ in items:
-        if item and not eq:
+        if not eq:
             raise ModelError(f"bad env binding {item!r} (expected name=element)")
+        if item.strip() in bound:
+            raise ModelError(f"duplicate env binding {item.strip()!r}")
+        bound.add(item.strip())
     for name in sorted(variables(term)[0]):
         if name not in elements and name not in algebra.carrier:
             raise ModelError(f"unbound identifier {name!r}")
@@ -381,9 +385,9 @@ def _build_parser():
     _add_model_source(sub)
     sub.add_argument("--term", required=True)
     sub.add_argument("--env", default="",
-                     help="comma separated name=element bindings "
-                          "(commas inside braces or parentheses do not "
-                          "separate)")
+                     help="comma separated name=element bindings, a "
+                          "name at most once (commas inside braces or "
+                          "parentheses do not separate)")
     sub.set_defaults(handler=_cmd_eval)
 
     sub = command("check-phi", "check the mid-assertion sentence")

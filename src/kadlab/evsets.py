@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, islice
 from math import lcm
 from operator import and_, or_, xor
 from typing import Iterator, Optional
@@ -274,12 +273,10 @@ def verify_refutation(target, candidate, verdict) -> bool:
 
 
 def enumerate_candidates(target: EvPeriodicSet, count: int) -> Iterator[EvPeriodicSet]:
-    """The first ``count`` test-algebra candidates disjoint from the target.
-
-    These are the finite sets of the target's non-members below a universe
-    sized off the target's period, by size then lexicographically.  Every
-    period past the threshold holds a non-member, so the universe holds at
-    least ``count`` of them: the empty set and the singletons suffice.
+    """The first ``count`` test-algebra candidates disjoint from the target
+    by size, then lexicographically: the empty set, then the singletons of
+    its least ``count - 1`` non-members (each period past the threshold
+    holds one).
     """
     if in_test_algebra(target):
         raise ModelError("target must be neither finite nor cofinite")
@@ -287,9 +284,7 @@ def enumerate_candidates(target: EvPeriodicSet, count: int) -> Iterator[EvPeriod
         raise ModelError("candidate count must be nonnegative")
     universe = max(64, target.threshold + count * target.period)
     free = _members(~target._prefix(universe) & _mask(universe))
-    heads = (sum(map((1).__lshift__, combo)) for size in range(len(free) + 1)
-             for combo in combinations(free, size))
-    for head in islice(heads, count):
+    for head in [0, *map((1).__lshift__, free[:count])][:count]:
         yield _canonical(head.bit_length(), head, 1, 0)
 
 

@@ -18,7 +18,9 @@ the pinned check loops over the cells (x, y) of op that hold that
 argument's coordinate instead of over all n^2 pairs.
 
 The rest is derived from + and ;.  The star is the sum of the powers x^k
-for k < n, the only star of a finite dioid (Kozen, 1994).  Only sets of
+for k < n, the only star of a finite dioid (Kozen, 1994), and no star law
+runs: the partial sums 1, 1 + x, ... rise to a fixed point of both
+unfoldings, and the induction laws follow by monotonicity.  Only sets of
 idempotents of ; that hold 0 and 1 are offered as test sets: t ; t = t is
 a law of ts and kat, and the antidomain profiles derive it from right
 distributivity, as a(x) = (a(x) + d(x)) ; a(x) = a(x) ; a(x) + 0, and
@@ -91,8 +93,9 @@ class SearchStats:
     the + and ; cell values tried (the laws of ; that run as the search
     enters it count for the last + cell), the star, adom and aran tables
     derived, or the test sets whose complement is derived, and those a law
-    refuted or whose derived table leaves or misses the test set.  A test
-    set that holds an x with x ; x != x is not offered and not counted.
+    refuted or whose derived table leaves or misses the test set (for the
+    star, which runs no law, always 0).  A test set that holds an x with
+    x ; x != x is not offered and not counted.
     ``duplicates`` counts the fills dropped as relabellings of a smaller
     one, at the first completed row of + or ; that shows it,
     ``candidates`` the fills that passed every law and ``models`` the
@@ -178,7 +181,7 @@ def _commutes(law) -> bool:
 class _Stage:
     """The laws of one stage: those that set cells, whether its table is
     symmetric, and two compiled tests: ``full`` (every law, run once as the
-    search enters a + or ; stage, and on each derived table or test set)
+    search enters a + or ; stage, and on each derived table but the star)
     and, for + and ;, ``at`` (pinned to the cell just filled)."""
 
     def __init__(self, name, laws):
@@ -195,11 +198,12 @@ class _Stage:
 
 @functools.cache
 def _plan(profile: Profile) -> tuple[_Stage, ...]:
-    """The stages the profile needs, in fill order."""
+    """The stages the profile needs, in fill order; the star's has no laws."""
     laws = [[] for _ in _STAGES]
     for law in profile_axioms(profile):
         k = max(map(_STAGES.index, _reads(law)), default=0)
-        laws[k].append(law)
+        if _STAGES[k] != "star":
+            laws[k].append(law)
     return tuple(_Stage(name, laws[k]) for k, name in enumerate(_STAGES)
                  if k < 2 or name in required_ops(profile))
 
@@ -274,13 +278,9 @@ def _enumerate_models(n: int, profile: Profile,
 
     def candidates(perms):
         """The fills that + and ; force, by their derived tables."""
-        powers = None
         if star:
             star[1][0] += 1
-            powers = args[_ARG["star"]] = _sum_of_powers(P, T, n)
-            if star[0].full(*args) is not None:
-                star[1][1] += 1
-                return
+        powers = star and _sum_of_powers(P, T, n)
         # the antidomain of x reads column x of ;, its antirange row x and
         # the complement of a test t column t, on the tests alone
         cols = list(zip(*T))[:n]

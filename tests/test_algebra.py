@@ -277,6 +277,7 @@ def test_construction_errors(args, kwargs, message):
 
 def test_missing_tables_and_unknown_names():
     untested = FiniteAlgebra(*_CHAIN)
+    assert untested.tests is None
     with pytest.raises(MissingTableError, match="^lemma4: no antirange table$"):
         lemma4_model().aran(0)
     with pytest.raises(MissingTableError, match="^algebra: no tests declared$"):
@@ -314,6 +315,10 @@ def test_eval_errors():
         evaluate(m, parse_term("!q"), Env(tests={"q": "a"}))  # not a test
     with pytest.raises(MissingTableError):
         evaluate(m, parse_term("a(x)"), Env(elements={"x": "a"}))
+    with pytest.raises(EvalError) as info:
+        evaluate(m, parse_term("p"))  # a test variable bound nowhere
+    assert (type(info.value), str(info.value)) == (
+        EvalError, "unbound test variable 'p'")
 
 
 def _named_bool2():

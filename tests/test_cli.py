@@ -110,8 +110,13 @@ def test_eval_classifies_tests_from_model(capsys):
     ("(x", "bad", 2, "", "error: --term:3: expected ')', found 'end of input'\n"),
     ("x+y", "bad", 2, "",
      "error: bad env binding 'bad' (expected name=element)\n"),
+    # a name bound twice is refused where a malformed binding is, in order
+    ("x ; x", "x=a, x =1", 2, "", "error: duplicate env binding 'x'\n"),
+    ("x ; x", "x=a,bad,x=1", 2, "",
+     "error: bad env binding 'bad' (expected name=element)\n"),
 ], ids=["bound-to-test", "bound-to-non-test", "parse-error-first",
-        "bad-binding-before-unbound"])
+        "bad-binding-before-unbound", "name-bound-twice",
+        "bad-binding-before-repeat"])
 def test_eval_names_tests_by_the_elements_they_denote(capsys, term, env, code,
                                                       out, err):
     assert run(capsys, "eval", "--builtin", "lemma4", "--term", term,
