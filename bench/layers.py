@@ -296,7 +296,7 @@ def _eval_cases(algebra, cli, terms) -> dict:
                 *(k for k, v in env.items() if v in tests),
                 *(t for t in tests if t not in env)})
             calls.append(functools.partial(algebra.evaluate, model, term,
-                                           terms.Env(elements=env)))
+                                           env))
             commands.append(functools.partial(run_cli, argv))
         cases[b] = model.size, calls, commands
     return cases

@@ -16,7 +16,6 @@ from .hoare import (Atom, Bindings, HoareTriple, If, PremiseError, Program,
                     parse_test_expr, synth_mid, vcgen, wlp)
 from .relations import Rel, StateSpace, rel_algebra_model
 from .search import find_models
-from .terms import (Env, Sort, Term, desugar, parse_term, print_term,
-                    sort_of)
+from .terms import Sort, Term, desugar, parse_term, print_term, sort_of
 
 __version__ = "0.1.0"

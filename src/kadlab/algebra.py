@@ -488,36 +488,28 @@ def _eval_idx(algebra: FiniteAlgebra, t: tm.Term, venv, tenv) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def evaluate(algebra: FiniteAlgebra, t: tm.Term, env: Optional[tm.Env] = None) -> str:
+def evaluate(algebra: FiniteAlgebra, t: tm.Term,
+             env: Optional[Mapping[str, str]] = None) -> str:
     """Evaluate a term to a carrier element name.
 
-    d, r and [x]y are evaluated as written, by their definitions.  Every
-    element binding must name a carrier element, and a variable with no
-    binding denotes the carrier element of its name, so terms may mention
-    model elements directly.  A test variable takes its test binding, else
-    its element binding; each test binding must name a test of the model,
-    the bindings of ``env.tests`` first and in their order, used or not,
-    then the element-bound test variables in sorted order.
+    ``env`` maps variable names to carrier element names; each binding must
+    name a carrier element, checked in mapping order, and a variable with
+    no binding denotes the carrier element of its name, so terms may
+    mention model elements directly.  Then each test variable's element
+    must be a test of the model, checked in sorted order.  d, r and [x]y
+    are evaluated as written, by their definitions.
     """
-    env = env or tm.Env()
     vvars, tvars = tm.variables(t)
-    venv = {k: algebra.index(v) for k, v in env.elements.items()}
+    venv = {k: algebra.index(v) for k, v in (env or {}).items()}
     for k in vvars | tvars:
         if k not in venv and k in algebra.carrier:
             venv[k] = algebra.index(k)
-    tests, tenv = algebra.tables.complement or {}, {}
-    for k in (*env.tests, *sorted(tvars)):
-        if k in env.tests:
-            i = algebra.index(env.tests[k])
-        elif k in venv:
-            i = venv[k]
-        else:
-            continue
-        if i not in tests:
+    tests = algebra.tables.complement or {}
+    for k in sorted(tvars & venv.keys()):
+        if venv[k] not in tests:
             raise EvalError(f"test variable {k!r} bound to non-test element "
-                            f"{algebra.element_name(i)!r}")
-        tenv[k] = i
-    return algebra.element_name(_eval_idx(algebra, t, venv, tenv))
+                            f"{algebra.element_name(venv[k])!r}")
+    return algebra.element_name(_eval_idx(algebra, t, venv, venv))
 
 
 # ---------------------------------------------------------------------------

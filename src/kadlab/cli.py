@@ -29,7 +29,7 @@ from .hoare import (PremiseError, parse_program, read_test, holds,
                     synth_mid, vcgen, HoareTriple, SYNTH_METHODS)
 from .relations import format_rel, rel_algebra_model
 from .search import CONSTRAINTS, SearchStats, find_models
-from .terms import Env, parse_term, print_term, sort_of, variables
+from .terms import is_identifier, parse_term, print_term, sort_of, variables
 
 BUILTIN_MODELS = {
     "lemma4": lemma4_model,
@@ -151,8 +151,8 @@ def _cmd_check_axioms(args):
 
 def _cmd_eval(args):
     algebra = _load_algebra(args)
-    items = [item.partition("=") for item in _split_bindings(args.env)]
-    elements = {key.strip(): value.strip() for key, eq, value in items if eq}
+    items = [(item, *item.partition("=")) for item in _split_bindings(args.env)]
+    elements = {key.strip(): value.strip() for _, key, eq, value in items if eq}
     # an identifier is a test iff the element it names is one; a malformed
     # binding is reported after the term's parse errors
     tests = algebra.tests or ()
@@ -160,17 +160,17 @@ def _cmd_eval(args):
         *(k for k, v in elements.items() if v in tests),
         *(t for t in tests if t not in elements)})
     bound = set()
-    for item, eq, _ in items:
-        if not eq:
+    for item, key, eq, _ in items:
+        if not (eq and is_identifier(key.strip())):
             raise ModelError(f"bad env binding {item!r} (expected name=element)")
-        if item.strip() in bound:
-            raise ModelError(f"duplicate env binding {item.strip()!r}")
-        bound.add(item.strip())
+        if key.strip() in bound:
+            raise ModelError(f"duplicate env binding {key.strip()!r}")
+        bound.add(key.strip())
     for name in sorted(variables(term)[0]):
         if name not in elements and name not in algebra.carrier:
             raise ModelError(f"unbound identifier {name!r}")
     sort_of(term)
-    result = evaluate(algebra, term, Env(elements=elements))
+    result = evaluate(algebra, term, elements)
     text = print_term(term)
     payload = {"command": "eval", "model": algebra.name, "term": text,
                "result": result}
@@ -385,9 +385,9 @@ def _build_parser():
     _add_model_source(sub)
     sub.add_argument("--term", required=True)
     sub.add_argument("--env", default="",
-                     help="comma separated name=element bindings, a "
-                          "name at most once (commas inside braces or "
-                          "parentheses do not separate)")
+                     help="comma separated name=element bindings, an "
+                          "identifier at most once (commas inside braces "
+                          "or parentheses do not separate)")
     sub.set_defaults(handler=_cmd_eval)
 
     sub = command("check-phi", "check the mid-assertion sentence")

@@ -275,7 +275,10 @@ def load_program_file(text: str, name: str = "program") -> ProgramFile:
         if line.startswith("states:"):
             if space is not None:
                 raise fault("duplicate states line")
-            space = StateSpace(line.partition(":")[2].split())
+            try:
+                space = StateSpace(line.partition(":")[2].split())
+            except ModelError as e:
+                raise fault(str(e)) from None
         elif key in ("rel", "test"):
             decl_name, eq, literal = "".join(rest).partition("=")
             decl_name = decl_name.strip()

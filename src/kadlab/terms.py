@@ -22,15 +22,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import ParseError, SortError
 
 __all__ = [
     "Term", "Zero", "One", "Var", "TestVar", "Plus", "Times", "Star", "Not",
     "ADom", "Dom", "ARan", "Ran", "Box", "ZERO", "ONE",
-    "Sort", "Env", "sort_of", "desugar", "parse_term", "print_term",
-    "variables", "DEFAULT_TEST_INITIALS", "MAX_DEPTH",
+    "Sort", "sort_of", "desugar", "parse_term", "print_term",
+    "variables", "is_identifier", "DEFAULT_TEST_INITIALS", "MAX_DEPTH",
 ]
 
 
@@ -116,23 +116,6 @@ ONE = One()
 class Sort(Enum):
     ELEMENT = "element"
     TEST = "test"
-
-
-@dataclass(frozen=True)
-class Env:
-    """Bindings from variable names to model element names.
-
-    ``elements`` binds plain variables, ``tests`` binds test variables.
-    Whether a bound value really is a test of the target model is checked
-    by the model at evaluation time.
-    """
-
-    elements: Mapping[str, str] = None
-    tests: Mapping[str, str] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", dict(self.elements or {}))
-        object.__setattr__(self, "tests", dict(self.tests or {}))
 
 
 # the named operators, as the parser reads them and the printer writes them
@@ -289,6 +272,12 @@ MAX_DEPTH = 100
 # when no explicit test-name set is supplied (the conventional letters for
 # boolean elements); an explicit set always wins.
 DEFAULT_TEST_INITIALS = "pqrst"
+
+
+def is_identifier(name: str) -> bool:
+    """Whether ``name`` is one identifier token, a name a term can hold."""
+    m = _TOKEN_RE.fullmatch(name)
+    return m is not None and m.lastgroup == "ident"
 
 
 def _tokenize(text: str):

@@ -16,7 +16,7 @@ from kadlab.errors import EvalError, KadlabError, MissingTableError, ModelError
 from kadlab.files import load_model
 from kadlab.relations import rel_algebra_model
 from kadlab.search import find_models
-from kadlab.terms import Env, desugar, parse_term
+from kadlab.terms import desugar, parse_term
 from test_files import _BASES
 
 
@@ -45,7 +45,7 @@ def test_lemma4_eval_examples():
 def test_eval_unit_law_everywhere():
     for m in (lemma4_model(), bool2_model(), near_as_model()):
         for e in m.carrier:
-            env = Env(elements={"x": e})
+            env = {"x": e}
             assert evaluate(m, parse_term("1 ; x"), env) == e
 
 
@@ -312,9 +312,12 @@ def test_eval_errors():
     with pytest.raises(EvalError):
         evaluate(m, parse_term("x ; y"))  # unbound
     with pytest.raises(EvalError):
-        evaluate(m, parse_term("!q"), Env(tests={"q": "a"}))  # not a test
+        evaluate(m, parse_term("!q"), {"q": "a"})  # not a test
     with pytest.raises(MissingTableError):
-        evaluate(m, parse_term("a(x)"), Env(elements={"x": "a"}))
+        evaluate(m, parse_term("a(x)"), {"x": "a"})
+    with pytest.raises(EvalError,
+                       match="^complement of non-test element 'a'$"):
+        evaluate(m, parse_term("!x", tests=()), {"x": "a"})  # not sorted
     with pytest.raises(EvalError) as info:
         evaluate(m, parse_term("p"))  # a test variable bound nowhere
     assert (type(info.value), str(info.value)) == (
@@ -329,25 +332,18 @@ def _named_bool2():
 
 def test_eval_binds_test_variables():
     m = lemma4_model()
-    # through a test binding, an element binding, or the element's name
-    assert evaluate(m, parse_term("!p"), Env(tests={"p": "1"})) == "0"
-    assert evaluate(m, parse_term("!p"), Env(elements={"p": "0"})) == "1"
+    # through a binding or the element's name
+    assert evaluate(m, parse_term("!p"), {"p": "1"}) == "0"
+    assert evaluate(m, parse_term("!p"), {"p": "0"}) == "1"
     assert evaluate(_named_bool2(), parse_term("!t ; x", tests={"t"}),
-                    Env(elements={"x": "t"})) == "f"
-    # a test binding wins over an element binding, which need not be a test
-    env = Env(elements={"p": "a"}, tests={"p": "1"})
-    assert evaluate(m, parse_term("!p ; a + p"), env) == "1"
-    assert evaluate(m, parse_term("p + 0", tests=()), env) == "a"
+                    {"x": "t"}) == "f"
 
 
 @pytest.mark.parametrize("term,env,name,element", [
-    ("!q", Env(tests={"q": "a"}), "q", "a"),
-    ("!q", Env(elements={"q": "a"}), "q", "a"),
-    ("1", Env(tests={"r": "a"}), "r", "a"),  # unused, still checked
-    ("p ; q", Env(tests={"q": "1", "p": "a"}), "p", "a"),
-    ("p ; q", Env(elements={"q": "a"}, tests={"p": "0"}), "q", "a"),
-], ids=["test-binding", "element-binding", "unused", "second-entry",
-        "element-after-test"])
+    ("!q", {"q": "a"}, "q", "a"),
+    ("p ; q", {"q": "1", "p": "a"}, "p", "a"),
+    ("p ; q", {"q": "a", "p": "0"}, "q", "a"),
+], ids=["element-binding", "second-entry", "element-after-test"])
 def test_eval_refuses_a_non_test_for_a_test_variable(term, env, name,
                                                      element):
     with pytest.raises(EvalError) as info:
@@ -368,11 +364,11 @@ def test_eval_checks_element_bound_test_variables_in_sorted_order():
     src = str(Path(kadlab.__file__).resolve().parents[1])
     script = ("from kadlab.algebra import evaluate, lemma4_model\n"
               "from kadlab.errors import EvalError\n"
-              "from kadlab.terms import Env, parse_term\n"
+              "from kadlab.terms import parse_term\n"
               "term = parse_term('p + q + r + s', tests='pqrs')\n"
               "try:\n"
               "    evaluate(lemma4_model(), term,\n"
-              "             Env(elements=dict.fromkeys('pqrs', 'a')))\n"
+              "             dict.fromkeys('pqrs', 'a'))\n"
               "except EvalError as e:\n"
               "    print(e)\n")
     for seed in ("1", "2"):
@@ -389,18 +385,17 @@ def test_eval_checks_element_bound_test_variables_in_sorted_order():
 def test_eval_expands_sugar_where_it_meets_it(text):
     m, t = rel_algebra_model(2), parse_term(text)
     for x, y in product(m.carrier, repeat=2):
-        env = Env(elements={"x": x, "y": y})
+        env = {"x": x, "y": y}
         assert evaluate(m, t, env) == evaluate(m, desugar(t), env)
 
 
 @pytest.mark.parametrize("env,error", [
-    # element bindings are read before test bindings, test bindings in order
-    (Env(elements={"x": "b"}, tests={"p": "a"}), ModelError),
-    (Env(elements={"p": "a"}, tests={"q": "b"}), ModelError),
-    (Env(tests={"p": "a", "q": "b"}), EvalError),
-    (Env(tests={"q": "b", "p": "a"}), ModelError),
+    # every binding names a carrier element before any test is checked
+    ({"x": "b", "p": "a"}, ModelError),
+    ({"p": "a", "q": "b"}, ModelError),
+    ({"q": "b", "p": "a"}, ModelError),
 ], ids=["element-then-test", "element-bound-test-then-unknown",
-        "non-test-then-unknown", "unknown-then-non-test"])
+        "unknown-then-non-test"])
 def test_eval_reports_the_first_bad_binding(env, error):
     with pytest.raises(KadlabError) as info:
         evaluate(lemma4_model(), parse_term("!p ; x"), env)

@@ -85,11 +85,22 @@ def test_eval_binds_relation_literals_with_several_pairs(capsys):
     assert out.strip().endswith("= {(1,2),(2,1)}")
 
 
-@pytest.mark.parametrize("env", ["x=", "x", "x={(1,2)"])
+_BAD_BINDINGS = {
+    "x=": "unknown carrier element ''",
+    "x": "bad env binding 'x' (expected name=element)",
+    "x={(1,2)": "unknown carrier element '{(1,2)'",
+    # a name that no term can hold: not one identifier token
+    "=a": "bad env binding '=a' (expected name=element)",
+    "1=a": "bad env binding '1=a' (expected name=element)",
+    "x y=a": "bad env binding 'x y=a' (expected name=element)",
+}
+
+
+@pytest.mark.parametrize("env", list(_BAD_BINDINGS))
 def test_eval_rejects_bad_bindings(capsys, env):
-    code, _, err = run(capsys, "eval", "--builtin", "rel2",
-                       "--term", "x ; x", "--env", env)
-    assert code == 2 and err.startswith("error:")
+    code, out, err = run(capsys, "eval", "--builtin", "rel2",
+                         "--term", "x ; x", "--env", env)
+    assert (code, out, err) == (2, "", f"error: {_BAD_BINDINGS[env]}\n")
 
 
 def test_eval_classifies_tests_from_model(capsys):
@@ -325,6 +336,16 @@ def test_program_file_with_a_second_states_line_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "vcgen", "--program", str(path))
     assert (code, out, err) == (
         2, "", f"error: seq.kat:{line}: duplicate states line\n")
+
+
+@pytest.mark.parametrize("states,message", [
+    ("1 1", "duplicate state names"), ("", "state space must be nonempty")])
+def test_program_file_with_a_bad_states_line_exits_2(capsys, tmp_path,
+                                                     states, message):
+    path = tmp_path / "f.prog"
+    path.write_text(f"states: {states}\n")
+    code, out, err = run(capsys, "vcgen", "--program", str(path))
+    assert (code, out, err) == (2, "", f"error: f.prog:1: {message}\n")
 
 
 def test_pre_argument_parse_errors_keep_their_column(capsys, progfile):

@@ -435,8 +435,11 @@ def test_program_file_errors():
      "f:2: test 'p' is not a subidentity"),
     ("states: 1\nrel x = id\nrel x = id\nrel y = {(1,2)}\n",
      "f:3: duplicate rel 'x'"),
+    ("states: 1 1\nrel x = id\nrel x = id\n", "f:1: duplicate state names"),
+    ("states:\nfrob: 1\n", "f:1: state space must be nonempty"),
 ], ids=["rel-then-directive", "test-then-rel", "rel-then-test",
-        "non-test-then-rel", "rel-then-literal"])
+        "non-test-then-rel", "rel-then-literal", "states-then-rel",
+        "empty-states-then-directive"])
 def test_program_file_faults_are_reported_in_reading_order(text, message):
     with pytest.raises(ParseError) as info:
         load_program_file(text, name="f")

@@ -14,8 +14,8 @@ from kadlab.hoare import (Atom, Bindings, HoareTriple, If, PremiseError, Seq,
                           parse_program, parse_test_expr, synth_mid, vcgen,
                           wlp)
 from kadlab.relations import Rel, StateSpace, rel_algebra_model
-from kadlab.terms import (MAX_DEPTH, ONE, ZERO, Not, Plus, Times, desugar,
-                          parse_term)
+from kadlab.terms import (MAX_DEPTH, ONE, ZERO, Not, Plus, Times, Var,
+                          desugar, parse_term)
 from kadlab.terms import TestVar as TV
 
 from naive_oracle import naive_check_axioms, naive_triple_holds
@@ -121,6 +121,13 @@ def test_unbound_names_raise_model_error():
         denote(Atom("nosuch"), b)
     with pytest.raises(ModelError):
         eval_test(TV("nosuch"), b)
+
+
+
+def test_complement_of_an_atom_raises_model_error():
+    with pytest.raises(ModelError, match=r"^complement of non-test element "
+                       r"'\{\(1,2\)\}'$"):
+        eval_test(Not(Var("x")), b2())
 
 
 @pytest.mark.parametrize("atoms,tests,message", [

@@ -1,20 +1,23 @@
-"""Golden outputs of the README's Command line block.
+"""Golden outputs of the README's Command line block, and its Library
+block run.
 
-Every command of that block runs in text and in structured form, on the
-model file and program file written below, and its exit code and the
-exact bytes of stdout and stderr are compared with ``readme_golden.json``.
-A change to any report shows up here as a diff.  After a change that is
-meant to alter a report, rewrite the pins with
+Every command of the Command line block runs in text and in structured
+form, on the model file and program file written below, and its exit code
+and the exact bytes of stdout and stderr are compared with
+``readme_golden.json``.  A change to any report shows up here as a diff.
+After a change that is meant to alter a report, rewrite the pins with
 
     PYTHONPATH=src python3 tests/test_readme_golden.py
 
 and review the diff of the JSON file.
 """
 
+import ast
 import io
 import json
 import os
 import tempfile
+import tokenize
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -23,6 +26,7 @@ import pytest
 from kadlab.cli import _build_parser, main
 
 GOLDEN = Path(__file__).with_name("readme_golden.json")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # 0 < 1 < T, T ; T = T: a model of kad whose unit is not the additive top
 MODEL_TEXT = """\
@@ -133,6 +137,29 @@ def test_structured_payloads_have_only_str_keys(tmp_path, monkeypatch):
         keys.update(_keys(args.handler(args)[2]))
     assert {type(k) for k in keys} == {str}
     assert "assignment" in keys
+
+
+def test_readme_library_block_runs():
+    # each statement runs in order; one whose last line ends in a comment
+    # that is a Python literal is an expression that must equal it
+    library = README.read_text().split("## Library", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {tok.start[0]: tok.string.lstrip("#")
+                for tok in tokenize.generate_tokens(io.StringIO(code).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace, checked = {}, 0
+    for node in ast.parse(code).body:
+        try:
+            expected = ast.literal_eval(comments[node.end_lineno].strip())
+        except (KeyError, SyntaxError, ValueError):
+            exec(compile(ast.Module([node], []), "README.md", "exec"),
+                 namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                     namespace)
+        assert value == expected, ast.unparse(node)
+        checked += 1
+    assert checked == 4
 
 
 if __name__ == "__main__":

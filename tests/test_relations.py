@@ -13,7 +13,7 @@ from kadlab.evsets import parse_evset
 from kadlab.hoare import Atom, Bindings, HoareTriple, holds
 from kadlab.relations import (Rel, StateSpace, _edges, _rows, all_relations,
                               format_rel, parse_rel_literal, rel_algebra_model)
-from kadlab.terms import (ADom, ARan, Box, Dom, Env, Not, ONE, Plus, Star,
+from kadlab.terms import (ADom, ARan, Box, Dom, Not, ONE, Plus, Star,
                           Times, Var, ZERO, desugar, parse_term)
 from kadlab.terms import TestVar as TV  # alias keeps pytest collection quiet
 from naive_oracle import (naive_parse_rel_literal, naive_star,
@@ -586,7 +586,7 @@ def test_lazy_algebra_size_3(rel3):
 
 
 def test_evaluate_in_rel3(rel3):
-    env = Env(elements={"x": "{(1,2),(2,3)}"})
+    env = {"x": "{(1,2),(2,3)}"}
     assert evaluate(rel3, parse_term("x ; x*", tests=()), env) == \
         "{(1,2),(1,3),(2,3)}"
 
