@@ -102,6 +102,18 @@ The evsets layer (workload ``nonexpressivity``) times
 ``union``, ``intersect``, ``difference`` and ``leq`` on 64 seeded pairs of
 sets with thresholds up to 8 and periods up to 12 (size 12).
 
+The start-up layers (workload ``cli``) run fresh interpreters,
+``FRESH_RUNS`` of each after one untimed, with ``--src`` on their path:
+layer ``import_cli`` times ``import kadlab.cli`` inside the interpreter,
+probed before and after as perfbench's ``setup_s`` is (its snippet, with
+no builtins built), and layer ``cli_wall`` the wall time of one ``python
+-m kadlab.cli`` process per command of the README's Command line block,
+in text form, in a directory holding the files those commands read (both
+as ``tests/test_readme_golden.py`` has them); its records name the
+command.  Under ``--against`` the two trees' processes run in turn, the
+first of each pair taking turns, and the ratio is taken over the
+rescaled runs.
+
 Each record holds workload, layer, size, instances (operations per run),
 seconds (median per run), seconds_q1 and seconds_q3 (the quartiles of the
 runs), runs (their number), rate (instances / seconds), the Python
@@ -109,9 +121,10 @@ version, and the commit and a hash of the ``kadlab`` sources it timed.
 Just before each timed run the median of nine speed probes
 (``perfbench/speed.py``) is taken, and the run is rescaled by it to the
 probe's reference speed.  ``probe_s`` is the median of those probes and
-``seconds_ref`` the median of the rescaled runs, so that host drift
-between two files, and within one layer's runs, can be told from a change
-to the layer.
+``seconds_ref`` the median of the rescaled runs (``seconds_ref_q1`` and
+``seconds_ref_q3`` their quartiles), so that host drift between two
+files, and within one layer's runs, can be told from a change to the
+layer.
 """
 
 from __future__ import annotations
@@ -124,6 +137,7 @@ import importlib.util
 import json
 import math
 import operator
+import os
 import platform
 import random
 import statistics
@@ -173,6 +187,8 @@ SEARCH_RUN_S = 0.005
 # many as take SLOW_RUNS_S by the untimed pass
 SLOW_RUNS = 15
 SLOW_RUNS_S = 1.0
+# timed fresh interpreters per tree of each start-up layer
+FRESH_RUNS = 11
 # the search workload's profiles with + idempotent, and those with tests
 IDEMPOTENT = ("dioid", "kleene", "ts", "kat", "as", "kad", "ars", "kadr")
 PHI_CAPABLE = ("ts", "kat", "as", "kad", "kadr")
@@ -457,6 +473,67 @@ def _evset_cases(evsets) -> dict:
     return cases
 
 
+def _fresh_env(src: Path) -> dict:
+    """The environment of a fresh interpreter that imports from ``src``
+    (and the speed probes from ``perfbench``)."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(ROOT / "perfbench")]))
+
+
+def _import_cli(src: Path) -> tuple[float, float]:
+    """The seconds a fresh interpreter takes to import ``kadlab.cli`` from
+    ``src``, and the mean of the probes it takes before and after."""
+    from run import SETUP_SNIPPET
+    out = subprocess.run(
+        [sys.executable, "-c", SETUP_SNIPPET.format(builtins=())],
+        env=_fresh_env(src), capture_output=True, text=True, timeout=60,
+        check=True)
+    elapsed, before, after = map(float, out.stdout.split())
+    return elapsed, (before + after) / 2
+
+
+def _cli_wall(src: Path, argv, cwd) -> tuple[float, float]:
+    """The wall seconds of one fresh ``python -m kadlab.cli`` process, and
+    the probe taken just before it."""
+    speed = _probe()
+    t0 = time.perf_counter()
+    # no timeout: waiting with one polls the child in steps of up to 50 ms
+    subprocess.run([sys.executable, "-m", "kadlab.cli", *argv],
+                   env=_fresh_env(src), cwd=cwd, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL)
+    return time.perf_counter() - t0, speed
+
+
+def _fresh(measure, srcs) -> list:
+    """Per tree of ``srcs``, the (seconds, probes) of ``FRESH_RUNS`` calls
+    ``measure(src)`` after an untimed one, the trees in turn, the first of
+    each round taking turns."""
+    for src in srcs:
+        measure(src)
+    runs = [([], []) for _ in srcs]
+    for k in range(FRESH_RUNS):
+        for i in range(len(srcs))[::1 if k % 2 == 0 else -1]:
+            seconds, speed = measure(srcs[i])
+            runs[i][0].append(seconds)
+            runs[i][1].append(speed)
+    return runs
+
+
+def _startup_cases(cwd: Path) -> dict:
+    """Per start-up layer and README command (None for ``import_cli``), the
+    measure that ``_fresh`` calls with a tree; the commands run in ``cwd``,
+    where their files are written."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    import test_readme_golden as golden
+    golden._write_files(cwd)
+    cases = {("import_cli", None): _import_cli}
+    for name, argv in golden.COMMANDS.items():
+        cases["cli_wall", name] = functools.partial(
+            _cli_wall, argv=argv.split() if isinstance(argv, str) else argv,
+            cwd=cwd)
+    return cases
+
+
 def _probe() -> float:
     """The median of nine speed probes."""
     return sorted(probe() for _ in range(9))[4]
@@ -531,7 +608,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--against", type=Path, default=None,
                         help="another tree's kadlab directory to pair the "
-                        "single-call search layers with")
+                        "single-call search layers and the start-up layers "
+                        "with")
     parser.add_argument("--out", type=Path, default=ROOT / "bench")
     args = parser.parse_args(argv)
 
@@ -558,29 +636,45 @@ def main(argv=None) -> int:
                             f"in {other}; no layer was timed\n")
     records = []
 
-    def record(workload, layer, size, per_loop, calls, loops, against=None,
-               **extra):
-        """Time ``loops`` passes over the calls per run, ``per_loop``
-        instances each (see ``_time`` for ``loops`` None and ``against``)."""
-        runs, probes, loops, other_runs = _time(calls, loops, against)
-        if other_runs:
-            q1, median, q3 = statistics.quantiles(other_runs, n=4)
-            extra.update(seconds_runs=runs, ratio=statistics.median(
-                map(operator.truediv, runs, other_runs)), against={
-                    **other_tree, "seconds": median, "seconds_q1": q1,
-                    "seconds_q3": q3, "seconds_runs": other_runs})
-        instances = loops * per_loop
+    def store(workload, layer, size, instances, runs, probes,
+              other_runs=None, other_probes=None, **extra):
+        """Record the runs of ``instances`` instances each; the other
+        tree's runs, paired with them, give the ratio, over the rescaled
+        runs when the other tree's probes are given."""
         q1, seconds, q3 = statistics.quantiles(runs, n=4)
         rescaled = list(map(rescale, runs, probes))
+        ref_q1, ref, ref_q3 = statistics.quantiles(rescaled, n=4)
+        if other_runs:
+            q1_, median, q3_ = statistics.quantiles(other_runs, n=4)
+            against = {**other_tree, "seconds": median, "seconds_q1": q1_,
+                       "seconds_q3": q3_, "seconds_runs": other_runs}
+            mine, theirs = runs, other_runs
+            if other_probes:
+                mine, theirs = rescaled, list(map(rescale, other_runs,
+                                                  other_probes))
+                (against["seconds_ref_q1"], against["seconds_ref"],
+                 against["seconds_ref_q3"]) = statistics.quantiles(theirs,
+                                                                   n=4)
+            extra.update(seconds_runs=runs, ratio=statistics.median(
+                map(operator.truediv, mine, theirs)), against=against)
         records.append({"workload": workload, **common, "layer": layer,
                         "size": size, "instances": instances,
                         "seconds": seconds, "seconds_q1": q1,
                         "seconds_q3": q3, "runs": len(runs),
                         "rate": instances / seconds,
                         "probe_s": statistics.median(probes),
-                        "seconds_ref": statistics.median(rescaled), **extra})
+                        "seconds_ref": ref, "seconds_ref_q1": ref_q1,
+                        "seconds_ref_q3": ref_q3, **extra})
         print(f"{layer:30} n={size:<4} {seconds / instances * 1e6:12.3f} us/op"
               + (f"  {extra['ratio']:.3f}x against" if other_runs else ""))
+
+    def record(workload, layer, size, per_loop, calls, loops, against=None,
+               **extra):
+        """Time ``loops`` passes over the calls per run, ``per_loop``
+        instances each (see ``_time`` for ``loops`` None and ``against``)."""
+        runs, probes, loops, other_runs = _time(calls, loops, against)
+        store(workload, layer, size, loops * per_loop, runs, probes,
+              other_runs, **extra)
 
     for n in SIZES:
         cases = _cases(relations, n, random.Random(f"layers:{n}"))
@@ -614,6 +708,13 @@ def main(argv=None) -> int:
                other and [other[0]], stats=stats)
     for layer, (size, loops, calls) in _evset_cases(evsets).items():
         record("nonexpressivity", layer, size, len(calls), calls, loops)
+    trees = [src] if args.against is None else [src, args.against.resolve()]
+    with tempfile.TemporaryDirectory() as tmp:
+        for (layer, command), measure in _startup_cases(Path(tmp)).items():
+            (runs, probes), *other = _fresh(measure, trees)
+            store("cli", layer, 1, 1, runs, probes,
+                  *(other[0] if other else ()),
+                  **({"command": command} if command else {}))
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {out}")

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, permutations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import terms as tm
 from .errors import EvalError, MissingTableError, ModelError
+from .records import Frozen, Record
 
 __all__ = [
     "Profile", "FiniteAlgebra", "CheckReport", "Violation", "PhiResult",
@@ -73,28 +73,32 @@ class Profile(str, Enum):
 # p, q, r, s, t (tests); test variables range over the declared test subset
 # only.
 
-@dataclass(frozen=True)
-class Equation:
-    name: str
-    lhs: tm.Term
-    rhs: tm.Term
+class Equation(Frozen):
+    __match_args__ = ("name", "lhs", "rhs")
+
+    def __init__(self, name: str, lhs: tm.Term, rhs: tm.Term):
+        self.__dict__.update(name=name, lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class Quasi:
+class Quasi(Frozen):
     """Implication between inequalities; s <= t is encoded as s + t = t."""
 
-    name: str
-    premises: tuple[tuple[tm.Term, tm.Term], ...]
-    conclusion: tuple[tm.Term, tm.Term]
+    __match_args__ = ("name", "premises", "conclusion")
+
+    def __init__(self, name: str,
+                 premises: tuple[tuple[tm.Term, tm.Term], ...],
+                 conclusion: tuple[tm.Term, tm.Term]):
+        self.__dict__.update(
+            name=name, premises=premises, conclusion=conclusion)
 
 
-@dataclass(frozen=True)
-class ClosureLaw:
+class ClosureLaw(Frozen):
     """The term's value must land in the test subset."""
 
-    name: str
-    term: tm.Term
+    __match_args__ = ("name", "term")
+
+    def __init__(self, name: str, term: tm.Term):
+        self.__dict__.update(name=name, term=term)
 
 
 def _ax(text: str) -> tm.Term:
@@ -460,7 +464,18 @@ class FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _eval_idx(algebra: FiniteAlgebra, t: tm.Term, venv, tenv) -> int:
+def _operations(algebra) -> dict:
+    """Each operator's operation on the algebra (``_APPLY``), bound once,
+    so that evaluation looks it up by the node's type."""
+    return {op: getattr(algebra, name) for op, name in _APPLY.items()}
+
+
+def _eval_idx(algebra: FiniteAlgebra, t: tm.Term, venv, tenv,
+              ops=None) -> int:
+    """The index of the term's value, the variables bound to indices by
+    ``venv`` and ``tenv``; ``ops`` is ``_operations(algebra)``, resolved
+    here when it is not given."""
+    ops = ops or _operations(algebra)
     match t:
         case tm.Zero():
             return algebra.zero_i
@@ -477,14 +492,12 @@ def _eval_idx(algebra: FiniteAlgebra, t: tm.Term, venv, tenv) -> int:
             except KeyError:
                 raise EvalError(f"unbound test variable {name!r}") from None
         case tm.Plus(l, r) | tm.Times(l, r):
-            return getattr(algebra, _APPLY[type(t)])(
-                _eval_idx(algebra, l, venv, tenv),
-                _eval_idx(algebra, r, venv, tenv))
+            return ops[type(t)](_eval_idx(algebra, l, venv, tenv, ops),
+                                _eval_idx(algebra, r, venv, tenv, ops))
         case tm.Star(a) | tm.Not(a) | tm.ADom(a) | tm.ARan(a):
-            return getattr(algebra, _APPLY[type(t)])(
-                _eval_idx(algebra, a, venv, tenv))
+            return ops[type(t)](_eval_idx(algebra, a, venv, tenv, ops))
         case tm.Dom(_) | tm.Ran(_) | tm.Box(_, _):
-            return _eval_idx(algebra, tm.desugar(t), venv, tenv)
+            return _eval_idx(algebra, tm.desugar(t), venv, tenv, ops)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -515,26 +528,34 @@ def evaluate(algebra: FiniteAlgebra, t: tm.Term,
 # ---------------------------------------------------------------------------
 # axiom checking
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    assignment: tuple[tuple[str, str], ...]
-    lhs: str
-    rhs: str
+class Violation(Frozen):
+    __match_args__ = ("axiom", "assignment", "lhs", "rhs")
+
+    def __init__(self, axiom: str, assignment: tuple[tuple[str, str], ...],
+                 lhs: str, rhs: str):
+        self.__dict__.update(
+            axiom=axiom, assignment=assignment, lhs=lhs, rhs=rhs)
 
     def __str__(self):
         binds = " ".join(f"{k}={v}" for k, v in self.assignment)
         return f"{self.axiom} at [{binds}]: {self.lhs} != {self.rhs}"
 
 
-@dataclass
-class CheckReport:
-    profile: Profile
-    violations: list[Violation] = field(default_factory=list)
-    axiom_count: int = 0
-    instance_count: int = 0
-    # (law name, instances checked) in check order; sums to instance_count
-    law_instances: list[tuple[str, int]] = field(default_factory=list)
+class CheckReport(Record):
+    __match_args__ = ("profile", "violations", "axiom_count",
+                      "instance_count", "law_instances")
+
+    def __init__(self, profile: Profile,
+                 violations: Optional[list[Violation]] = None,
+                 axiom_count: int = 0, instance_count: int = 0,
+                 law_instances: Optional[list[tuple[str, int]]] = None):
+        self.profile = profile
+        self.violations = [] if violations is None else violations
+        self.axiom_count = axiom_count
+        self.instance_count = instance_count
+        # (law name, instances checked) in check order; sums to
+        # instance_count
+        self.law_instances = [] if law_instances is None else law_instances
 
     @property
     def passed(self) -> bool:
@@ -850,12 +871,15 @@ def _check_laws(algebra, profile, compiled) -> CheckReport:
 # ---------------------------------------------------------------------------
 # the mid-assertion sentence
 
-@dataclass(frozen=True)
-class PhiResult:
-    holds: bool
-    witness: Optional[tuple[str, str, str, str]] = None
-    # (x, y, p, q) instantiations scanned, the witness included
-    instantiations: int = 0
+class PhiResult(Frozen):
+    __match_args__ = ("holds", "witness", "instantiations")
+
+    def __init__(self, holds: bool,
+                 witness: Optional[tuple[str, str, str, str]] = None,
+                 instantiations: int = 0):
+        # instantiations: the (x, y, p, q) scanned, the witness included
+        self.__dict__.update(
+            holds=holds, witness=witness, instantiations=instantiations)
 
 
 def check_phi(algebra: FiniteAlgebra) -> PhiResult:

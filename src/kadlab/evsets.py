@@ -24,19 +24,28 @@ fresh element while staying disjoint.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import chain, islice
 from math import lcm
 from operator import and_, or_, xor
 from typing import Iterator, Optional
 
-from .errors import ModelError, ParseError
+from .errors import BoundError, ModelError, ParseError
+from .records import Frozen
 
 __all__ = [
     "EvPeriodicSet", "empty_set", "full_set", "evens", "odds",
     "finite_set", "cofinite_set", "in_test_algebra",
     "NotAPrecondition", "NotMaximal", "refute_wlp_candidate",
     "verify_refutation", "enumerate_candidates", "parse_evset", "format_evset",
+    "MAX_BITS",
 ]
+
+
+# the widest bit pattern that a set's threshold or period, or the candidates
+# of ``enumerate_candidates``, may ask for: 16 KiB, which holds
+# ``finite{100000}`` and keeps the longest candidate list (65,536, of the
+# evens) under a minute and 60 MB
+MAX_BITS = 1 << 17
 
 
 def _mask(width: int) -> int:
@@ -90,20 +99,20 @@ def _canonical(n: int, head: int, p: int, res: int, s=None) -> "EvPeriodicSet":
     return s
 
 
-@dataclass(frozen=True, init=False)
-class EvPeriodicSet:
+class EvPeriodicSet(Frozen):
     """From iterables of naturals: members below the threshold, tail residues."""
 
-    threshold: int
-    _head: int
-    period: int
-    _res: int
+    __match_args__ = ("threshold", "_head", "period", "_res")
 
     def __init__(self, threshold: int, head, period: int, residues):
         if threshold < 0:
             raise ModelError("threshold must be nonnegative")
         if period < 1:
             raise ModelError("period must be positive")
+        for what, width in ("threshold", threshold), ("period", period):
+            if width > MAX_BITS:
+                raise BoundError(f"{what} {width} is above MAX_BITS = "
+                                 f"{MAX_BITS}, the bound on a bit pattern")
         h = _bits(head, threshold, "head elements must lie below the threshold")
         r = _bits(residues, period, "residues must lie below the period")
         _canonical(threshold, h, period, r, self)
@@ -220,19 +229,24 @@ def in_test_algebra(s: EvPeriodicSet) -> bool:
 # ---------------------------------------------------------------------------
 # refuting proposed weakest liberal preconditions
 
-@dataclass(frozen=True)
-class NotAPrecondition:
+class NotAPrecondition(Frozen):
     """The candidate meets the target set, so {r} C {0} already fails."""
 
-    witness: int
+    __match_args__ = ("witness",)
+
+    def __init__(self, witness: int):
+        self.__dict__["witness"] = witness
 
 
-@dataclass(frozen=True)
-class NotMaximal:
+class NotMaximal(Frozen):
     """The candidate misses an element it could safely include."""
 
-    missing: int
-    extension: EvPeriodicSet
+    __match_args__ = ("missing", "extension")
+
+    def __init__(self, missing: int, extension: EvPeriodicSet):
+        d = self.__dict__
+        d["missing"] = missing
+        d["extension"] = extension
 
 
 def refute_wlp_candidate(target: EvPeriodicSet, candidate: EvPeriodicSet):
@@ -283,8 +297,13 @@ def enumerate_candidates(target: EvPeriodicSet, count: int) -> Iterator[EvPeriod
     if count < 0:
         raise ModelError("candidate count must be nonnegative")
     universe = max(64, target.threshold + count * target.period)
+    if universe > MAX_BITS:
+        raise BoundError(f"{count} candidates need a {universe}-bit pattern, "
+                         f"above MAX_BITS = {MAX_BITS}, the bound on a bit "
+                         "pattern")
     free = _members(~target._prefix(universe) & _mask(universe))
-    for head in [0, *map((1).__lshift__, free[:count])][:count]:
+    # one at a time: together the singletons take count² / 2 bits or more
+    for head in islice(chain((0,), map((1).__lshift__, free)), count):
         yield _canonical(head.bit_length(), head, 1, 0)
 
 

@@ -44,7 +44,6 @@ the same errors.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress, product, repeat
 from math import isqrt
 from operator import not_
@@ -53,6 +52,7 @@ from typing import Optional
 from .algebra import FiniteAlgebra
 from .errors import ModelError, ParseError
 from .hoare import Bindings, Program, parse_program, read_test
+from .records import Frozen
 from .relations import Rel, StateSpace, parse_rel_literal
 
 __all__ = ["load_model", "dump_model", "ProgramFile", "load_program_file"]
@@ -242,12 +242,13 @@ def dump_model(algebra: FiniteAlgebra) -> str:
 # ---------------------------------------------------------------------------
 # program files
 
-@dataclass(frozen=True)
-class ProgramFile:
-    bindings: Bindings
-    program: Optional[Program]
-    pre: Optional[Rel]
-    post: Optional[Rel]
+class ProgramFile(Frozen):
+    __match_args__ = ("bindings", "program", "pre", "post")
+
+    def __init__(self, bindings: Bindings, program: Optional[Program],
+                 pre: Optional[Rel], post: Optional[Rel]):
+        self.__dict__.update(
+            bindings=bindings, program=program, pre=pre, post=post)
 
 
 def load_program_file(text: str, name: str = "program") -> ProgramFile:

@@ -26,12 +26,12 @@ for it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import terms as tm
-from .algebra import _eval_idx
+from .algebra import _eval_idx, _operations
 from .errors import EvalError, KadlabError, ModelError, ParseError, SortError
+from .records import Frozen
 from .relations import Rel, StateSpace
 
 __all__ = [
@@ -49,29 +49,33 @@ class PremiseError(KadlabError):
 # ---------------------------------------------------------------------------
 # programs
 
-class Program:
+class Program(Frozen):
     pass
 
 
-@dataclass(frozen=True)
 class Skip(Program):
     pass
 
 
-@dataclass(frozen=True)
 class Atom(Program):
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Program):
     """``first ; second``.  Parsed programs are left-deep chains of any
     length, so equality, hashing and repr walk the statements with
     ``_spine`` instead of recursing.  Like the encoding, they ignore the
     grouping: two chains of the same statements are equal."""
 
-    first: Program
-    second: Program
+    __match_args__ = ("first", "second")
+
+    def __init__(self, first: Program, second: Program):
+        d = self.__dict__
+        d["first"] = first
+        d["second"] = second
 
     def __eq__(self, other):
         if not isinstance(other, Seq):
@@ -85,52 +89,51 @@ class Seq(Program):
         return f"Seq({', '.join(map(repr, _spine(self)))})"
 
 
-@dataclass(frozen=True)
 class If(Program):
-    guard: tm.Term
-    then: Program
-    orelse: Program
+    __match_args__ = ("guard", "then", "orelse")
+
+    def __init__(self, guard: tm.Term, then: Program, orelse: Program):
+        self.__dict__.update(guard=guard, then=then, orelse=orelse)
 
 
-@dataclass(frozen=True)
 class While(Program):
-    guard: tm.Term
-    body: Program
-    invariant: Optional[tm.Term] = None
+    __match_args__ = ("guard", "body", "invariant")
+
+    def __init__(self, guard: tm.Term, body: Program,
+                 invariant: Optional[tm.Term] = None):
+        self.__dict__.update(guard=guard, body=body, invariant=invariant)
 
 
-@dataclass(frozen=True)
-class HoareTriple:
-    pre: Rel
-    prog: Program
-    post: Rel
+class HoareTriple(Frozen):
+    __match_args__ = ("pre", "prog", "post")
+
+    def __init__(self, pre: Rel, prog: Program, post: Rel):
+        self.__dict__.update(pre=pre, prog=prog, post=post)
 
 
-@dataclass(frozen=True)
-class Bindings:
+class Bindings(Frozen):
     """Named atomic commands and named tests over one state space."""
 
-    space: StateSpace
-    atoms: Mapping[str, Rel]
-    tests: Mapping[str, Rel]
+    __match_args__ = ("space", "atoms", "tests")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", dict(self.atoms))
-        object.__setattr__(self, "tests", dict(self.tests))
-        for name, rel in self.atoms.items():
-            if rel.space != self.space:
+    def __init__(self, space: StateSpace, atoms: Mapping[str, Rel],
+                 tests: Mapping[str, Rel]):
+        atoms, tests = dict(atoms), dict(tests)
+        for name, rel in atoms.items():
+            if rel.space != space:
                 raise ModelError(f"atom {name!r} lives on a different space")
-        for name, rel in self.tests.items():
-            if rel.space != self.space:
+        for name, rel in tests.items():
+            if rel.space != space:
                 raise ModelError(f"test {name!r} lives on a different space")
             if not rel.is_subidentity():
                 raise ModelError(f"test {name!r} is not a subidentity")
-        # built once, not per evaluation: the relation algebra (the space)
-        # and the bit patterns that atoms (element variables) and tests
-        # denote in it
-        object.__setattr__(self, "_eval_args", (
-            self.space, {k: r.bits for k, r in self.atoms.items()},
-            {k: r.bits for k, r in self.tests.items()}))
+        # built once, not per evaluation: the relation algebra (the space),
+        # the bit patterns that atoms (element variables) and tests denote
+        # in it, and its operations
+        self.__dict__.update(
+            space=space, atoms=atoms, tests=tests, _eval_args=(
+                space, {k: r.bits for k, r in atoms.items()},
+                {k: r.bits for k, r in tests.items()}, _operations(space)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +270,9 @@ def _encode(prog: Program) -> tm.Term:
 def _bits(expr: tm.Term, bindings: Bindings) -> int:
     """The bit pattern of a term in the relation algebra of the bindings'
     space."""
-    space, venv, tenv = bindings._eval_args
+    space, venv, tenv, ops = bindings._eval_args
     try:
-        return _eval_idx(space, expr, venv, tenv)
+        return _eval_idx(space, expr, venv, tenv, ops)
     except EvalError as e:
         raise ModelError(str(e)) from None
 
@@ -397,21 +400,23 @@ def wlp(prog: Program, post: Rel, bindings: Bindings) -> Rel:
 # ---------------------------------------------------------------------------
 # verification conditions
 
-@dataclass(frozen=True)
-class VerificationCondition:
-    name: str
-    lhs: Rel
-    rhs: Rel
+class VerificationCondition(Frozen):
+    __match_args__ = ("name", "lhs", "rhs")
+
+    def __init__(self, name: str, lhs: Rel, rhs: Rel):
+        self.__dict__.update(name=name, lhs=lhs, rhs=rhs)
 
     @property
     def holds(self) -> bool:
         return self.lhs.leq(self.rhs)
 
 
-@dataclass(frozen=True)
-class VcReport:
-    precondition: Rel
-    conditions: tuple[VerificationCondition, ...]
+class VcReport(Frozen):
+    __match_args__ = ("precondition", "conditions")
+
+    def __init__(self, precondition: Rel,
+                 conditions: tuple[VerificationCondition, ...]):
+        self.__dict__.update(precondition=precondition, conditions=conditions)
 
     @property
     def valid(self) -> bool:

@@ -20,7 +20,6 @@ up to 3 states (512 elements).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
 from operator import setitem, sub
@@ -29,13 +28,13 @@ from typing import Iterable, Iterator
 from .algebra import FiniteAlgebra
 from .errors import BoundError, EvalError, ModelError, ParseError
 from .evsets import _members
+from .records import Frozen
 
 __all__ = ["StateSpace", "Rel", "parse_rel_literal", "rel_algebra_model",
            "all_relations"]
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Frozen):
     """Named states, and the full relation algebra on their bit patterns.
 
     Element i is the relation with bit pattern i, and the operations are
@@ -43,7 +42,7 @@ class StateSpace:
     count.
     """
 
-    names: tuple[str, ...]
+    __match_args__ = ("names",)
     zero_i = 0
 
     def __init__(self, names: Iterable[str]):
@@ -52,7 +51,7 @@ class StateSpace:
             raise ModelError("duplicate state names")
         if not names:
             raise ModelError("state space must be nonempty")
-        object.__setattr__(self, "names", names)
+        self.__dict__["names"] = names
 
     @classmethod
     def of_size(cls, n: int) -> "StateSpace":
@@ -216,10 +215,13 @@ def _edges(bits: int, n: int) -> Iterator[tuple[int, int]]:
     return map(divmod, _members(bits), repeat(n))
 
 
-@dataclass(frozen=True)
-class Rel:
-    space: StateSpace
-    bits: int
+class Rel(Frozen):
+    __match_args__ = ("space", "bits")
+
+    def __init__(self, space: StateSpace, bits: int):
+        d = self.__dict__
+        d["space"] = space
+        d["bits"] = bits
 
     # -- constructors ---------------------------------------------------------
     @classmethod

@@ -51,7 +51,6 @@ additive top are never visited, so for those profiles an empty search
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Iterator, Optional
 
@@ -60,6 +59,7 @@ from .algebra import (_READS, Equation, FiniteAlgebra, Profile, _compile,
                       _law_vars, _reads, _Tables, check_phi, profile_axioms,
                       required_ops)
 from .errors import BoundError, ModelError
+from .records import Record
 
 __all__ = ["find_models", "CONSTRAINTS", "SearchStats"]
 
@@ -85,8 +85,7 @@ _ATOMS = (tm.Zero, tm.One, tm.Var)
 _ARG = {name: k for k, name in enumerate(_Tables._fields)}
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Record):
     """What one search did, counted as it runs.
 
     ``stages`` maps each stage the profile needs to ``[tried, pruned]``:
@@ -102,10 +101,14 @@ class SearchStats:
     models yielded.
     """
 
-    stages: dict = field(default_factory=dict)
-    duplicates: int = 0
-    candidates: int = 0
-    models: int = 0
+    __match_args__ = ("stages", "duplicates", "candidates", "models")
+
+    def __init__(self, stages: Optional[dict] = None, duplicates: int = 0,
+                 candidates: int = 0, models: int = 0):
+        self.stages = {} if stages is None else stages
+        self.duplicates = duplicates
+        self.candidates = candidates
+        self.models = models
 
 
 def find_models(size: int, profile, constraint: Optional[str] = None,

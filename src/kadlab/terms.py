@@ -20,11 +20,11 @@ so Hoare guards and assertions are read by the same parser.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
 from .errors import ParseError, SortError
+from .records import Frozen
 
 __all__ = [
     "Term", "Zero", "One", "Var", "TestVar", "Plus", "Times", "Star", "Not",
@@ -34,79 +34,89 @@ __all__ = [
 ]
 
 
-class Term:
-    """Base class for term nodes; all subclasses are frozen dataclasses."""
+class Term(Frozen):
+    """Base class for term nodes; each node is a ``records.Frozen``."""
 
     def __str__(self):
         return print_term(self)
 
 
-@dataclass(frozen=True)
+class _Named(Term):
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
+
+
+class _Binary(Term):
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+
+
+class _Unary(Term):
+    __match_args__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        self.__dict__["arg"] = arg
+
+
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
+class Var(_Named):
+    pass
 
 
-@dataclass(frozen=True)
-class TestVar(Term):
-    name: str
+class TestVar(_Named):
+    pass
 
 
-@dataclass(frozen=True)
-class Plus(Term):
-    left: Term
-    right: Term
+class Plus(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Times(Term):
-    left: Term
-    right: Term
+class Times(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Star(Term):
-    arg: Term
+class Star(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Not(Term):
-    arg: Term
+class Not(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class ADom(Term):
-    arg: Term
+class ADom(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Dom(Term):
-    arg: Term
+class Dom(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class ARan(Term):
-    arg: Term
+class ARan(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Ran(Term):
-    arg: Term
+class Ran(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
 class Box(Term):
-    prog: Term
-    post: Term
+    __match_args__ = ("prog", "post")
+
+    def __init__(self, prog: Term, post: Term):
+        self.__dict__.update(prog=prog, post=post)
 
 
 ZERO = Zero()

@@ -265,6 +265,26 @@ def test_demo_nonexpressivity_rejects_test_algebra_target(capsys):
     assert "error:" in err
 
 
+# literals and candidate counts whose bit patterns would be wider than
+# evsets.MAX_BITS are refused before any pattern is built
+@pytest.mark.parametrize("argv,message", [
+    (["--set", "periodic(99999999999999999999;;2;1)", "--candidates", "2"],
+     "threshold 99999999999999999999 is above MAX_BITS = 131072"),
+    (["--set", "periodic(5000000000;;2;1)"],
+     "threshold 5000000000 is above MAX_BITS = 131072"),
+    (["--set", "periodic(0;;2000000;1)"],
+     "period 2000000 is above MAX_BITS = 131072"),
+    (["--set", "evens", "--candidates", "99999999999"],
+     "99999999999 candidates need a 199999999998-bit pattern, above "
+     "MAX_BITS = 131072"),
+], ids=["threshold-20-digits", "threshold-5e9", "period", "candidates"])
+def test_demo_nonexpressivity_refuses_patterns_above_the_bound(capsys, argv,
+                                                              message):
+    code, out, err = run(capsys, "demo", "nonexpressivity", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}, the bound on a bit pattern\n"
+
+
 def test_structured_output_is_json(capsys):
     code, out, _ = run(capsys, "--format", "structured", "check-phi",
                        "--builtin", "lemma4")

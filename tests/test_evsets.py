@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from kadlab.errors import ModelError, ParseError
-from kadlab.evsets import (EvPeriodicSet, NotAPrecondition, NotMaximal,
+from kadlab.errors import BoundError, ModelError, ParseError
+from kadlab.evsets import (MAX_BITS, EvPeriodicSet, NotAPrecondition, NotMaximal,
                            cofinite_set, empty_set, enumerate_candidates,
                            evens, finite_set, format_evset, full_set,
                            in_test_algebra, odds, parse_evset,
@@ -214,6 +214,20 @@ def test_exactly_count_candidates(count):
 def test_negative_candidate_count_is_refused():
     with pytest.raises(ModelError):
         next(enumerate_candidates(evens(), -1))
+
+
+def test_bit_patterns_wider_than_the_bound_are_refused():
+    # a threshold or period up to MAX_BITS is a set, one bit more is not,
+    # and neither is a candidate list whose pattern is wider than that
+    assert EvPeriodicSet(MAX_BITS, (), MAX_BITS, ()) == empty_set()
+    for args in [(MAX_BITS + 1, (), 1, ()), (0, (), MAX_BITS + 1, ())]:
+        with pytest.raises(BoundError, match="MAX_BITS = 131072"):
+            EvPeriodicSet(*args)
+    with pytest.raises(BoundError, match="MAX_BITS"):
+        finite_set({MAX_BITS})
+    assert next(enumerate_candidates(evens(), MAX_BITS // 2)) == empty_set()
+    with pytest.raises(BoundError, match="MAX_BITS"):
+        next(enumerate_candidates(evens(), MAX_BITS // 2 + 1))
 
 
 def test_long_head_is_absorbed_in_one_pass():
